@@ -1,120 +1,74 @@
-"""Hot enumeration kernels: numba-jitted loops with a vectorised numpy fallback.
+"""The row-mask spine: preorders as row masks, their up-sets, and the
+family-subset scan kept as an independent second route.
 
-The exhaustive scans (2^20 relation candidates for preorders on five points,
-2^16 set families on four) dominate enumeration time.  The jitted path is
-used when numba is importable unless ``QMTOP_NUMBA`` is set to ``0``/``off``;
-both paths produce identical arrays and are compared by the test suite and
-by ``benchmarks/bench_kernels.py``.
+A preorder on n points is a tuple of row masks, rows[x] = {y : x below y}.
+Every finite topology is the set of up-sets of its specialization preorder,
+so enumerating preorders and walking their up-sets covers every topology.
+`closed_family_masks` instead filters all 2^(2^n) candidate families; it is
+exponentially slower and serves only as the cross-check of that route.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("QMTOP_NUMBA", "auto").strip().lower()
-if _env in ("0", "false", "off", "no"):
-    njit = None
-else:
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
 
-USING_NUMBA = njit is not None
+def _walk(rows, down, inside: int, outside: int, full: int, out: list) -> None:
+    undecided = full & ~(inside | outside)
+    if not undecided:
+        out.append(inside)
+        return
+    x = (undecided & -undecided).bit_length() - 1
+    _walk(rows, down, inside | rows[x], outside, full, out)
+    _walk(rows, down, inside, outside | down[x], full, out)
 
 
-def _preorder_rows_loop(n):
-    """Row masks of every reflexive transitive relation on n points.
+def upsets(rows) -> list[int]:
+    """Masks of every up-closed set of the preorder, in no particular order.
 
-    Candidates are the 2^(n(n-1)) settings of the off-diagonal bits, scanned
-    in ascending order; rows[x] holds the mask {y : x related to y}.
+    The walk decides the lowest undecided point x: either x is inside, and so
+    is its whole row, or x is outside, and so is everything below it.  Both
+    branches stay consistent, so every leaf is a distinct up-set and the
+    cost is linear in the number of up-sets.
     """
+    n = len(rows)
     full = (1 << n) - 1
-    pair_bits = n * (n - 1)
-    total = 1 << pair_bits
-    out = np.empty((total, n), dtype=np.uint32)
-    rows = np.empty(n, dtype=np.uint32)
-    count = 0
-    for c in range(total):
-        pos = 0
-        for x in range(n):
-            r = 1 << x
-            for y in range(n):
-                if y != x:
-                    if (c >> pos) & 1:
-                        r |= 1 << y
-                    pos += 1
-            rows[x] = np.uint32(r)
-        ok = True
-        for x in range(n):
-            m = rows[x]
-            for y in range(n):
-                if (m >> y) & 1:
-                    if rows[y] & ~m & full:
-                        ok = False
-                        break
-            if not ok:
-                break
-        if ok:
-            for x in range(n):
-                out[count, x] = rows[x]
-            count += 1
-    return out[:count].copy()
+    down = [sum(1 << y for y in range(n) if rows[y] >> x & 1) for x in range(n)]
+    out: list[int] = []
+    _walk(rows, down, 0, 0, full, out)
+    return out
 
 
-def _closed_family_masks_loop(n):
-    """Bitmasks (over the 2^n subsets) of families containing the empty and
-    full sets and closed under pairwise union and intersection."""
-    subsets = 1 << n
-    total = 1 << subsets
-    out = np.empty(total, dtype=np.int64)
-    count = 0
-    for f in range(total):
-        if not f & 1:
-            continue
-        if not (f >> (subsets - 1)) & 1:
-            continue
-        ok = True
-        for a in range(subsets):
-            if not (f >> a) & 1:
-                continue
-            for b in range(a + 1, subsets):
-                if not (f >> b) & 1:
-                    continue
-                if not (f >> (a | b)) & 1 or not (f >> (a & b)) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out[count] = f
-            count += 1
-    return out[:count].copy()
+def preorder_rows(n: int) -> list[tuple[int, ...]]:
+    """Row masks of every preorder on n points, by one-point extension.
+
+    A preorder on points 0..m extends one on 0..m-1 by a down-set D (the
+    points below m) and an up-set U (the points above m) with every member
+    of D below every member of U.  Each preorder on m+1 points arises from
+    exactly one such triple (Brinkmann & McKay 2005; OEIS A000798).
+    """
+    level: list[tuple[int, ...]] = [()]
+    for m in range(n):
+        bit, full = 1 << m, (1 << m) - 1
+        grown = []
+        for rows in level:
+            ups = upsets(rows)
+            for up in ups:
+                below = full & ~up
+                meet = full
+                for x in range(m):
+                    if below >> x & 1:
+                        meet &= rows[x]
+                old = tuple(r | bit if below >> x & 1 else r for x, r in enumerate(rows))
+                grown.extend(old + (u | bit,) for u in ups if u & ~meet == 0)
+        level = grown
+    return level
 
 
-def _preorder_rows_numpy(n, chunk=1 << 16):
-    full = (1 << n) - 1
-    pair_bits = n * (n - 1)
-    total = 1 << pair_bits
-    offdiag = [(x, y) for x in range(n) for y in range(n) if y != x]
-    weights = (1 << np.arange(n)).astype(np.uint32)
-    pieces = []
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        rel = np.zeros((len(idx), n, n), dtype=np.uint8)
-        rel[:, np.arange(n), np.arange(n)] = 1
-        for pos, (x, y) in enumerate(offdiag):
-            rel[:, x, y] = (idx >> pos) & 1
-        two_step = np.matmul(rel, rel)
-        closed = ~(((two_step > 0) & (rel == 0)).any(axis=(1, 2)))
-        good = rel[closed]
-        pieces.append((good * weights[None, None, :]).sum(axis=2, dtype=np.uint32))
-    return np.concatenate(pieces) if pieces else np.empty((0, n), dtype=np.uint32)
-
-
-def _closed_family_masks_numpy(n):
+def closed_family_masks(n: int) -> np.ndarray:
+    """Family bitmasks (over the 2^n subsets) of all labelled topologies on
+    n points: families holding the empty and full sets and closed under
+    pairwise union and intersection."""
     subsets = 1 << n
     total = 1 << subsets
     fam = np.arange(total, dtype=np.int64)
@@ -125,22 +79,3 @@ def _closed_family_masks_numpy(n):
             both = present[:, a] & present[:, b]
             ok &= ~both | (present[:, a | b] & present[:, a & b])
     return fam[ok]
-
-
-if USING_NUMBA:
-    _preorder_rows_jit = njit(cache=True)(_preorder_rows_loop)
-    _closed_family_masks_jit = njit(cache=True)(_closed_family_masks_loop)
-
-
-def preorder_rows(n: int) -> np.ndarray:
-    """(count, n) array of relation row masks, one row per preorder."""
-    if USING_NUMBA:
-        return _preorder_rows_jit(n)
-    return _preorder_rows_numpy(n)
-
-
-def closed_family_masks(n: int) -> np.ndarray:
-    """Family bitmasks of all labelled topologies on n points."""
-    if USING_NUMBA:
-        return _closed_family_masks_jit(n)
-    return _closed_family_masks_numpy(n)

@@ -185,9 +185,13 @@ def _member_array(ds: IndexSetDescriptor, ks: np.ndarray) -> np.ndarray:
     if isinstance(ds, FiniteSet):
         return np.isin(ks, np.asarray(ds.members, dtype=np.int64))
     if isinstance(ds, ResidueClasses):
-        lut = np.zeros(ds.modulus, dtype=bool)
-        lut[list(ds.residues)] = True
-        return lut[ks % ds.modulus]
+        # k % modulus is below both the modulus and top, so a table of the
+        # smaller size serves every modulus without outgrowing the scan.
+        top = int(ks.max()) + 1 if len(ks) else 1
+        size = min(ds.modulus, top)
+        lut = np.zeros(size, dtype=bool)
+        lut[[r for r in ds.residues if r < size]] = True
+        return lut[ks % ds.modulus if ds.modulus < top else ks]
     if isinstance(ds, Squares):
         root = np.sqrt(ks.astype(np.float64)).astype(np.int64)
         root = np.where((root + 1) * (root + 1) <= ks, root + 1, root)

@@ -218,12 +218,8 @@ def lift_quasifamily(q: QuasiFamily) -> ContinuitySpace:
     k = len(q.indices)
     if k > LIFT_MAX_INDICES:
         raise ValueError(f"at most {LIFT_MAX_INDICES} indices supported, got {k}")
-    size = 1 << k
-    labels = tuple("".join("1" if e >> i & 1 else "0" for i in range(k)) or "0"
-                   for e in range(size))
-    add = tuple(tuple(a | b for b in range(size)) for a in range(size))
-    sg = ValueSemigroup(labels, add, zero=0, infinity=size - 1)
-    positives = PositiveSet(sg, tuple(range(size)))
+    sg = semigroup_zero_one_pow(k)
+    positives = PositiveSet(sg, tuple(range(sg.size)))
     n = q.space.n
     dist = tuple(
         tuple(sum(1 << i for i, m in enumerate(q.matrices) if m[x][y]) for y in range(n))

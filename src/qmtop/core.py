@@ -425,14 +425,18 @@ def _require(cond: bool, message: str) -> None:
 
 def _space_from(obj: dict, key: str = "n") -> PointSpace:
     _require(key in obj, f"missing {key!r}")
-    n = obj[key]
-    _require(isinstance(n, int) and not isinstance(n, bool), f"{key!r} must be an integer")
+    n = _int(obj[key], repr(key))
     labels = obj.get("labels")
     if labels is not None:
         _require(isinstance(labels, list) and all(isinstance(s, str) for s in labels),
                  "labels must be a list of strings")
         return PointSpace(n, tuple(labels))
     return PointSpace(n)
+
+
+def _int(v, what: str) -> int:
+    _require(isinstance(v, int) and not isinstance(v, bool), f"{what} must be an integer")
+    return v
 
 
 def _int_list(v, what: str) -> list[int]:
@@ -448,8 +452,8 @@ def _descriptor_from(obj) -> IndexSetDescriptor:
     if t == "finite":
         return FiniteSet(tuple(_int_list(obj.get("members"), "members")))
     if t == "residues":
-        _require(isinstance(obj.get("mod"), int), "residues set needs integer 'mod'")
-        return ResidueClasses(obj["mod"], tuple(_int_list(obj.get("residues"), "residues")))
+        return ResidueClasses(_int(obj.get("mod"), "residues 'mod'"),
+                              tuple(_int_list(obj.get("residues"), "residues")))
     if t == "squares":
         return Squares()
     if t == "powers_of_two":
@@ -535,20 +539,18 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
 
     if kind == "sequence":
         space = _space_from(obj)
-        _require(isinstance(obj.get("default"), int), "sequence needs a default point")
+        default = _int(obj.get("default"), "sequence 'default'")
         rules = []
         for rule in obj.get("rules", []):
             _require(isinstance(rule, dict) and "set" in rule and "point" in rule,
                      "each rule needs 'set' and 'point'")
-            _require(isinstance(rule["point"], int), "rule point must be an integer")
-            rules.append((_descriptor_from(rule["set"]), rule["point"]))
-        return SequenceSpec(space, obj["default"], tuple(rules))
+            rules.append((_descriptor_from(rule["set"]), _int(rule["point"], "rule point")))
+        return SequenceSpec(space, default, tuple(rules))
 
     if kind == "map":
-        _require(isinstance(obj.get("from"), int) and isinstance(obj.get("to"), int),
-                 "map needs integer 'from' and 'to'")
+        n_from, n_to = _int(obj.get("from"), "map 'from'"), _int(obj.get("to"), "map 'to'")
         values = tuple(_int_list(obj.get("values"), "map values"))
-        return PointMap(PointSpace(obj["from"]), PointSpace(obj["to"]), values)
+        return PointMap(PointSpace(n_from), PointSpace(n_to), values)
 
     if kind == "net":
         space = _space_from(obj)
@@ -564,9 +566,9 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
         _require(all(isinstance(s, str) for s in obj["elements"]), "element labels must be strings")
         _require(isinstance(obj.get("add"), list), "semigroup needs an addition table")
         add = tuple(tuple(_int_list(r, "add row")) for r in obj["add"])
-        _require(isinstance(obj.get("zero"), int) and isinstance(obj.get("infinity"), int),
-                 "semigroup needs integer 'zero' and 'infinity'")
-        sg = ValueSemigroup(tuple(obj["elements"]), add, obj["zero"], obj["infinity"])
+        sg = ValueSemigroup(tuple(obj["elements"]), add,
+                            _int(obj.get("zero"), "semigroup 'zero'"),
+                            _int(obj.get("infinity"), "semigroup 'infinity'"))
         if validate:
             from . import continuity as _continuity
 

@@ -13,6 +13,7 @@ from typing import Union
 import numpy as np
 
 from . import _tails
+from ._kernels import upsets
 from .core import (
     Complement,
     DirectedNet,
@@ -97,8 +98,9 @@ def to_topology(q: QuasiFamily) -> Topology:
 
     A set is open iff around each of its points the intersection of all
     balls stays inside it (with a finite index set, intersecting everything
-    is the weakest finite-subfamily test).  The result is also computed as
-    the subbase-generated topology of all balls and the two must agree.
+    is the weakest finite-subfamily test), so the opens are the up-sets of
+    those intersections.  The result is also computed as the
+    subbase-generated topology of all balls and the two must agree.
     """
     n = q.space.n
     balls = ball_masks(q)
@@ -107,9 +109,7 @@ def to_topology(q: QuasiFamily) -> Topology:
     for per_point in balls:
         for x in range(n):
             core[x] &= per_point[x]
-    opens = [u for u in range(1 << n)
-             if all(not u >> x & 1 or core[x] & ~u == 0 for x in range(n))]
-    direct = Topology.from_masks(q.space, opens)
+    direct = Topology.from_masks(q.space, upsets(core))
     subbase = [PointSet(q.space, m) for per_point in balls for m in per_point]
     generated = generate_from_subbase(q.space, subbase)
     if direct.open_masks != generated.open_masks:
@@ -226,11 +226,10 @@ def sep_pair(q: QuasiFamily, mode: str, x: int, y: int) -> bool:
         return any(m[x][y] == 1 or m[y][x] == 1 for m in mats)
     if mode in ("t1_amended", "literal_r3"):
         return any(m[x][y] == 1 for m in mats)
-    if mode == "literal_r4":
+    if mode in ("literal_r4", "literal_r5"):
+        # R5 asks for indices i and j both separating the pair in both
+        # directions; taking j = i shows it is exactly R4.
         return any(m[x][y] == 1 and m[y][x] == 1 for m in mats)
-    if mode == "literal_r5":
-        return any(mi[x][y] == 1 and mi[y][x] == 1 and mj[x][y] == 1 and mj[y][x] == 1
-                   for mi in mats for mj in mats)
     raise ValueError(f"unknown separation mode {mode!r}")
 
 
@@ -327,6 +326,8 @@ def _density_nf(ds: IndexSetDescriptor) -> _NormalForm:
         return _NormalForm(1, frozenset(), 0, 1, 0)
     if isinstance(ds, Complement):
         nf = _density_nf(ds.of)
+        if nf.modulus > DENSITY_MODULUS_CAP:
+            raise _DensityUnknown(f"complemented modulus exceeds {DENSITY_MODULUS_CAP}")
         residues = frozenset(range(nf.modulus)) - nf.residues
         return _NormalForm(nf.modulus, residues, nf.sqrt_terms, nf.log_terms,
                            nf.finite_bound)

@@ -75,9 +75,34 @@ class TopologyViolation:
         return {"kind": self.kind, "witness": [list(w) for w in self.witness]}
 
 
+def _neighborhood_rows(space: PointSpace, masks) -> list[int]:
+    """rows[x] is the intersection of the given sets containing x (the full
+    set if none does): the minimal neighbourhoods of the topology they
+    generate, which are always the rows of a preorder."""
+    rows = [space.full_mask] * space.n
+    for m in masks:
+        for x in range(space.n):
+            if m >> x & 1:
+                rows[x] &= m
+    return rows
+
+
 def check_topology(space: PointSpace, family) -> list[TopologyViolation]:
-    """All closure failures of a candidate family of open sets."""
+    """All closure failures of a candidate family of open sets.
+
+    Every member is an up-set of the family's neighbourhood rows, so the
+    family is a topology exactly when it has as many members as those rows
+    have up-sets; only a failure pays for the scan over pairs.
+    """
     masks = sorted({s.mask for s in family})
+    if len(_kernels.upsets(_neighborhood_rows(space, masks))) == len(masks):
+        return []
+    return _pair_scan(space, masks)
+
+
+def _pair_scan(space: PointSpace, masks: list[int]) -> list[TopologyViolation]:
+    """Missing empty or full set, then every escaping union or intersection
+    of two distinct members (ascending masks)."""
     present = set(masks)
     out = []
     if 0 not in present:
@@ -93,56 +118,31 @@ def check_topology(space: PointSpace, family) -> list[TopologyViolation]:
     return out
 
 
-def _close_under(masks: set[int], op) -> set[int]:
-    work = set(masks)
-    frontier = list(work)
-    while frontier:
-        fresh = []
-        for a in frontier:
-            for b in work:
-                c = op(a, b)
-                if c not in work:
-                    fresh.append(c)
-        work.update(fresh)
-        frontier = fresh
-    return work
-
-
 def generate_from_subbase(space: PointSpace, subbase) -> Topology:
-    """Smallest topology containing the subbase.
+    """Smallest topology containing the subbase: the up-sets of the minimal
+    neighbourhoods the subbase determines.
 
     The empty intersection is the full set and the empty union is the empty
     set, so the result is a topology even for an empty subbase.
     """
-    base = _close_under({s.mask for s in subbase} | {space.full_mask}, lambda a, b: a & b)
-    opens = _close_under(base | {0}, lambda a, b: a | b)
-    return Topology.from_masks(space, opens)
+    rows = _neighborhood_rows(space, {s.mask for s in subbase})
+    return Topology.from_masks(space, _kernels.upsets(rows))
 
 
 def minimal_neighborhood(t: Topology, x: int) -> PointSet:
     """Intersection of every open containing x; open itself on finite carriers."""
     t.space.check_point(x)
-    mask = t.space.full_mask
-    for s in t.opens:
-        if s.mask >> x & 1:
-            mask &= s.mask
-    return PointSet(t.space, mask)
+    return PointSet(t.space, _neighborhood_rows(t.space, t.open_masks)[x])
 
 
 def specialization_preorder(t: Topology) -> Preorder:
     """x below y iff every open containing x contains y."""
-    return Preorder(t.space, tuple(minimal_neighborhood(t, x).mask
-                                   for x in t.space.points()))
+    return Preorder(t.space, tuple(_neighborhood_rows(t.space, t.open_masks)))
 
 
 def alexandrov_topology(p: Preorder) -> Topology:
     """Opens are the up-closed sets of the relation."""
-    n = p.space.n
-    opens = []
-    for u in range(1 << n):
-        if all(not u >> x & 1 or p.rows[x] & ~u == 0 for x in range(n)):
-            opens.append(u)
-    return Topology.from_masks(p.space, opens)
+    return Topology.from_masks(p.space, _kernels.upsets(p.rows))
 
 
 # --- separation axioms, direct definitions -------------------------------
@@ -220,21 +220,18 @@ def enumerate_preorders(n: int):
     """Every preorder on n labelled points, ascending by relation rows."""
     _check_enum_bound(n, ENUM_MAX_POINTS)
     space = PointSpace(n)
-    rows_arr = _kernels.preorder_rows(n)
-    rows_list = sorted(tuple(int(v) for v in rows) for rows in rows_arr)
-    for rows in rows_list:
+    for rows in sorted(_kernels.preorder_rows(n)):
         yield Preorder(space, rows)
 
 
-def enumerate_topologies(n: int, method: str = "auto"):
+def enumerate_topologies(n: int, method: str = "preorders"):
     """Every labelled topology on n points, sorted by canonical document.
 
-    The subset-family route filters all 2^(2^n) candidate families (n <= 4);
-    the preorder route takes up-sets of enumerated preorders (n <= 5).  Both
-    yield the same stream where both apply.
+    Each topology is the up-sets of one enumerated preorder.  The
+    `"families"` method instead filters all 2^(2^n) candidate families
+    (n <= 4); it exists only as an independent oracle for the first route
+    and yields the same stream.
     """
-    if method == "auto":
-        method = "families" if n <= FAMILY_ROUTE_MAX_POINTS else "preorders"
     space = PointSpace(n)
     if method == "families":
         _check_enum_bound(n, FAMILY_ROUTE_MAX_POINTS)
@@ -244,7 +241,6 @@ def enumerate_topologies(n: int, method: str = "auto"):
             masks = [u for u in range(1 << n) if fam >> u & 1]
             tops.append(Topology.from_masks(space, masks))
     elif method == "preorders":
-        _check_enum_bound(n, ENUM_MAX_POINTS)
         tops = [alexandrov_topology(p) for p in enumerate_preorders(n)]
     else:
         raise ValueError(f"unknown enumeration method {method!r}")
@@ -252,7 +248,7 @@ def enumerate_topologies(n: int, method: str = "auto"):
     yield from tops
 
 
-def count_topologies(n: int, method: str = "auto") -> int:
+def count_topologies(n: int, method: str = "preorders") -> int:
     return sum(1 for _ in enumerate_topologies(n, method))
 
 

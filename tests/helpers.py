@@ -1,5 +1,6 @@
 """Shared builders and independent oracles for the test suite."""
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from qmtop.core import (
@@ -71,13 +72,42 @@ def all_eventually_periodic(space: PointSpace, max_prefix: int = 2,
     return out
 
 
+@lru_cache(maxsize=None)
+def _family_route_opens(n: int) -> tuple[frozenset, ...]:
+    return tuple(frozenset(t.open_masks)
+                 for t in enumerate_topologies(n, method="families"))
+
+
 def brute_minimal_topology(space: PointSpace, subbase_masks) -> frozenset:
     """Oracle: intersect the open families of every topology containing the
     subbase (enumerated independently of the closure code under test)."""
     keep = None
-    for t in enumerate_topologies(space.n, method="families"):
-        opens = set(t.open_masks)
+    for opens in _family_route_opens(space.n):
         if all(m in opens for m in subbase_masks):
             keep = opens if keep is None else keep & opens
     assert keep is not None
     return frozenset(keep)
+
+
+def close_under(masks: set[int], op) -> set[int]:
+    """Oracle: the closure of a set of masks under a binary operation."""
+    work = set(masks)
+    frontier = list(work)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in work:
+                c = op(a, b)
+                if c not in work:
+                    fresh.append(c)
+        work.update(fresh)
+        frontier = fresh
+    return work
+
+
+def subbase_closure(space: PointSpace, subbase_masks) -> frozenset:
+    """Oracle: close the subbase and the full set under intersection, then
+    the result and the empty set under union."""
+    base = close_under(set(subbase_masks) | {space.full_mask}, lambda a, b: a & b)
+    return frozenset(close_under(base | {0}, lambda a, b: a | b))
+

@@ -1,8 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a verdict line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines; the timed criteria warm the jit cache first so the measurement covers
-the enumeration work rather than one-off compilation.
+lines.
 """
 
 import json
@@ -35,13 +34,7 @@ def _verdict(num: int, name: str, ok: bool) -> None:
     assert ok, f"criterion {num} failed: {name}"
 
 
-def _warm_kernels() -> None:
-    list(topology.enumerate_topologies(2, method="families"))
-    list(topology.enumerate_preorders(2))
-
-
 def test_criterion_01_roundtrip_theorem():
-    _warm_kernels()
     start = time.perf_counter()
     ok = True
     for n, expected in EXPECTED_COUNTS.items():
@@ -57,7 +50,6 @@ def test_criterion_01_roundtrip_theorem():
 
 
 def test_criterion_02_dual_enumeration_oracle():
-    _warm_kernels()
     start = time.perf_counter()
     ok = True
     for n, expected in EXPECTED_COUNTS.items():

@@ -172,6 +172,63 @@ def test_converge_statistical_verdicts(files, capsys):
     assert code == 1
 
 
+def test_converge_statistical_huge_modulus(files, capsys):
+    """A residue class modulo 10^12 has an exact density and is scanned
+    without a table the size of the modulus."""
+    sparse = files("sparse.json", '{"kind":"sequence","n":2,"default":0,"rules":[{"set":'
+                                  '{"type":"residues","mod":1000000000000,"residues":[0,1]},'
+                                  '"point":1}]}')
+    code, out = run(capsys, "converge", sparse, files("edge.json", EDGE_FAMILY),
+                    "--point", "0", "--mode", "statistical")
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "fail"
+    entry = report["detail"]["per_index"][0]
+    assert entry["density"] == {"kind": "exact", "numerator": 1, "denominator": 500000000000}
+    assert [e["count"] for e in entry["empirical"]] == [1, 1, 1, 1]
+
+    # Its complement would need 10^12 explicit residues: unknown, not a crash.
+    dense = files("dense.json", '{"kind":"sequence","n":2,"default":0,"rules":[{"set":'
+                                '{"type":"complement","of":{"type":"residues",'
+                                '"mod":1000000000000,"residues":[0]}},"point":1}]}')
+    code, out = run(capsys, "converge", dense, files("edge.json", EDGE_FAMILY),
+                    "--point", "0", "--mode", "statistical")
+    report = json.loads(out)
+    assert code == 0 and report["verdict"] == "undecided"
+    assert report["detail"]["per_index"][0]["density"]["kind"] == "unknown"
+
+
+BOOL_AS_INT = {
+    "map from": '{"kind":"map","from":true,"to":2,"values":[0]}',
+    "map to": '{"kind":"map","from":1,"to":true,"values":[0]}',
+    "sequence default": '{"kind":"sequence","n":2,"default":true}',
+    "rule point": '{"kind":"sequence","n":2,"default":0,'
+                  '"rules":[{"set":{"type":"squares"},"point":true}]}',
+    "residues mod": '{"kind":"sequence","n":2,"default":0,"rules":[{"set":'
+                    '{"type":"residues","mod":true,"residues":[0]},"point":1}]}',
+    "semigroup zero": '{"kind":"semigroup","elements":["0","1"],"add":[[0,1],[1,1]],'
+                      '"zero":false,"infinity":1}',
+    "semigroup infinity": '{"kind":"semigroup","elements":["0","1"],"add":[[0,1],[1,1]],'
+                          '"zero":0,"infinity":true}',
+}
+
+
+@pytest.mark.parametrize("field", sorted(BOOL_AS_INT))
+def test_bool_is_not_an_integer(field, files, capsys):
+    doc = files("doc.json", BOOL_AS_INT[field])
+    kind = json.loads(BOOL_AS_INT[field])["kind"]
+    if kind == "sequence":
+        argv = ["converge", doc, files("edge.json", EDGE_FAMILY), "--point", "0",
+                "--mode", "right"]
+    elif kind == "semigroup":
+        argv = ["check", doc, "--kind", "semigroup"]
+    else:  # no subcommand takes a map, but every one parses its document first
+        argv = ["check", doc, "--kind", "topology"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "must be an integer" in captured.err
+
+
 def test_enumerate_command(files, capsys):
     code, out = run(capsys, "enumerate", "--n", "3", "--kind", "topologies",
                     "--count-only")
@@ -261,7 +318,7 @@ def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qmtop", "enumerate", "--n", "2",
          "--kind", "topologies", "--count-only"],
-        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin", "QMTOP_NUMBA": "0"},
+        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
         capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "4"
 

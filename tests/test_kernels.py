@@ -1,8 +1,4 @@
-import subprocess
-import sys
 from itertools import product
-
-import numpy as np
 
 from qmtop import _kernels
 
@@ -35,46 +31,29 @@ def _brute_family_masks(n):
 
 
 def test_preorder_kernel_against_brute_force():
-    for n in (1, 2, 3):
-        got = sorted(tuple(int(v) for v in row) for row in _kernels.preorder_rows(n))
-        assert got == _brute_preorder_rows(n)
+    for n in (1, 2, 3, 4):
+        assert sorted(_kernels.preorder_rows(n)) == _brute_preorder_rows(n)
+
+
+def test_known_counts():
+    counts = []
+    for n in (1, 2, 3, 4, 5):
+        rows = _kernels.preorder_rows(n)
+        assert len(set(rows)) == len(rows)
+        counts.append(len(rows))
+    assert counts == [1, 4, 29, 355, 6942]
+    assert [len(_kernels.closed_family_masks(n)) for n in (1, 2, 3, 4)] == [1, 4, 29, 355]
+
+
+def test_upsets_against_brute_force():
+    for n in (1, 2, 3, 4):
+        for rows in _brute_preorder_rows(n):
+            expected = [u for u in range(1 << n)
+                        if all(not u >> x & 1 or rows[x] & ~u == 0 for x in range(n))]
+            got = _kernels.upsets(rows)
+            assert sorted(got) == expected and len(got) == len(expected)
 
 
 def test_family_kernel_against_brute_force():
     for n in (1, 2, 3):
         assert [int(v) for v in _kernels.closed_family_masks(n)] == _brute_family_masks(n)
-
-
-def test_numpy_fallback_matches_loop_path():
-    for n in (1, 2, 3, 4):
-        assert np.array_equal(_kernels._preorder_rows_numpy(n),
-                              _kernels._preorder_rows_loop(n))
-        assert np.array_equal(_kernels._closed_family_masks_numpy(n),
-                              _kernels._closed_family_masks_loop(n))
-
-
-def test_jit_path_matches_numpy_path():
-    if not _kernels.USING_NUMBA:
-        return
-    for n in (3, 4):
-        assert np.array_equal(_kernels._preorder_rows_jit(n),
-                              _kernels._preorder_rows_numpy(n))
-        assert np.array_equal(_kernels._closed_family_masks_jit(n),
-                              _kernels._closed_family_masks_numpy(n))
-
-
-def test_known_counts():
-    assert [len(_kernels.preorder_rows(n)) for n in (1, 2, 3, 4)] == [1, 4, 29, 355]
-    assert [len(_kernels.closed_family_masks(n)) for n in (1, 2, 3, 4)] == [1, 4, 29, 355]
-
-
-def test_env_flag_selects_fallback():
-    import pathlib
-
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    code = "import qmtop._kernels as k; print(k.USING_NUMBA)"
-    out = subprocess.run([sys.executable, "-c", code],
-                         env={"QMTOP_NUMBA": "0", "PYTHONPATH": src,
-                              "PATH": "/usr/bin:/bin"},
-                         capture_output=True, text=True)
-    assert out.stdout.strip() == "False"

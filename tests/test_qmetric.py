@@ -209,6 +209,24 @@ def test_sep_metric_examples():
         sep_metric(cf, "literal_r6")
 
 
+def test_literal_r5_is_literal_r4():
+    """R5 as stated (indices i and j each separating the pair both ways)
+    holds exactly where R4 does, on every one- and two-index family."""
+    for n in (1, 2, 3):
+        for q in small_index_families(n, 2):
+            mats = q.matrices
+            for x in range(n):
+                for y in range(n):
+                    if x == y:
+                        continue
+                    stated = any(mi[x][y] == 1 and mi[y][x] == 1
+                                 and mj[x][y] == 1 and mj[y][x] == 1
+                                 for mi in mats for mj in mats)
+                    assert sep_pair(q, "literal_r5", x, y) == stated
+                    assert sep_pair(q, "literal_r4", x, y) == stated
+            assert sep_metric(q, "literal_r5") == sep_metric(q, "literal_r4")
+
+
 def test_sep_metric_characterizations_small():
     from qmtop.topology import is_t0, is_t1
 

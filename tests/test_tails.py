@@ -86,6 +86,14 @@ def test_vectorised_evaluation_matches_scalar(seq):
     assert [int(v) for v in vals] == [seq.value_at(k) for k in range(1, 301)]
 
 
+@pytest.mark.parametrize("mod", [250, 300, 10**12, 10**30])
+def test_vectorised_evaluation_with_large_moduli(mod):
+    residues = (0, 5, 249, mod - 1)
+    seq = SequenceSpec(PointSpace(2), 0, ((ResidueClasses(mod, residues), 1),))
+    vals = _tails.evaluate_range(seq, 300)
+    assert [int(v) for v in vals] == [seq.value_at(k) for k in range(1, 301)]
+
+
 def test_squares_deviation_is_not_eventual():
     space = PointSpace(2)
     seq = SequenceSpec(space, 1, ((Squares(), 0),))

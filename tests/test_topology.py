@@ -1,4 +1,8 @@
+import random
+
 import pytest
+
+from qmtop import topology
 
 from qmtop.core import (
     PointMap,
@@ -24,7 +28,7 @@ from qmtop.topology import (
     specialization_preorder,
 )
 
-from helpers import brute_minimal_topology, sierpinski
+from helpers import brute_minimal_topology, sierpinski, subbase_closure
 
 
 def _discrete(n):
@@ -55,6 +59,41 @@ def test_generate_from_subbase_examples():
     assert generate_from_subbase(space, []).open_masks == (0, 0b111)
     singletons = [space.subset([p]) for p in range(3)]
     assert generate_from_subbase(space, singletons).open_masks == _discrete(3).open_masks
+
+
+def _subbase_agrees(space, masks, brute=False):
+    got = frozenset(generate_from_subbase(space, [space.subset(
+        [p for p in space.points() if m >> p & 1]) for m in masks]).open_masks)
+    assert got == subbase_closure(space, masks), (space.n, masks)
+    if brute:
+        assert got == brute_minimal_topology(space, masks), (space.n, masks)
+
+
+def test_generate_from_subbase_matches_oracles_on_every_small_subbase():
+    for n in (1, 2, 3):
+        space = PointSpace(n)
+        subsets = 1 << n
+        for chosen in range(1 << subsets):
+            _subbase_agrees(space, [m for m in range(subsets) if chosen >> m & 1], brute=True)
+
+
+def test_generate_from_subbase_matches_oracles_on_random_subbases():
+    rng = random.Random(20170817)
+    for k in range(3000):
+        n = 4 + k % 4
+        space = PointSpace(n)
+        masks = [rng.randrange(1 << n) for _ in range(rng.randrange(0, n + 1))]
+        _subbase_agrees(space, masks, brute=n == 4)
+
+
+def test_check_topology_shortcut_matches_pair_scan():
+    for n in (1, 2, 3):
+        space = PointSpace(n)
+        subsets = 1 << n
+        for fam in range(1 << subsets):
+            masks = [m for m in range(subsets) if fam >> m & 1]
+            family = [space.subset([p for p in range(n) if m >> p & 1]) for m in masks]
+            assert check_topology(space, family) == topology._pair_scan(space, masks)
 
 
 def test_generate_from_subbase_idempotent_on_topologies():
