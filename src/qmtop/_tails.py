@@ -183,7 +183,10 @@ def evaluate_range(seq: SequenceSpec, kmax: int) -> np.ndarray:
 
 def _member_array(ds: IndexSetDescriptor, ks: np.ndarray) -> np.ndarray:
     if isinstance(ds, FiniteSet):
-        return np.isin(ks, np.asarray(ds.members, dtype=np.int64))
+        # Members past the scan cannot match and need not fit in int64.
+        top = int(ks.max()) if len(ks) else 0
+        inside = [k for k in ds.members if k <= top]
+        return np.isin(ks, np.asarray(inside, dtype=np.int64))
     if isinstance(ds, ResidueClasses):
         # k % modulus is below both the modulus and top, so a table of the
         # smaller size serves every modulus without outgrowing the scan.

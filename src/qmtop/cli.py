@@ -2,7 +2,8 @@
 
 Exit codes follow one contract everywhere: 0 when the property holds (or no
 witness exists), 1 when it fails (or the searched-for witness was found),
-2 on input errors.  Reports go to stdout as JSON, diagnostics to stderr.
+2 on input errors, 3 when an internal self-check fails.  Reports go to
+stdout as JSON, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .core import (
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_INTERNAL = 3
 
 
 @dataclass
@@ -369,6 +371,11 @@ def main(argv=None) -> int:
         return _fail_input(str(e))
     except ValueError as e:
         return _fail_input(str(e))
+    except AssertionError as e:
+        # A second route disagreed with the first: a defect, not a verdict.
+        message = " ".join(str(e).split())
+        print(f"internal error: self-check failed: {message}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -13,6 +13,9 @@ from typing import Iterator, Union
 
 
 MAX_POINTS = 16
+# Index-set descriptors are walked recursively, so their nesting is bounded
+# well inside the interpreter's recursion limit.
+MAX_SET_DEPTH = 100
 
 
 class DocumentError(ValueError):
@@ -446,8 +449,9 @@ def _int_list(v, what: str) -> list[int]:
     return v
 
 
-def _descriptor_from(obj) -> IndexSetDescriptor:
+def _descriptor_from(obj, depth: int = 1) -> IndexSetDescriptor:
     _require(isinstance(obj, dict), "index set must be an object")
+    _require(depth <= MAX_SET_DEPTH, f"index sets nest at most {MAX_SET_DEPTH} deep")
     t = obj.get("type")
     if t == "finite":
         return FiniteSet(tuple(_int_list(obj.get("members"), "members")))
@@ -459,10 +463,10 @@ def _descriptor_from(obj) -> IndexSetDescriptor:
     if t == "powers_of_two":
         return PowersOfTwo()
     if t == "complement":
-        return Complement(_descriptor_from(obj.get("of")))
+        return Complement(_descriptor_from(obj.get("of"), depth + 1))
     if t == "union":
         _require(isinstance(obj.get("of"), list), "union set needs a list 'of'")
-        return UnionSet(tuple(_descriptor_from(p) for p in obj["of"]))
+        return UnionSet(tuple(_descriptor_from(p, depth + 1) for p in obj["of"]))
     raise DocumentSyntaxError(f"unknown index set type {t!r}")
 
 
@@ -495,6 +499,8 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
         obj = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"invalid JSON: {e}") from None
+    except RecursionError:
+        raise DocumentSyntaxError("invalid JSON: nested too deeply") from None
     _require(isinstance(obj, dict), "document must be a JSON object")
     kind = obj.get("kind")
 

@@ -9,6 +9,8 @@ import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
+import numpy as np
+
 from . import qmetric
 from .core import PointSet, PointSpace, QuasiFamily, Topology, freeze_matrix
 from .topology import (
@@ -129,33 +131,145 @@ def discrepancy_pairs(q: QuasiFamily, pred_a: str, pred_b: str) -> list[dict]:
     return out
 
 
+def _sorted_matrices(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Distance matrices of every preorder on n points, ordered by their
+    rows read as distance masks ({y : d(x,y) = 1}), smallest first."""
+    full = (1 << n) - 1
+    keyed = []
+    for p in enumerate_preorders(n):
+        key = tuple(full & ~row for row in p.rows)
+        keyed.append((key, freeze_matrix([[key[x] >> y & 1 for y in range(n)]
+                                          for x in range(n)])))
+    keyed.sort(key=lambda km: km[0])
+    return [m for _, m in keyed]
+
+
 def _family_candidates(n: int, max_indices: int):
     """Families of independent preorder-induced matrices in canonical order.
 
     A {0,1} matrix is a quasimetric iff its zero-entry relation is a
     preorder, so enumerating per-index preorders covers exactly the valid
-    families.  Matrices are ordered by their rows read as distance masks
-    ({y : d(x,y) = 1}), smallest first, and families are ordered by index
-    count then lexicographically over their sorted matrix keys.
+    families.  Matrices are ordered as in `_sorted_matrices`, and families
+    are ordered by index count then lexicographically over their sorted
+    matrix keys.
     """
     space = PointSpace(n)
-    full = space.full_mask
-    mats = []
-    for p in enumerate_preorders(n):
-        key = tuple(full & ~row for row in p.rows)
-        matrix = freeze_matrix([[key[x] >> y & 1 for y in range(n)] for x in range(n)])
-        mats.append((key, matrix))
-    mats.sort(key=lambda km: km[0])
+    mats = _sorted_matrices(n)
     for count in range(1, max_indices + 1):
         for chosen in combinations_with_replacement(mats, count):
             labels = tuple(f"i{k}" for k in range(count))
-            yield QuasiFamily(space, labels, tuple(m for _, m in chosen))
+            yield QuasiFamily(space, labels, chosen)
+
+
+def _pack(matrix, bit) -> int:
+    """Ordered pairs as an int of n^2 bits, bit x*n + y for (x, y), where
+    bit(d(x,y), d(y,x)) holds."""
+    n = len(matrix)
+    return sum(1 << (x * n + y) for x in range(n) for y in range(n)
+               if bit(matrix[x][y], matrix[y][x]))
+
+
+def _meet_pair_mask(name: str, meet: int, n: int) -> int:
+    """Packed ordered pairs of distinct points at which a predicate holds on
+    every family with this packed meet.
+
+    The generated topology is the Alexandrov topology of the meet, so
+    meet row x is the minimal neighbourhood of x.  The direct axioms and the
+    one-direction metric modes read off it alike: some open (some index)
+    holds x and not y iff y is outside row x.
+    """
+    full = (1 << n) - 1
+    rows = [meet >> (x * n) & full for x in range(n)]
+    out = 0
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            if name == "t2":
+                holds = rows[x] & rows[y] == 0
+            elif name in ("t0", "t0_unordered"):
+                holds = not rows[x] >> y & 1 or not rows[y] >> x & 1
+            else:  # t1, t1_amended, literal_r3
+                holds = not rows[x] >> y & 1
+            out |= holds << (x * n + y)
+    return out
+
+
+def _disagreement(pred_a: str, pred_b: str, zeros: np.ndarray, n: int):
+    """bad(meet, sym): whether the two predicates differ at some ordered
+    pair, for arrays of packed family meets and symmetric masks.
+
+    `literal_r4` and `literal_r5` hold exactly on the OR of the per-index
+    symmetric bits; every other predicate is a table over meets, and each
+    meet of preorders is itself one of the preorders.
+    """
+    table = np.unique(zeros)
+
+    def pair_masks(name):
+        if name in ("literal_r4", "literal_r5"):
+            return None
+        return np.array([_meet_pair_mask(name, z, n) for z in table.tolist()],
+                        dtype=np.int64)
+
+    masks_a, masks_b = pair_masks(pred_a), pair_masks(pred_b)
+
+    def bad(meet: np.ndarray, sym: np.ndarray) -> np.ndarray:
+        rank = np.searchsorted(table, meet)
+        a = sym if masks_a is None else masks_a[rank]
+        b = sym if masks_b is None else masks_b[rank]
+        return a != b
+
+    return bad
+
+
+def _first_hit(zeros: np.ndarray, syms: np.ndarray, bad, full: int,
+               max_indices: int) -> list[int] | None:
+    """Matrix positions of the first family, by index count and then in
+    `combinations_with_replacement` order, on which `bad` holds.
+
+    Level k lists every multiset of k positions in that order, as packed
+    meet and symmetric masks plus the first position and where the rest
+    sits in level k - 1 (level 0 is the empty family).  The families of
+    level k starting at position i are i followed by the suffix of level
+    k - 1 whose first position is at least i, so each is one vector
+    operation; only the levels below `max_indices` are kept.
+    """
+    count = len(zeros)
+    meet = np.array([full], dtype=np.int64)
+    sym = np.zeros(1, dtype=np.int64)
+    head = np.array([count])
+    links = []  # (head, tail) of levels 1 .. k - 1
+    for size in range(1, max_indices + 1):
+        keep = size < max_indices
+        parts = []
+        for i in range(count):
+            lo = int(np.searchsorted(head, i))
+            m = zeros[i] & meet[lo:]
+            s = syms[i] | sym[lo:]
+            hit = bad(m, s)
+            if hit.any():
+                chosen, pos = [i], lo + int(hit.argmax())
+                for h, t in reversed(links):
+                    chosen.append(int(h[pos]))
+                    pos = int(t[pos])
+                return chosen
+            if keep:
+                parts.append((m, s, np.full(len(m), i), np.arange(lo, len(meet))))
+        if keep:
+            meet, sym, head, tail = (np.concatenate(c) for c in zip(*parts))
+            links.append((head, tail))
+    return None
 
 
 def find_discrepancy(pred_a: str, pred_b: str, n: int,
                      max_indices: int) -> QuasiFamily | None:
     """First family (smallest point count, fewest indices, smallest matrices)
     where the two predicates disagree at some ordered pair of distinct points.
+
+    A family's meet is the AND of its packed zero relations and its
+    symmetric mask the OR of its packed symmetric-distance bits; both
+    predicates are read off those two ints, so no candidate is built as a
+    `QuasiFamily`.  The witness is re-checked on the object path.
     """
     _pair_predicate(pred_a)
     _pair_predicate(pred_b)
@@ -164,7 +278,18 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
     if not 1 <= max_indices <= 3:
         raise ValueError("discrepancy search supports 1..3 indices")
     for points in range(1, n + 1):
-        for q in _family_candidates(points, max_indices):
-            if discrepancy_pairs(q, pred_a, pred_b):
-                return q
+        mats = _sorted_matrices(points)
+        zeros = np.array([_pack(m, lambda d, _: d == 0) for m in mats], dtype=np.int64)
+        syms = np.array([_pack(m, lambda d, e: d == e == 1) for m in mats],
+                        dtype=np.int64)
+        bad = _disagreement(pred_a, pred_b, zeros, points)
+        chosen = _first_hit(zeros, syms, bad, (1 << points * points) - 1, max_indices)
+        if chosen is not None:
+            witness = QuasiFamily(PointSpace(points),
+                                  tuple(f"i{k}" for k in range(len(chosen))),
+                                  tuple(mats[i] for i in chosen))
+            if not discrepancy_pairs(witness, pred_a, pred_b):
+                raise AssertionError("packed search returned a family on which "
+                                     f"{pred_a} and {pred_b} agree")
+            return witness
     return None

@@ -12,6 +12,7 @@ from qmtop.core import (
     Topology,
     freeze_matrix,
 )
+from qmtop.representation import _family_candidates, discrepancy_pairs
 from qmtop.topology import Preorder, enumerate_preorders, enumerate_topologies
 
 
@@ -38,6 +39,17 @@ def small_index_families(n: int, max_indices: int = 2):
         for chosen in combinations_with_replacement(range(len(mats)), count):
             yield QuasiFamily(space, tuple(f"i{k}" for k in range(count)),
                               tuple(mats[i] for i in chosen))
+
+
+def object_find_discrepancy(pred_a: str, pred_b: str, n: int, max_indices: int):
+    """Oracle: the first candidate family, built as a `QuasiFamily` and
+    checked pair by pair on its generated topology, where the predicates
+    disagree."""
+    for points in range(1, n + 1):
+        for q in _family_candidates(points, max_indices):
+            if discrepancy_pairs(q, pred_a, pred_b):
+                return q
+    return None
 
 
 def eventually_periodic(space: PointSpace, prefix: tuple[int, ...],

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
+from qmtop import qmetric, representation
 from qmtop.cli import main
-from qmtop.core import parse_document, serialize
+from qmtop.core import MAX_SET_DEPTH, parse_document, serialize
 from qmtop.qmetric import check_quasifamily, sep_pair, to_topology
 from qmtop.topology import is_t2
 
@@ -195,6 +196,67 @@ def test_converge_statistical_huge_modulus(files, capsys):
     report = json.loads(out)
     assert code == 0 and report["verdict"] == "undecided"
     assert report["detail"]["per_index"][0]["density"]["kind"] == "unknown"
+
+
+def test_converge_statistical_huge_finite_member(files, capsys):
+    """A finite member far past the scanned positions and past int64 leaves
+    an exact density of zero."""
+    seq = files("huge.json", '{"kind":"sequence","n":2,"default":0,"rules":[{"set":'
+                             '{"type":"finite","members":[100000000000000000000]},'
+                             '"point":1}]}')
+    code = main(["converge", seq, files("edge.json", EDGE_FAMILY),
+                 "--point", "0", "--mode", "statistical"])
+    captured = capsys.readouterr()
+    assert code == 0 and "Traceback" not in captured.err
+    entry = json.loads(captured.out)["detail"]["per_index"][0]
+    assert entry["density"] == {"kind": "exact", "numerator": 0, "denominator": 1}
+    assert [e["count"] for e in entry["empirical"]] == [0, 0, 0, 0]
+
+
+def _nested_complements(depth: int) -> str:
+    inner = '{"type":"squares"}'
+    for _ in range(depth - 1):
+        inner = '{"type":"complement","of":' + inner + '}'
+    return '{"kind":"sequence","n":2,"default":0,"rules":[{"set":' + inner + ',"point":1}]}'
+
+
+@pytest.mark.parametrize("depth, message", [(MAX_SET_DEPTH + 1, "nest at most"),
+                                            (3000, "nested too deeply")],
+                         ids=["over the cap", "too deep for json"])
+def test_deep_nesting_is_input_error(depth, message, files, capsys):
+    seq = files("deep.json", _nested_complements(depth))
+    code = main(["converge", seq, files("edge.json", EDGE_FAMILY),
+                 "--point", "0", "--mode", "right"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and message in captured.err
+
+
+def test_deepest_allowed_nesting_is_decided(files, capsys):
+    seq = files("deep.json", _nested_complements(MAX_SET_DEPTH))
+    for mode in ("right", "statistical"):
+        code = main(["converge", seq, files("edge.json", EDGE_FAMILY),
+                     "--point", "0", "--mode", mode])
+        assert code in (0, 1) and capsys.readouterr().out
+
+
+def _break_witness_recheck(monkeypatch, files):
+    monkeypatch.setattr(representation, "discrepancy_pairs", lambda q, a, b: [])
+    return ["discrepancy", "--left", "literal_r5", "--right", "t2", "--n", "3"]
+
+
+def _break_dual_route(monkeypatch, files):
+    monkeypatch.setattr(qmetric, "generate_from_subbase",
+                        lambda space, subbase: parse_document(SIER))
+    return ["topology", files("edge.json", EDGE_FAMILY)]
+
+
+@pytest.mark.parametrize("breaks", [_break_witness_recheck, _break_dual_route],
+                         ids=["witness re-check", "to_topology dual route"])
+def test_failed_self_check_is_internal_error(breaks, monkeypatch, files, capsys):
+    code = main(breaks(monkeypatch, files))
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("internal error:") and captured.err.count("\n") == 1
 
 
 BOOL_AS_INT = {

@@ -1,9 +1,17 @@
+import random
+from itertools import combinations_with_replacement
+
+import numpy as np
 import pytest
 
-from qmtop.core import PointSpace, QuasiFamily, Topology, freeze_matrix
+from qmtop import qmetric
+from qmtop.core import PointSpace, QuasiFamily, Topology, freeze_matrix, serialize
 from qmtop.qmetric import check_quasifamily, to_topology
 from qmtop.representation import (
+    DIRECT_PREDICATES,
+    METRIC_PREDICATES,
     CanonicalFamily,
+    _first_hit,
     canonical_family,
     d_U,
     discrepancy_pairs,
@@ -13,7 +21,7 @@ from qmtop.representation import (
 )
 from qmtop.topology import enumerate_topologies
 
-from helpers import sierpinski
+from helpers import object_find_discrepancy, sierpinski
 
 
 def test_canonical_family_examples():
@@ -122,3 +130,51 @@ def test_find_discrepancy_argument_validation():
         find_discrepancy("literal_r5", "t2", 5, 1)
     with pytest.raises(ValueError):
         find_discrepancy("literal_r5", "t2", 3, 4)
+
+
+@pytest.mark.parametrize("n, max_indices", [(3, 2), (2, 3)])
+def test_packed_search_matches_object_search(n, max_indices):
+    names = METRIC_PREDICATES + DIRECT_PREDICATES
+    for a in names:
+        for b in names:
+            fast = find_discrepancy(a, b, n, max_indices)
+            slow = object_find_discrepancy(a, b, n, max_indices)
+            assert (fast and serialize(fast)) == (slow and serialize(slow)), (a, b)
+
+
+def test_packed_search_builds_topology_only_for_the_witness(monkeypatch):
+    calls = []
+    real = qmetric.to_topology
+    monkeypatch.setattr(qmetric, "to_topology", lambda q: calls.append(q) or real(q))
+    assert find_discrepancy("t1_amended", "t1", 3, 2) is None
+    assert len(calls) <= 1
+    assert find_discrepancy("literal_r5", "t2", 3, 1) is not None
+    assert len(calls) == 1
+
+
+def test_packed_scan_visits_families_in_candidate_order():
+    """The first hit is the first multiset, by size and then in
+    combinations_with_replacement order, whose meet and symmetric mask
+    match a random target family's."""
+    rng = random.Random(0)
+    sizes = set()
+    for _ in range(300):
+        count = rng.randint(1, 8)
+        zeros = [rng.randrange(64) for _ in range(count)]
+        syms = [rng.randrange(64) for _ in range(count)]
+
+        def masks(chosen):
+            meet, sym = 63, 0
+            for i in chosen:
+                meet, sym = meet & zeros[i], sym | syms[i]
+            return meet, sym
+
+        target = masks(rng.choices(range(count), k=rng.randint(1, 3)))
+        expected = next(list(c) for size in (1, 2, 3)
+                        for c in combinations_with_replacement(range(count), size)
+                        if masks(c) == target)
+        found = _first_hit(np.array(zeros), np.array(syms),
+                           lambda m, s: (m == target[0]) & (s == target[1]), 63, 3)
+        assert found == expected
+        sizes.add(len(found))
+    assert sizes == {1, 2, 3}
