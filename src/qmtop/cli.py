@@ -194,6 +194,11 @@ def cmd_separation(args) -> int:
 
 
 def cmd_converge(args) -> int:
+    # The cross-check evaluates every position up to the horizon, about ten
+    # bytes each; the statistical scan stops at the same top horizon.
+    horizon_cap = max(qmetric.EMPIRICAL_HORIZONS)
+    if args.mode == "topological" and args.horizon > horizon_cap:
+        return _fail_input(f"--horizon must be at most {horizon_cap}")
     seq = parse_document(_read(args.sequence))
     space_doc = parse_document(_read(args.space))
     x = args.point
@@ -340,7 +345,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="treat an undecided statistical verdict as failure")
     p.add_argument("--horizon", type=int, default=100_000,
-                   help="direct-evaluation cross-check bound (topological mode)")
+                   help="direct-evaluation cross-check bound (topological mode, "
+                        "at most 1000000)")
     p.set_defaults(handler=cmd_converge)
 
     p = sub.add_parser("enumerate", help="stream every topology or preorder of a size")

@@ -546,6 +546,7 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
     if kind == "sequence":
         space = _space_from(obj)
         default = _int(obj.get("default"), "sequence 'default'")
+        _require(isinstance(obj.get("rules", []), list), "sequence 'rules' must be a list")
         rules = []
         for rule in obj.get("rules", []):
             _require(isinstance(rule, dict) and "set" in rule and "point" in rule,

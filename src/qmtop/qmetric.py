@@ -85,6 +85,16 @@ def ball_masks(q: QuasiFamily) -> list[list[int]]:
     return out
 
 
+def ball_meet(q: QuasiFamily, balls: list[list[int]]) -> list[int]:
+    """Row x is the intersection of the balls `ball_masks(q)` at x (the full
+    set for an empty family): x's minimal neighbourhood in the generated
+    topology."""
+    meet = [q.space.full_mask] * q.space.n
+    for per_point in balls:
+        meet = [m & b for m, b in zip(meet, per_point)]
+    return meet
+
+
 def ball(q: QuasiFamily, index: str, x: int) -> PointSet:
     """The zero-set of one coordinate at a base point; always contains x."""
     q.space.check_point(x)
@@ -102,14 +112,8 @@ def to_topology(q: QuasiFamily) -> Topology:
     those intersections.  The result is also computed as the
     subbase-generated topology of all balls and the two must agree.
     """
-    n = q.space.n
     balls = ball_masks(q)
-    full = q.space.full_mask
-    core = [full for _ in range(n)]
-    for per_point in balls:
-        for x in range(n):
-            core[x] &= per_point[x]
-    direct = Topology.from_masks(q.space, upsets(core))
+    direct = Topology.from_masks(q.space, upsets(ball_meet(q, balls)))
     subbase = [PointSet(q.space, m) for per_point in balls for m in per_point]
     generated = generate_from_subbase(q.space, subbase)
     if direct.open_masks != generated.open_masks:
@@ -191,10 +195,7 @@ def product_converges(s: SequenceSpec, q: QuasiFamily, x: int) -> bool:
     """
     _check_space(s, q)
     q.space.check_point(x)
-    core = q.space.full_mask
-    for mask in ball_masks(q):
-        core &= mask[x]
-    verdict = _tails.eventually_in(s, core)
+    verdict = _tails.eventually_in(s, ball_meet(q, ball_masks(q))[x])
     if verdict != right_converges(s, q, x):
         raise AssertionError("product and per-coordinate convergence disagree")
     return verdict

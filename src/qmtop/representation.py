@@ -13,12 +13,7 @@ import numpy as np
 
 from . import qmetric
 from .core import PointSet, PointSpace, QuasiFamily, Topology, freeze_matrix
-from .topology import (
-    enumerate_preorders,
-    pair_separated_t0,
-    pair_separated_t1,
-    pair_separated_t2,
-)
+from .topology import enumerate_preorders, pair_separated, specialization_preorder
 
 METRIC_PREDICATES = qmetric.SEP_MODES
 DIRECT_PREDICATES = ("t0", "t1", "t2")
@@ -103,14 +98,12 @@ def roundtrip(t: Topology) -> RoundtripReport:
 
 
 def _pair_predicate(name: str):
+    """f(q, rows, x, y) for a metric mode on the family q or a direct axiom
+    on the minimal neighbourhood rows of its generated topology."""
     if name in METRIC_PREDICATES:
-        return lambda q, t, x, y: qmetric.sep_pair(q, name, x, y)
-    if name == "t0":
-        return lambda q, t, x, y: pair_separated_t0(t, x, y)
-    if name == "t1":
-        return lambda q, t, x, y: pair_separated_t1(t, x, y)
-    if name == "t2":
-        return lambda q, t, x, y: pair_separated_t2(t, x, y)
+        return lambda q, rows, x, y: qmetric.sep_pair(q, name, x, y)
+    if name in DIRECT_PREDICATES:
+        return lambda q, rows, x, y: pair_separated(rows, name, x, y)
     raise ValueError(f"unknown predicate {name!r}")
 
 
@@ -118,14 +111,14 @@ def discrepancy_pairs(q: QuasiFamily, pred_a: str, pred_b: str) -> list[dict]:
     """Ordered pairs at which the two predicates disagree on this family."""
     fa = _pair_predicate(pred_a)
     fb = _pair_predicate(pred_b)
-    t = qmetric.to_topology(q)
+    rows = specialization_preorder(qmetric.to_topology(q)).rows
     out = []
     n = q.space.n
     for x in range(n):
         for y in range(n):
             if x == y:
                 continue
-            va, vb = fa(q, t, x, y), fb(q, t, x, y)
+            va, vb = fa(q, rows, x, y), fb(q, rows, x, y)
             if va != vb:
                 out.append({"pair": [x, y], pred_a: va, pred_b: vb})
     return out
@@ -169,29 +162,28 @@ def _pack(matrix, bit) -> int:
                if bit(matrix[x][y], matrix[y][x]))
 
 
+# The direct axiom each table predicate reads off a meet.
+_MEET_AXIOM = {"t0": "t0", "t0_unordered": "t0", "t1": "t1", "t1_amended": "t1",
+               "literal_r3": "t1", "t2": "t2"}
+
+
 def _meet_pair_mask(name: str, meet: int, n: int) -> int:
     """Packed ordered pairs of distinct points at which a predicate holds on
     every family with this packed meet.
 
     The generated topology is the Alexandrov topology of the meet, so
-    meet row x is the minimal neighbourhood of x.  The direct axioms and the
-    one-direction metric modes read off it alike: some open (some index)
-    holds x and not y iff y is outside row x.
+    meet row x is the minimal neighbourhood of x.  The one-direction metric
+    modes read off it like the direct axioms: some index separates x from
+    y iff some open holds x and not y.
     """
+    axiom = _MEET_AXIOM[name]
     full = (1 << n) - 1
     rows = [meet >> (x * n) & full for x in range(n)]
     out = 0
     for x in range(n):
         for y in range(n):
-            if x == y:
-                continue
-            if name == "t2":
-                holds = rows[x] & rows[y] == 0
-            elif name in ("t0", "t0_unordered"):
-                holds = not rows[x] >> y & 1 or not rows[y] >> x & 1
-            else:  # t1, t1_amended, literal_r3
-                holds = not rows[x] >> y & 1
-            out |= holds << (x * n + y)
+            if x != y and pair_separated(rows, axiom, x, y):
+                out |= 1 << (x * n + y)
     return out
 
 

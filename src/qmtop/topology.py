@@ -23,7 +23,6 @@ from .core import (
 )
 
 ENUM_MAX_POINTS = 5
-FAMILY_ROUTE_MAX_POINTS = 4
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,42 +144,43 @@ def alexandrov_topology(p: Preorder) -> Topology:
     return Topology.from_masks(p.space, _kernels.upsets(p.rows))
 
 
-# --- separation axioms, direct definitions -------------------------------
+# --- separation axioms, read off the minimal neighbourhoods ---------------
 
-def pair_separated_t0(t: Topology, x: int, y: int) -> bool:
-    """Some open contains exactly one of x, y."""
-    return any((s.mask >> x & 1) != (s.mask >> y & 1) for s in t.opens)
+def pair_separated(rows, axiom: str, x: int, y: int) -> bool:
+    """Whether `axiom` ("t0", "t1" or "t2") separates x from y, read off the
+    minimal neighbourhood rows of a finite space.
+
+    rows[x] is the least open containing x, so some open holds x and not y
+    iff y is outside rows[x] (T1 at (x, y)); T0 asks that of one direction;
+    x and y have disjoint open neighbourhoods iff their least ones are
+    disjoint (T2).
+    """
+    if axiom == "t1":
+        return not rows[x] >> y & 1
+    if axiom == "t0":
+        return not (rows[x] >> y & 1 and rows[y] >> x & 1)
+    if axiom == "t2":
+        return rows[x] & rows[y] == 0
+    raise ValueError(f"unknown axiom {axiom!r}")
 
 
-def pair_separated_t1(t: Topology, x: int, y: int) -> bool:
-    """Some open contains x and not y."""
-    return any(s.mask >> x & 1 and not s.mask >> y & 1 for s in t.opens)
-
-
-def pair_separated_t2(t: Topology, x: int, y: int) -> bool:
-    """x and y have disjoint open neighbourhoods."""
-    for u in t.opens:
-        if not u.mask >> x & 1:
-            continue
-        for v in t.opens:
-            if v.mask >> y & 1 and u.mask & v.mask == 0:
-                return True
-    return False
+def _separated_everywhere(t: Topology, axiom: str, ordered: bool) -> bool:
+    rows = _neighborhood_rows(t.space, t.open_masks)
+    n = t.space.n
+    return all(pair_separated(rows, axiom, x, y)
+               for x in range(n) for y in range(0 if ordered else x + 1, n) if x != y)
 
 
 def is_t0(t: Topology) -> bool:
-    n = t.space.n
-    return all(pair_separated_t0(t, x, y) for x in range(n) for y in range(x + 1, n))
+    return _separated_everywhere(t, "t0", ordered=False)
 
 
 def is_t1(t: Topology) -> bool:
-    n = t.space.n
-    return all(pair_separated_t1(t, x, y) for x in range(n) for y in range(n) if x != y)
+    return _separated_everywhere(t, "t1", ordered=True)
 
 
 def is_t2(t: Topology) -> bool:
-    n = t.space.n
-    return all(pair_separated_t2(t, x, y) for x in range(n) for y in range(x + 1, n))
+    return _separated_everywhere(t, "t2", ordered=False)
 
 
 # --- continuity and convergence -------------------------------------------
@@ -211,45 +211,25 @@ def converges_topologically(s: SequenceSpec, t: Topology, x: int,
 
 # --- exhaustive enumeration -------------------------------------------------
 
-def _check_enum_bound(n: int, limit: int) -> None:
-    if not 1 <= n <= limit:
-        raise ValueError(f"enumeration supports 1..{limit} points, got {n}")
-
-
 def enumerate_preorders(n: int):
     """Every preorder on n labelled points, ascending by relation rows."""
-    _check_enum_bound(n, ENUM_MAX_POINTS)
+    if not 1 <= n <= ENUM_MAX_POINTS:
+        raise ValueError(f"enumeration supports 1..{ENUM_MAX_POINTS} points, got {n}")
     space = PointSpace(n)
     for rows in sorted(_kernels.preorder_rows(n)):
         yield Preorder(space, rows)
 
 
-def enumerate_topologies(n: int, method: str = "preorders"):
-    """Every labelled topology on n points, sorted by canonical document.
-
-    Each topology is the up-sets of one enumerated preorder.  The
-    `"families"` method instead filters all 2^(2^n) candidate families
-    (n <= 4); it exists only as an independent oracle for the first route
-    and yields the same stream.
-    """
-    space = PointSpace(n)
-    if method == "families":
-        _check_enum_bound(n, FAMILY_ROUTE_MAX_POINTS)
-        tops = []
-        for fam in _kernels.closed_family_masks(n):
-            fam = int(fam)
-            masks = [u for u in range(1 << n) if fam >> u & 1]
-            tops.append(Topology.from_masks(space, masks))
-    elif method == "preorders":
-        tops = [alexandrov_topology(p) for p in enumerate_preorders(n)]
-    else:
-        raise ValueError(f"unknown enumeration method {method!r}")
+def enumerate_topologies(n: int):
+    """Every labelled topology on n points, sorted by canonical document:
+    the up-sets of each enumerated preorder."""
+    tops = [alexandrov_topology(p) for p in enumerate_preorders(n)]
     tops.sort(key=serialize)
     yield from tops
 
 
-def count_topologies(n: int, method: str = "preorders") -> int:
-    return sum(1 for _ in enumerate_topologies(n, method))
+def count_topologies(n: int) -> int:
+    return sum(1 for _ in enumerate_topologies(n))
 
 
 def count_preorders(n: int) -> int:

@@ -3,6 +3,7 @@
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
+from qmtop import _kernels
 from qmtop.core import (
     FiniteSet,
     PointSpace,
@@ -11,9 +12,11 @@ from qmtop.core import (
     SequenceSpec,
     Topology,
     freeze_matrix,
+    serialize,
 )
-from qmtop.representation import _family_candidates, discrepancy_pairs
-from qmtop.topology import Preorder, enumerate_preorders, enumerate_topologies
+from qmtop.qmetric import sep_pair, to_topology
+from qmtop.representation import _family_candidates
+from qmtop.topology import Preorder, enumerate_preorders
 
 
 def sierpinski() -> Topology:
@@ -41,13 +44,39 @@ def small_index_families(n: int, max_indices: int = 2):
                               tuple(mats[i] for i in chosen))
 
 
+def pair_separated_t0(t: Topology, x: int, y: int) -> bool:
+    """Oracle: some open contains exactly one of x, y."""
+    return any((s.mask >> x & 1) != (s.mask >> y & 1) for s in t.opens)
+
+
+def pair_separated_t1(t: Topology, x: int, y: int) -> bool:
+    """Oracle: some open contains x and not y."""
+    return any(s.mask >> x & 1 and not s.mask >> y & 1 for s in t.opens)
+
+
+def pair_separated_t2(t: Topology, x: int, y: int) -> bool:
+    """Oracle: x and y have disjoint open neighbourhoods."""
+    return any(u.mask >> x & 1 and v.mask >> y & 1 and u.mask & v.mask == 0
+               for u in t.opens for v in t.opens)
+
+
+OPENS_ORACLES = {"t0": pair_separated_t0, "t1": pair_separated_t1, "t2": pair_separated_t2}
+
+
 def object_find_discrepancy(pred_a: str, pred_b: str, n: int, max_indices: int):
     """Oracle: the first candidate family, built as a `QuasiFamily` and
-    checked pair by pair on its generated topology, where the predicates
-    disagree."""
+    checked pair by pair (direct axioms by scanning the opens of its
+    generated topology), where the predicates disagree."""
+    def holds(name, q, t, x, y):
+        if name in OPENS_ORACLES:
+            return OPENS_ORACLES[name](t, x, y)
+        return sep_pair(q, name, x, y)
+
     for points in range(1, n + 1):
         for q in _family_candidates(points, max_indices):
-            if discrepancy_pairs(q, pred_a, pred_b):
+            t = to_topology(q)
+            if any(holds(pred_a, q, t, x, y) != holds(pred_b, q, t, x, y)
+                   for x in range(points) for y in range(points) if x != y):
                 return q
     return None
 
@@ -84,10 +113,20 @@ def all_eventually_periodic(space: PointSpace, max_prefix: int = 2,
     return out
 
 
+def family_route_topologies(n: int) -> list[Topology]:
+    """Oracle: every labelled topology on n <= 4 points, found by filtering
+    all 2^(2^n) families of subsets, in `enumerate_topologies` order."""
+    assert 1 <= n <= 4, "the family route holds 2^(2^n) candidates in memory"
+    space = PointSpace(n)
+    tops = [Topology.from_masks(space, [u for u in range(1 << n) if fam >> u & 1])
+            for fam in map(int, _kernels.closed_family_masks(n))]
+    tops.sort(key=serialize)
+    return tops
+
+
 @lru_cache(maxsize=None)
 def _family_route_opens(n: int) -> tuple[frozenset, ...]:
-    return tuple(frozenset(t.open_masks)
-                 for t in enumerate_topologies(n, method="families"))
+    return tuple(frozenset(t.open_masks) for t in family_route_topologies(n))
 
 
 def brute_minimal_topology(space: PointSpace, subbase_masks) -> frozenset:

@@ -24,7 +24,12 @@ from qmtop.core import (
 )
 from qmtop import continuity, qmetric, representation, topology
 
-from helpers import all_eventually_periodic, sierpinski, small_index_families
+from helpers import (
+    all_eventually_periodic,
+    family_route_topologies,
+    sierpinski,
+    small_index_families,
+)
 
 EXPECTED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
 
@@ -53,7 +58,7 @@ def test_criterion_02_dual_enumeration_oracle():
     start = time.perf_counter()
     ok = True
     for n, expected in EXPECTED_COUNTS.items():
-        tops = list(topology.enumerate_topologies(n, method="families"))
+        tops = family_route_topologies(n)
         pres = list(topology.enumerate_preorders(n))
         ok = ok and len(tops) == len(pres) == expected
         images = [topology.specialization_preorder(t).rows for t in tops]

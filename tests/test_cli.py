@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -237,6 +238,67 @@ def test_deepest_allowed_nesting_is_decided(files, capsys):
         code = main(["converge", seq, files("edge.json", EDGE_FAMILY),
                      "--point", "0", "--mode", mode])
         assert code in (0, 1) and capsys.readouterr().out
+
+
+@pytest.mark.parametrize("rules", ["null", "5", '"squares"', "{}"])
+def test_rules_must_be_a_list(rules, files, capsys):
+    seq = files("seq.json", '{"kind":"sequence","n":2,"default":0,"rules":' + rules + '}')
+    code = main(["converge", seq, files("edge.json", EDGE_FAMILY),
+                 "--point", "0", "--mode", "right"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "'rules' must be a list" in captured.err
+
+
+def test_topological_horizon_is_bounded(files, capsys):
+    """The cross-check evaluates every position up to the horizon, so a
+    horizon past the statistical scan's top one is an input error, not an
+    allocation of gigabytes."""
+    seq = files("const.json", '{"kind":"sequence","n":2,"default":1}')
+    sier = files("sier.json", SIER)
+    top = max(qmetric.EMPIRICAL_HORIZONS)
+    for horizon in (top + 1, 10**9, 10**30):
+        code = main(["converge", seq, sier, "--point", "1", "--mode", "topological",
+                     "--horizon", str(horizon)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert f"at most {top}" in captured.err
+    code, out = run(capsys, "converge", seq, sier, "--point", "1", "--mode", "topological",
+                    "--horizon", str(top))
+    assert code == 0 and json.loads(out)["verdict"] == "pass"
+
+
+def _top_point_family(n: int) -> str:
+    """One index on n points whose last point lies above every other point
+    and no other two points are comparable."""
+    top = n - 1
+    matrix = [[0 if y in (x, top) else 1 for y in range(n)] for x in range(n)]
+    return json.dumps({"kind": "qmetric", "n": n, "indices": ["i0"], "matrices": [matrix]})
+
+
+def test_separation_on_sixteen_points_with_a_top(files, capsys):
+    """Every open but the empty one holds the top point, so no two points are
+    T2 while every pair avoiding the top is separated both ways by the one
+    index.  The 32,769 opens make a scan over pairs of opens take hours."""
+    n, top = 16, 15
+    family = files("top.json", _top_point_family(n))
+    start = time.perf_counter()
+    code, out = run(capsys, "separation", family, "--method", "literal_r5")
+    detail = json.loads(out)["detail"]
+    assert code == 1 and detail["condition"] is False and detail["direct"] is False
+    pairs = [tuple(p["pair"]) for p in detail["disagreeing_pairs"]]
+    assert pairs == [(x, y) for x in range(top) for y in range(top) if x != y]
+    assert len(pairs) == 210
+    assert all(p["literal_r5"] is True and p["t2"] is False
+               for p in detail["disagreeing_pairs"])
+
+    code, out = run(capsys, "topology", family)
+    assert code == 0 and len(json.loads(out)["opens"]) == 2**15 + 1
+    code, out = run(capsys, "separation", files("top_t.json", out), "--method", "direct")
+    assert code == 0
+    assert json.loads(out)["detail"] == {"method": "direct", "t0": True, "t1": False,
+                                         "t2": False}
+    assert time.perf_counter() - start < 60
 
 
 def _break_witness_recheck(monkeypatch, files):
