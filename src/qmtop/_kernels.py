@@ -10,8 +10,6 @@ exponentially slower and serves only as the cross-check of that route.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 def _walk(rows, down, inside: int, outside: int, full: int, out: list) -> None:
     undecided = full & ~(inside | outside)
@@ -65,10 +63,12 @@ def preorder_rows(n: int) -> list[tuple[int, ...]]:
     return level
 
 
-def closed_family_masks(n: int) -> np.ndarray:
-    """Family bitmasks (over the 2^n subsets) of all labelled topologies on
-    n points: families holding the empty and full sets and closed under
-    pairwise union and intersection."""
+def closed_family_masks(n: int):
+    """Family bitmasks (over the 2^n subsets), as a numpy array, of all
+    labelled topologies on n points: families holding the empty and full
+    sets and closed under pairwise union and intersection."""
+    import numpy as np
+
     subsets = 1 << n
     total = 1 << subsets
     fam = np.arange(total, dtype=np.int64)

@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
 from .core import (
     Complement,
     FiniteSet,
@@ -172,43 +170,52 @@ def settle_bound(seq: SequenceSpec) -> int:
     return tail_types(seq).settle
 
 
-def evaluate_range(seq: SequenceSpec, kmax: int) -> np.ndarray:
-    """Values at positions 1..kmax as an array (index 0 is position 1)."""
-    ks = np.arange(1, kmax + 1, dtype=np.int64)
-    vals = np.full(kmax, seq.default, dtype=np.int16)
-    for ds, point in reversed(seq.rules):
-        vals[_member_array(ds, ks)] = point
-    return vals
+def evaluate_range(seq: SequenceSpec, kmax: int) -> list[int]:
+    """One position mask per point: bit k is set iff position k (1..kmax)
+    takes that point.  The masks partition positions 1..kmax."""
+    rest = (2 << kmax) - 2
+    masks = [0] * seq.space.n
+    for ds, point in seq.rules:
+        hit = _member_bits(ds, kmax) & rest
+        masks[point] |= hit
+        rest ^= hit
+    masks[seq.default] |= rest
+    return masks
 
 
-def _member_array(ds: IndexSetDescriptor, ks: np.ndarray) -> np.ndarray:
+def _position_bits(positions, top: int) -> int:
+    """Mask of the given positions, each at most top, set through a byte
+    buffer: linear, where OR-ing one shifted bit at a time is quadratic."""
+    buf = bytearray(top // 8 + 1)
+    for k in positions:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")
+
+
+def _member_bits(ds: IndexSetDescriptor, top: int) -> int:
+    """Mask of the members of ds among positions 0..top."""
     if isinstance(ds, FiniteSet):
-        # Members past the scan cannot match and need not fit in int64.
-        top = int(ks.max()) if len(ks) else 0
-        inside = [k for k in ds.members if k <= top]
-        return np.isin(ks, np.asarray(inside, dtype=np.int64))
+        return _position_bits((k for k in ds.members if k <= top), top)
     if isinstance(ds, ResidueClasses):
-        # k % modulus is below both the modulus and top, so a table of the
-        # smaller size serves every modulus without outgrowing the scan.
-        top = int(ks.max()) + 1 if len(ks) else 1
-        size = min(ds.modulus, top)
-        lut = np.zeros(size, dtype=bool)
-        lut[[r for r in ds.residues if r < size]] = True
-        return lut[ks % ds.modulus if ds.modulus < top else ks]
+        if ds.modulus > top:
+            return _position_bits((r for r in ds.residues if r <= top), top)
+        # One period, doubled by shifts until it covers 0..top.
+        bits, span = _position_bits(ds.residues, ds.modulus - 1), ds.modulus
+        while span <= top:
+            bits |= bits << span
+            span *= 2
+        return bits & ((2 << top) - 1)
     if isinstance(ds, Squares):
-        root = np.sqrt(ks.astype(np.float64)).astype(np.int64)
-        root = np.where((root + 1) * (root + 1) <= ks, root + 1, root)
-        root = np.where(root * root > ks, root - 1, root)
-        return root * root == ks
+        return _position_bits((j * j for j in range(math.isqrt(top) + 1)), top)
     if isinstance(ds, PowersOfTwo):
-        return (ks & (ks - 1)) == 0
+        return _position_bits((1 << e for e in range(top.bit_length())), top)
     if isinstance(ds, Complement):
-        return ~_member_array(ds.of, ks)
+        return _member_bits(ds.of, top) ^ ((2 << top) - 1)
     if isinstance(ds, UnionSet):
-        out = np.zeros(len(ks), dtype=bool)
+        bits = 0
         for part in ds.parts:
-            out |= _member_array(part, ks)
-        return out
+            bits |= _member_bits(part, top)
+        return bits
     raise TypeError(f"not a descriptor: {ds!r}")
 
 
@@ -226,12 +233,13 @@ def assert_tail_consistent(seq: SequenceSpec, good_mask: int, decided: bool,
     start = settle_bound(seq)
     if start >= horizon:
         return
-    vals = evaluate_range(seq, horizon)[start:]
-    good = np.zeros(int(vals.max()) + 1 if len(vals) else 1, dtype=bool)
-    for v in range(good.shape[0]):
-        good[v] = bool(good_mask >> v & 1)
-    if not good[vals].all():
-        k = start + 1 + int(np.nonzero(~good[vals])[0][0])
+    outside = 0
+    for v, positions in enumerate(evaluate_range(seq, horizon)):
+        if not good_mask >> v & 1:
+            outside |= positions
+    outside >>= start + 1
+    if outside:
+        k = start + (outside & -outside).bit_length()
         raise AssertionError(
             f"tail analysis claimed eventual membership, but position {k} "
             f"takes value {seq.value_at(k)} outside mask {good_mask:#x}")

@@ -194,8 +194,8 @@ def cmd_separation(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    # The cross-check evaluates every position up to the horizon, about ten
-    # bytes each; the statistical scan stops at the same top horizon.
+    # The cross-check evaluates every position up to the horizon; the
+    # statistical scan stops at the same top horizon.
     horizon_cap = max(qmetric.EMPIRICAL_HORIZONS)
     if args.mode == "topological" and args.horizon > horizon_cap:
         return _fail_input(f"--horizon must be at most {horizon_cap}")

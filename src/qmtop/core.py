@@ -8,6 +8,7 @@ immutable and hashable, so they are safe to share across workers.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterator, Union
 
@@ -232,8 +233,7 @@ class ResidueClasses:
 @dataclass(frozen=True, slots=True)
 class Squares:
     def contains(self, k: int) -> bool:
-        r = _isqrt(k)
-        return r * r == k
+        return k >= 0 and math.isqrt(k) ** 2 == k
 
 
 @dataclass(frozen=True, slots=True)
@@ -259,12 +259,6 @@ class UnionSet:
 
 
 IndexSetDescriptor = Union[FiniteSet, ResidueClasses, Squares, PowersOfTwo, Complement, UnionSet]
-
-
-def _isqrt(k: int) -> int:
-    import math
-
-    return math.isqrt(k) if k >= 0 else -1
 
 
 @dataclass(frozen=True, slots=True)
@@ -318,19 +312,18 @@ class DirectedNet:
         for a in range(m):
             if not self.order[a][a]:
                 raise InvariantViolation(f"net order not reflexive at element {a}")
+        # rows[a] masks the successors of a; any nonzero entry relates.
+        rows = [int("".join("1" if e else "0" for e in reversed(r)), 2) for r in self.order]
         for a in range(m):
             for b in range(m):
-                if self.order[a][b]:
-                    for c in range(m):
-                        if self.order[b][c] and not self.order[a][c]:
-                            raise InvariantViolation(f"net order not transitive at ({a},{b},{c})")
+                escape = rows[b] & ~rows[a]
+                if self.order[a][b] and escape:
+                    c = (escape & -escape).bit_length() - 1
+                    raise InvariantViolation(f"net order not transitive at ({a},{b},{c})")
         for a in range(m):
             for b in range(m):
-                if not any(self.order[a][c] and self.order[b][c] for c in range(m)):
+                if not rows[a] & rows[b]:
                     raise InvariantViolation(f"elements {a},{b} have no upper bound")
-
-    def successors(self, a: int) -> list[int]:
-        return [b for b in range(len(self.elements)) if self.order[a][b]]
 
 
 @dataclass(frozen=True, slots=True)

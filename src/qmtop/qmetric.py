@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-import numpy as np
-
 from . import _tails
 from ._kernels import upsets
 from .core import (
@@ -443,7 +441,10 @@ def stat_converges(s: SequenceSpec, q: QuasiFamily, x: int,
     """
     _check_space(s, q)
     q.space.check_point(x)
-    values = _tails.evaluate_range(s, max(horizons))
+    # The point masks are disjoint, so a deviation count is the sum of the
+    # deviating points' counts, taken once per point and horizon.
+    counts = [[(positions & ((2 << h) - 1)).bit_count() for h in horizons]
+              for positions in _tails.evaluate_range(s, max(horizons))]
     reports = []
     any_positive = False
     any_unknown = False
@@ -451,8 +452,8 @@ def stat_converges(s: SequenceSpec, q: QuasiFamily, x: int,
         row = m[x]
         dev = deviation_descriptor(s, lambda point: row[point] == 1)
         density = natural_density(dev)
-        dev_flags = np.asarray(row, dtype=np.int16)[values] == 1
-        empirical = tuple((h, int(np.count_nonzero(dev_flags[:h]))) for h in horizons)
+        empirical = tuple((h, sum(c[i] for c, d in zip(counts, row) if d == 1))
+                          for i, h in enumerate(horizons))
         reports.append(IndexDensityReport(label, dev, density, empirical))
         if density.kind == "unknown":
             any_unknown = True

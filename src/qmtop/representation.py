@@ -9,8 +9,6 @@ import json
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-import numpy as np
-
 from . import qmetric
 from .core import PointSet, PointSpace, QuasiFamily, Topology, freeze_matrix
 from .topology import enumerate_preorders, pair_separated, specialization_preorder
@@ -187,7 +185,7 @@ def _meet_pair_mask(name: str, meet: int, n: int) -> int:
     return out
 
 
-def _disagreement(pred_a: str, pred_b: str, zeros: np.ndarray, n: int):
+def _disagreement(pred_a: str, pred_b: str, zeros, n: int):
     """bad(meet, sym): whether the two predicates differ at some ordered
     pair, for arrays of packed family meets and symmetric masks.
 
@@ -195,6 +193,8 @@ def _disagreement(pred_a: str, pred_b: str, zeros: np.ndarray, n: int):
     symmetric bits; every other predicate is a table over meets, and each
     meet of preorders is itself one of the preorders.
     """
+    import numpy as np
+
     table = np.unique(zeros)
 
     def pair_masks(name):
@@ -205,7 +205,7 @@ def _disagreement(pred_a: str, pred_b: str, zeros: np.ndarray, n: int):
 
     masks_a, masks_b = pair_masks(pred_a), pair_masks(pred_b)
 
-    def bad(meet: np.ndarray, sym: np.ndarray) -> np.ndarray:
+    def bad(meet, sym):
         rank = np.searchsorted(table, meet)
         a = sym if masks_a is None else masks_a[rank]
         b = sym if masks_b is None else masks_b[rank]
@@ -214,8 +214,7 @@ def _disagreement(pred_a: str, pred_b: str, zeros: np.ndarray, n: int):
     return bad
 
 
-def _first_hit(zeros: np.ndarray, syms: np.ndarray, bad, full: int,
-               max_indices: int) -> list[int] | None:
+def _first_hit(zeros, syms, bad, full: int, max_indices: int) -> list[int] | None:
     """Matrix positions of the first family, by index count and then in
     `combinations_with_replacement` order, on which `bad` holds.
 
@@ -226,6 +225,8 @@ def _first_hit(zeros: np.ndarray, syms: np.ndarray, bad, full: int,
     k - 1 whose first position is at least i, so each is one vector
     operation; only the levels below `max_indices` are kept.
     """
+    import numpy as np
+
     count = len(zeros)
     meet = np.array([full], dtype=np.int64)
     sym = np.zeros(1, dtype=np.int64)
@@ -263,6 +264,8 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
     predicates are read off those two ints, so no candidate is built as a
     `QuasiFamily`.  The witness is re-checked on the object path.
     """
+    import numpy as np
+
     _pair_predicate(pred_a)
     _pair_predicate(pred_b)
     if not 1 <= n <= 4:

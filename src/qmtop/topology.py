@@ -55,9 +55,6 @@ class Preorder:
         n = self.space.n
         return tuple(tuple(self.rows[x] >> y & 1 for y in range(n)) for x in range(n))
 
-    def upset(self, x: int) -> PointSet:
-        return PointSet(self.space, self.rows[x])
-
 
 @dataclass(frozen=True, slots=True)
 class TopologyViolation:
@@ -226,11 +223,3 @@ def enumerate_topologies(n: int):
     tops = [alexandrov_topology(p) for p in enumerate_preorders(n)]
     tops.sort(key=serialize)
     yield from tops
-
-
-def count_topologies(n: int) -> int:
-    return sum(1 for _ in enumerate_topologies(n))
-
-
-def count_preorders(n: int) -> int:
-    return sum(1 for _ in enumerate_preorders(n))

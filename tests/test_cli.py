@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from qmtop import qmetric, representation
+from qmtop import qmetric, representation, topology
 from qmtop.cli import main
 from qmtop.core import MAX_SET_DEPTH, parse_document, serialize
 from qmtop.qmetric import check_quasifamily, sep_pair, to_topology
@@ -312,8 +312,16 @@ def _break_dual_route(monkeypatch, files):
     return ["topology", files("edge.json", EDGE_FAMILY)]
 
 
-@pytest.mark.parametrize("breaks", [_break_witness_recheck, _break_dual_route],
-                         ids=["witness re-check", "to_topology dual route"])
+def _break_tail_verdict(monkeypatch, files):
+    monkeypatch.setattr(topology._tails, "eventually_in", lambda seq, mask: True)
+    return ["converge", files("squares.json", SQUARES_SEQ), files("sier.json", SIER),
+            "--point", "1", "--mode", "topological"]
+
+
+@pytest.mark.parametrize("breaks", [_break_witness_recheck, _break_dual_route,
+                                    _break_tail_verdict],
+                         ids=["witness re-check", "to_topology dual route",
+                              "tail scan"])
 def test_failed_self_check_is_internal_error(breaks, monkeypatch, files, capsys):
     code = main(breaks(monkeypatch, files))
     captured = capsys.readouterr()
@@ -445,6 +453,49 @@ def test_module_entry_point():
         env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
         capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "4"
+
+
+# Runs each argv list of sys.argv[1] through `main`, then the README's
+# discrepancy search, and reports what was loaded.
+_IMPORT_PROBE = """
+import contextlib, io, json, sys
+from qmtop.cli import main
+report = {"before": "numpy" in sys.modules, "calls": []}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    report["calls"].append([argv[0], code, "numpy" in sys.modules])
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = main(["discrepancy", "--left", "literal_r5", "--right", "direct-t2",
+                 "--n", "3", "--indices", "1"])
+report["discrepancy"] = [code, json.loads(out.getvalue()), "numpy" in sys.modules]
+print(json.dumps(report))
+"""
+
+
+def test_only_the_discrepancy_search_loads_numpy(files):
+    sier, seq = files("sier.json", SIER), files("squares.json", SQUARES_SEQ)
+    sg = files("sg.json", '{"kind":"semigroup","elements":["0","1"],'
+                          '"add":[[0,1],[1,1]],"zero":0,"infinity":1,"positives":[0,1]}')
+    calls = [["check", sier, "--kind", "topology"], ["check", sg, "--kind", "positives"],
+             ["canonical", sier], ["topology", files("edge.json", EDGE_FAMILY)],
+             ["roundtrip", "--n", "3"], ["separation", sier, "--method", "metric"],
+             ["enumerate", "--n", "3", "--kind", "topologies"]]
+    calls += [["converge", seq, sier, "--point", "1", "--mode", mode]
+              for mode in ("right", "left", "cauchy", "topological", "product",
+                           "statistical")]
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+                          env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert not report["before"]
+    assert [call for call in report["calls"] if call[1] not in (0, 1) or call[2]] == []
+    code, verdict, loaded = report["discrepancy"]
+    assert code == 1 and loaded
+    assert verdict["witness"]["matrices"] == [[[0, 1, 0], [1, 0, 0], [1, 1, 0]]]
 
 
 def test_emitted_witness_reverifies(files, capsys):

@@ -1,10 +1,12 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from qmtop.core import (
     Complement,
+    DirectedNet,
     DocumentSyntaxError,
     FiniteSet,
     InvariantViolation,
@@ -118,6 +120,38 @@ def test_net_invariants_enforced():
         parse_document(
             '{"kind":"net","elements":["a","b","c"],'
             '"order":[[1,1,0],[0,1,1],[0,0,1]],"assignment":[0,0,0],"n":1}')
+
+
+def _net(order, n=1):
+    return DirectedNet(PointSpace(n), tuple(f"e{a}" for a in range(len(order))),
+                       tuple(map(tuple, order)), (0,) * len(order))
+
+
+def test_net_order_witnesses():
+    # The first (a, b, c) in row order is reported, and any nonzero entry
+    # relates two elements.
+    with pytest.raises(InvariantViolation, match=r"not transitive at \(0,1,3\)"):
+        _net([[1, 2, 0, 0], [0, 1, 0, -1], [0, 0, 1, 1], [0, 0, 0, 1]])
+    with pytest.raises(InvariantViolation, match=r"not transitive at \(1,2,0\)"):
+        _net([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
+    with pytest.raises(InvariantViolation, match="not reflexive at element 1"):
+        _net([[1, 1], [0, 0]])
+    with pytest.raises(InvariantViolation, match="elements 0,1 have no upper bound"):
+        _net([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert _net([[1, 2, 0], [0, 1, 0], [0, 7, -1]]).order[2][1] == 7
+
+
+def test_long_chain_net_parses_quickly():
+    # The transitivity check is a row-mask test per related pair; a triple
+    # loop over the elements is cubic (about 40 s here on a 2-core VM).
+    m = 800
+    doc = json.dumps({"kind": "net", "n": 1, "elements": [f"e{a}" for a in range(m)],
+                      "order": [[int(b >= a) for b in range(m)] for a in range(m)],
+                      "assignment": [0] * m})
+    start = time.perf_counter()
+    net = parse_document(doc)
+    assert time.perf_counter() - start < 15
+    assert len(net.elements) == m
 
 
 def test_set_ops():

@@ -9,7 +9,6 @@ most 4.  Under that bound, "no deviation found by the horizon" and
 two-sided oracle.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -50,6 +49,26 @@ _descriptor = st.one_of(
 )
 
 
+def values(seq, kmax) -> bytes:
+    """Byte k is the value at position k (byte 0 is unused), decoded from
+    the per-point masks of `evaluate_range` with one bytes pass per point.
+
+    Each mask is written as binary digits, lowest bit first, and the digits
+    are translated to the point or zero; the masks must partition 1..kmax.
+    """
+    masks = _tails.evaluate_range(seq, kmax)
+    assert len(masks) == seq.space.n
+    assert sum(m.bit_count() for m in masks) == kmax
+    covered = decoded = 0
+    for point, m in enumerate(masks):
+        covered |= m
+        digits = format(m, f"0{kmax + 1}b")[::-1].encode()
+        decoded |= int.from_bytes(digits.translate(bytes.maketrans(b"01", bytes([0, point]))),
+                                  "little")
+    assert covered == (2 << kmax) - 2
+    return decoded.to_bytes(kmax + 1, "little")
+
+
 @st.composite
 def specs(draw):
     space = PointSpace(3)
@@ -64,9 +83,9 @@ def test_eventually_in_matches_brute_force(seq, good_mask):
     decided = _tails.eventually_in(seq, good_mask)
     settle = _tails.settle_bound(seq)
     assert settle < HORIZON
-    vals = _tails.evaluate_range(seq, HORIZON)
+    vals = values(seq, HORIZON)
     bad_beyond = [k for k in range(settle + 1, HORIZON + 1)
-                  if not good_mask >> vals[k - 1] & 1]
+                  if not good_mask >> vals[k] & 1]
     assert decided == (not bad_beyond)
 
 
@@ -74,24 +93,37 @@ def test_eventually_in_matches_brute_force(seq, good_mask):
 @given(specs())
 def test_recurrent_values_match_window(seq):
     settle = _tails.settle_bound(seq)
-    vals = _tails.evaluate_range(seq, HORIZON)
-    window = frozenset(int(v) for v in np.unique(vals[settle:]))
+    window = frozenset(values(seq, HORIZON)[settle + 1:])
     assert window == _tails.recurrent_values(seq)
 
 
 @settings(max_examples=40, deadline=None)
 @given(specs())
 def test_vectorised_evaluation_matches_scalar(seq):
-    vals = _tails.evaluate_range(seq, 300)
-    assert [int(v) for v in vals] == [seq.value_at(k) for k in range(1, 301)]
+    assert list(values(seq, 300)[1:]) == [seq.value_at(k) for k in range(1, 301)]
 
 
 @pytest.mark.parametrize("mod", [250, 300, 10**12, 10**30])
 def test_vectorised_evaluation_with_large_moduli(mod):
     residues = (0, 5, 249, mod - 1)
     seq = SequenceSpec(PointSpace(2), 0, ((ResidueClasses(mod, residues), 1),))
-    vals = _tails.evaluate_range(seq, 300)
-    assert [int(v) for v in vals] == [seq.value_at(k) for k in range(1, 301)]
+    assert list(values(seq, 300)[1:]) == [seq.value_at(k) for k in range(1, 301)]
+
+
+@pytest.mark.parametrize("mod", [7, 999_983, 10**6, 10**6 + 1])
+def test_evaluation_at_the_top_horizon(mod):
+    # Periods just below, at and above the scan length, next to squares and
+    # powers of two; positions are sampled across the whole scan.
+    seq = SequenceSpec(PointSpace(4), 0, (
+        (ResidueClasses(mod, (0, 3, mod - 1)), 1),
+        (Squares(), 2),
+        (UnionSet((PowersOfTwo(), FiniteSet((10**6 - 1, 10**20)))), 3),
+    ))
+    top = 10**6
+    vals = values(seq, top)
+    sample = [*range(1, top + 1, 997), *range(top - 50, top + 1), 4, 8, 2**19, 999_999]
+    assert [vals[k] for k in sample] == [seq.value_at(k) for k in sample]
+    assert vals.count(2) == sum(1 for j in range(1, 1001) if seq.value_at(j * j) == 2)
 
 
 def test_squares_deviation_is_not_eventual():
@@ -133,3 +165,14 @@ def test_consistency_guard_accepts_true_verdicts():
     space = PointSpace(2)
     seq = SequenceSpec(space, 0, ((FiniteSet((5,)), 1),))
     _tails.assert_tail_consistent(seq, 0b01, True, 1000)
+
+
+def test_consistency_guard_reports_the_first_excursion():
+    # Squares leave the mask unboundedly often; the first one past the
+    # settle bound (7) is position 9.
+    seq = SequenceSpec(PointSpace(2), 0, ((FiniteSet((7,)), 0), (Squares(), 1)))
+    assert _tails.settle_bound(seq) == 7
+    with pytest.raises(AssertionError, match="position 9 takes value 1 outside mask 0x1$"):
+        _tails.assert_tail_consistent(seq, 0b01, True, 1000)
+    _tails.assert_tail_consistent(seq, 0b01, True, 8)
+    _tails.assert_tail_consistent(seq, 0b01, False, 1000)
