@@ -162,8 +162,8 @@ def _as_topology(value) -> Topology:
 
 def cmd_separation(args) -> int:
     value = parse_document(_read(args.file))
-    t = _as_topology(value)
-    direct = {"t0": topology.is_t0(t), "t1": topology.is_t1(t), "t2": topology.is_t2(t)}
+    rows = topology.specialization_preorder(_as_topology(value)).rows
+    direct = {axiom: topology.separated(rows, axiom) for axiom in ("t0", "t1", "t2")}
     if args.method == "direct":
         Verdict("separation", "pass", detail={"method": "direct", **direct}).emit()
         return EXIT_PASS
@@ -258,8 +258,7 @@ def cmd_converge(args) -> int:
 
 
 def _preorder_doc(p) -> str:
-    matrix = tuple(tuple(1 - e for e in row) for row in p.matrix)
-    return serialize(QuasiFamily(p.space, ("i0",), (matrix,)))
+    return serialize(QuasiFamily(p.space, ("i0",), (p.rows,)))
 
 
 def cmd_enumerate(args) -> int:

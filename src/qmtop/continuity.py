@@ -221,8 +221,10 @@ def lift_quasifamily(q: QuasiFamily) -> ContinuitySpace:
     sg = semigroup_zero_one_pow(k)
     positives = PositiveSet(sg, tuple(range(sg.size)))
     n = q.space.n
+    # Coordinate i of d(x, y) is 1 where y is outside zero row x of index i.
     dist = tuple(
-        tuple(sum(1 << i for i, m in enumerate(q.matrices) if m[x][y]) for y in range(n))
+        tuple(sum(1 << i for i, rows in enumerate(q.rows) if not rows[x] >> y & 1)
+              for y in range(n))
         for x in range(n))
     cs = ContinuitySpace(q.space, sg, positives, dist)
     problems = (check_value_semigroup(sg) + check_positives(positives)

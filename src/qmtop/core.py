@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Union
 
 
@@ -154,47 +155,44 @@ class Topology:
 
 @dataclass(frozen=True, slots=True)
 class QuasiFamily:
-    """An indexed family of n x n matrices with entries in {0, 1}.
+    """An indexed family of {0,1}-valued distances, stored as zero rows.
 
-    `matrices[k][x][y]` is the distance from x to y under index k.  The
-    quasimetric axioms (zero diagonal, triangle inequality) are verified by
-    `qmetric.check_quasifamily`; construction only checks shapes.
+    `rows[k][x]` masks {y : d_k(x, y) = 0}, so d_k(x, y) is 1 exactly when
+    bit y of that row is clear.  The quasimetric axioms (bit x of row x set,
+    the zero relation transitive) are verified by `qmetric.check_quasifamily`;
+    construction only checks shapes.  Distance matrices exist only in
+    documents: `parse_document` reads them and `serialize` writes them.
     """
 
     space: PointSpace
     indices: tuple[str, ...]
-    matrices: tuple[tuple[tuple[int, ...], ...], ...]
+    rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         if len(set(self.indices)) != len(self.indices):
             raise InvariantViolation("index labels must be distinct")
-        if len(self.matrices) != len(self.indices):
-            raise InvariantViolation("one matrix per index required")
-        n = self.space.n
-        for label, m in zip(self.indices, self.matrices):
-            if len(m) != n or any(len(row) != n for row in m):
-                raise InvariantViolation(f"matrix for index {label!r} is not {n}x{n}")
-            if any(e not in (0, 1) for row in m for e in row):
-                raise InvariantViolation(f"matrix for index {label!r} has entries outside {{0,1}}")
+        if len(self.rows) != len(self.indices):
+            raise InvariantViolation("one tuple of rows per index required")
+        n, full = self.space.n, self.space.full_mask
+        for label, rows in zip(self.indices, self.rows):
+            if len(rows) != n or min(rows) < 0 or max(rows) > full:
+                raise InvariantViolation(f"rows for index {label!r} are not {n} masks "
+                                         f"of {n} points")
 
-    def matrix(self, label: str) -> tuple[tuple[int, ...], ...]:
+    def index_rows(self, label: str) -> tuple[int, ...]:
         try:
-            return self.matrices[self.indices.index(label)]
+            return self.rows[self.indices.index(label)]
         except ValueError:
             raise KeyError(f"unknown index {label!r}") from None
 
     def canonical(self) -> "QuasiFamily":
-        """Indices sorted by label, matrices permuted consistently."""
+        """Indices sorted by label, rows permuted consistently."""
         order = sorted(range(len(self.indices)), key=lambda k: self.indices[k])
         return QuasiFamily(
             self.space,
             tuple(self.indices[k] for k in order),
-            tuple(self.matrices[k] for k in order),
+            tuple(self.rows[k] for k in order),
         )
-
-
-def freeze_matrix(rows) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(e) for e in row) for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -437,9 +435,27 @@ def _int(v, what: str) -> int:
 
 def _int_list(v, what: str) -> list[int]:
     _require(isinstance(v, list), f"{what} must be a list")
-    _require(all(isinstance(e, int) and not isinstance(e, bool) for e in v),
-             f"{what} must hold integers")
+    # JSON integers decode to exactly `int`; `bool` is the only subclass.
+    _require(set(map(type, v)) <= {int}, f"{what} must hold integers")
     return v
+
+
+def _zero_rows(label: str, matrix: list, n: int, seen: dict) -> tuple[int, ...]:
+    """The zero-row masks of one parsed distance matrix of integers.
+
+    `seen` maps every row already accepted, as a tuple, to its mask; a
+    family repeats rows often, so most rows are a dictionary lookup.
+    """
+    if len(matrix) != n or set(map(len, matrix)) != {n}:
+        raise InvariantViolation(f"matrix for index {label!r} is not {n}x{n}")
+    full = (1 << n) - 1
+    keys = list(map(tuple, matrix))
+    for key in set(keys).difference(seen):
+        if not set(key) <= {0, 1}:
+            raise InvariantViolation(f"matrix for index {label!r} has entries outside {{0,1}}")
+        # The row read as a binary number, last entry first, masks its 1s.
+        seen[key] = full & ~int("".join(map(str, reversed(key))), 2)
+    return tuple(map(seen.__getitem__, keys))
 
 
 def _descriptor_from(obj, depth: int = 1) -> IndexSetDescriptor:
@@ -521,12 +537,18 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
         _require(all(isinstance(s, str) for s in obj["indices"]), "index labels must be strings")
         _require(isinstance(obj.get("matrices"), list), "qmetric needs matrices")
         _require(len(obj["matrices"]) == len(obj["indices"]), "one matrix per index required")
-        mats = []
         for m in obj["matrices"]:
-            _require(isinstance(m, list) and all(isinstance(r, list) for r in m),
+            _require(isinstance(m, list) and set(map(type, m)) <= {list},
                      "matrix must be a list of rows")
-            mats.append(freeze_matrix([_int_list(r, "matrix row") for r in m]))
-        value = QuasiFamily(space, tuple(obj["indices"]), tuple(mats))
+            _require(set(map(type, chain.from_iterable(m))) <= {int},
+                     "matrix row must hold integers")
+        indices = tuple(obj["indices"])
+        # Repeated labels are reported before any matrix's shape or entries.
+        if len(set(indices)) != len(indices):
+            raise InvariantViolation("index labels must be distinct")
+        seen: dict = {}
+        value = QuasiFamily(space, indices, tuple(_zero_rows(label, m, space.n, seen)
+                                                  for label, m in zip(indices, obj["matrices"])))
         if validate:
             from . import qmetric as _qmetric
 
@@ -610,7 +632,8 @@ def serialize(value: Document) -> str:
     """Canonical document of a value; `parse_document` round-trips it.
 
     Opens and members are emitted ascending by mask/point, quasimetric
-    indices are sorted by label with matrices permuted consistently.
+    indices are sorted by label with their matrices, d(x, y) = 0 exactly
+    where bit y of zero row x is set, permuted consistently.
     """
     if isinstance(value, Topology):
         obj = _space_json(value.space, {"kind": "topology"})
@@ -621,7 +644,11 @@ def serialize(value: Document) -> str:
         canon = value.canonical()
         obj = _space_json(canon.space, {"kind": "qmetric"})
         obj["indices"] = list(canon.indices)
-        obj["matrices"] = [[list(row) for row in m] for m in canon.matrices]
+        n = canon.space.n
+        # One list per distinct zero row, shared by every matrix holding it.
+        distances = {z: [0 if z >> y & 1 else 1 for y in range(n)]
+                     for z in set(chain.from_iterable(canon.rows))}
+        obj["matrices"] = [list(map(distances.__getitem__, rows)) for rows in canon.rows]
         return _dump(obj)
 
     if isinstance(value, SequenceSpec):

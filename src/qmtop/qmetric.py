@@ -8,6 +8,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from operator import and_, lshift
 from typing import Union
 
 from . import _tails
@@ -28,7 +30,7 @@ from .core import (
     Topology,
     UnionSet,
 )
-from .topology import generate_from_subbase
+from .topology import generate_from_subbase, pair_separated
 
 SEP_MODES = ("t0_unordered", "t1_amended", "literal_r3", "literal_r4", "literal_r5")
 EMPIRICAL_HORIZONS = (10**3, 10**4, 10**5, 10**6)
@@ -52,53 +54,51 @@ class QuasiViolation:
         return {"kind": self.kind, "index": self.index, "points": list(self.points)}
 
 
+def _bits(mask: int):
+    """The members of a mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def check_quasifamily(q: QuasiFamily) -> list[QuasiViolation]:
     """Every reflexivity or triangle failure, with index and witness points.
 
-    An entry pattern d(x,z)=1, d(x,y)=d(y,z)=0 is the only way a {0,1} matrix
-    can break the triangle inequality, and it says exactly that the
-    zero-entry relation fails to be transitive.
+    An entry pattern d(x,z)=1, d(x,y)=d(y,z)=0 is the only way a {0,1}
+    distance can break the triangle inequality, and it says exactly that
+    the zero relation fails to be transitive: z is in row y but not in row
+    x for some y in row x.  Each distinct row is tested once; only an index
+    that fails pays for listing its witnesses.
     """
     out = []
-    n = q.space.n
-    for label, m in zip(q.indices, q.matrices):
-        for x in range(n):
-            if m[x][x] != 0:
+    for label, rows in zip(q.indices, q.rows):
+        for x, row in enumerate(rows):
+            if not row >> x & 1:
                 out.append(QuasiViolation("nonzero-self-distance", label, (x,)))
-        for x in range(n):
-            for y in range(n):
-                if m[x][y] == 0:
-                    for z in range(n):
-                        if m[y][z] == 0 and m[x][z] == 1:
-                            out.append(QuasiViolation("triangle", label, (x, y, z)))
+        if all(all(rows[y] & ~row == 0 for y in _bits(row)) for row in set(rows)):
+            continue
+        for x, row in enumerate(rows):
+            for y in _bits(row):
+                for z in _bits(rows[y] & ~row):
+                    out.append(QuasiViolation("triangle", label, (x, y, z)))
     return out
 
 
-def ball_masks(q: QuasiFamily) -> list[list[int]]:
-    """ball_masks(q)[k][x] masks the zero-set {y : d_k(x, y) = 0}."""
-    n = q.space.n
-    out = []
-    for m in q.matrices:
-        out.append([sum(1 << y for y in range(n) if m[x][y] == 0) for x in range(n)])
-    return out
-
-
-def ball_meet(q: QuasiFamily, balls: list[list[int]]) -> list[int]:
-    """Row x is the intersection of the balls `ball_masks(q)` at x (the full
-    set for an empty family): x's minimal neighbourhood in the generated
-    topology."""
+def ball_meet(q: QuasiFamily) -> list[int]:
+    """Row x is the intersection of the zero rows at x over every index (the
+    full set for an empty family): x's minimal neighbourhood in the
+    generated topology."""
     meet = [q.space.full_mask] * q.space.n
-    for per_point in balls:
-        meet = [m & b for m, b in zip(meet, per_point)]
+    for rows in q.rows:
+        meet = list(map(and_, meet, rows))
     return meet
 
 
 def ball(q: QuasiFamily, index: str, x: int) -> PointSet:
     """The zero-set of one coordinate at a base point; always contains x."""
     q.space.check_point(x)
-    m = q.matrix(index)
-    mask = sum(1 << y for y in range(q.space.n) if m[x][y] == 0)
-    return PointSet(q.space, mask)
+    return PointSet(q.space, q.index_rows(index)[x])
 
 
 def to_topology(q: QuasiFamily) -> Topology:
@@ -110,10 +110,9 @@ def to_topology(q: QuasiFamily) -> Topology:
     those intersections.  The result is also computed as the
     subbase-generated topology of all balls and the two must agree.
     """
-    balls = ball_masks(q)
-    direct = Topology.from_masks(q.space, upsets(ball_meet(q, balls)))
-    subbase = [PointSet(q.space, m) for per_point in balls for m in per_point]
-    generated = generate_from_subbase(q.space, subbase)
+    direct = Topology.from_masks(q.space, upsets(ball_meet(q)))
+    balls = set(chain.from_iterable(q.rows))
+    generated = generate_from_subbase(q.space, [PointSet(q.space, m) for m in balls])
     if direct.open_masks != generated.open_masks:
         raise AssertionError("ball-intersection opens differ from subbase closure")
     return direct
@@ -142,21 +141,21 @@ def right_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     _check_space(s, q)
     q.space.check_point(x)
     if isinstance(s, DirectedNet):
-        return all(_net_eventually(s, lambda v, row=m[x]: row[v] == 0)
-                   for m in q.matrices)
-    return all(_tails.eventually_in(s, mask[x]) for mask in ball_masks(q))
+        return all(_net_eventually(s, lambda v, row=rows[x]: row >> v & 1)
+                   for rows in q.rows)
+    return all(_tails.eventually_in(s, rows[x]) for rows in q.rows)
 
 
 def left_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     """For every index, d_i(s_k, x) vanishes from some position on."""
     _check_space(s, q)
     q.space.check_point(x)
-    n = q.space.n
     if isinstance(s, DirectedNet):
-        return all(_net_eventually(s, lambda v, m=m: m[v][x] == 0)
-                   for m in q.matrices)
-    left_masks = [sum(1 << y for y in range(n) if m[y][x] == 0) for m in q.matrices]
-    return all(_tails.eventually_in(s, mask) for mask in left_masks)
+        return all(_net_eventually(s, lambda v, rows=rows: rows[v] >> x & 1)
+                   for rows in q.rows)
+    # The left ball at x is the column {y : x in row y}.
+    columns = [sum(1 << y for y, row in enumerate(rows) if row >> x & 1) for rows in q.rows]
+    return all(_tails.eventually_in(s, column) for column in columns)
 
 
 def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
@@ -168,20 +167,13 @@ def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
     """
     _check_space(s, q)
     if isinstance(s, DirectedNet):
-        m_count = len(s.elements)
-
-        def tail_ok(m, a0):
-            for a in range(m_count):
-                if not s.order[a0][a]:
-                    continue
-                for b in range(m_count):
-                    if s.order[a][b] and m[s.assignment[a]][s.assignment[b]] != 0:
-                        return False
-            return True
-
-        return all(any(tail_ok(m, a0) for a0 in range(m_count)) for m in q.matrices)
-    recur = _tails.recurrent_values(s)
-    return all(m[a][b] == 0 for m in q.matrices for a in recur for b in recur)
+        later = [[b for b, e in enumerate(row) if e] for row in s.order]
+        return all(any(all(rows[s.assignment[a]] >> s.assignment[b] & 1
+                           for a in later[a0] for b in later[a])
+                       for a0 in range(len(later)))
+                   for rows in q.rows)
+    recur = sum(1 << v for v in _tails.recurrent_values(s))
+    return all(rows[a] & recur == recur for rows in q.rows for a in _bits(recur))
 
 
 def product_converges(s: SequenceSpec, q: QuasiFamily, x: int) -> bool:
@@ -193,7 +185,7 @@ def product_converges(s: SequenceSpec, q: QuasiFamily, x: int) -> bool:
     """
     _check_space(s, q)
     q.space.check_point(x)
-    verdict = _tails.eventually_in(s, ball_meet(q, ball_masks(q))[x])
+    verdict = _tails.eventually_in(s, ball_meet(q)[x])
     if verdict != right_converges(s, q, x):
         raise AssertionError("product and per-coordinate convergence disagree")
     return verdict
@@ -204,12 +196,10 @@ def metric_continuous_at(f: PointMap, q: QuasiFamily, p: QuasiFamily, x: int) ->
     if not f.domain.compatible(q.space) or not f.codomain.compatible(p.space):
         raise SpaceMismatchError("map spaces do not match the families")
     f.domain.check_point(x)
-    domain_balls = ball_masks(q)
-    codomain_balls = ball_masks(p)
     fx = f(x)
-    for j in range(len(p.indices)):
-        pre = f.preimage_mask(codomain_balls[j][fx])
-        if not any(domain_balls[i][x] & ~pre == 0 for i in range(len(q.indices))):
+    for codomain_rows in p.rows:
+        pre = f.preimage_mask(codomain_rows[fx])
+        if not any(rows[x] & ~pre == 0 for rows in q.rows):
             return False
     return True
 
@@ -218,34 +208,67 @@ def metric_continuous_at(f: PointMap, q: QuasiFamily, p: QuasiFamily, x: int) ->
 # Separation predicates: the provable variants and the literal ones
 
 
-def sep_pair(q: QuasiFamily, mode: str, x: int, y: int) -> bool:
-    """One separation condition, evaluated at a single ordered pair."""
-    mats = q.matrices
-    if mode == "t0_unordered":
-        return any(m[x][y] == 1 or m[y][x] == 1 for m in mats)
-    if mode in ("t1_amended", "literal_r3"):
-        return any(m[x][y] == 1 for m in mats)
+def pack(rows) -> int:
+    """A relation on n points, given by its rows, as one int of n^2 bits:
+    bit x*n + y holds the pair (x, y)."""
+    n = len(rows)
+    return sum(map(lshift, rows, range(0, n * n, n)))
+
+
+def separation_pair(q: QuasiFamily) -> tuple[list[int], list[int]]:
+    """The rows every separation mode reads: meet[x] = {y : d_k(x, y) = 0
+    for every k} (`ball_meet`) and sym[x] = {y : d_k(x, y) = d_k(y, x) = 1
+    for some k}, the pairs that no index's packed zero pairs, or their
+    transpose, cover."""
+    n = q.space.n
+    square = (1 << n * n) - 1
+    # column[r] moves bit y of a row mask r to bit y*n: n-1 zeros go
+    # between the binary digits of r.
+    gap, digits = "0" * (n - 1), f"0{n}b"
+    column = {r: int(gap.join(format(r, digits)), 2) for r in set(chain.from_iterable(q.rows))}
+    covered = square
+    for rows in q.rows:
+        covered &= pack(rows) | sum(map(lshift, map(column.__getitem__, rows), range(n)))
+    sym = ~covered & square
+    return ball_meet(q), [sym >> x * n & q.space.full_mask for x in range(n)]
+
+
+# The direct axiom each one-direction mode is, read off the meet rows.
+_MEET_AXIOM = {"t0_unordered": "t0", "t1_amended": "t1", "literal_r3": "t1"}
+
+
+def mode_holds(meet, sym, mode: str, x: int, y: int) -> bool:
+    """One separation mode at one ordered pair, read off `separation_pair`.
+
+    Some index separates x from y (t1_amended, literal_r3) iff y is outside
+    meet[x], and t0_unordered asks that of one direction: these are the
+    direct axioms on the meet rows.  R5 asks for indices i and j both
+    separating the pair in both directions; taking j = i shows it is exactly
+    R4, which reads sym.
+    """
     if mode in ("literal_r4", "literal_r5"):
-        # R5 asks for indices i and j both separating the pair in both
-        # directions; taking j = i shows it is exactly R4.
-        return any(m[x][y] == 1 and m[y][x] == 1 for m in mats)
+        return bool(sym[x] >> y & 1)
+    if mode in _MEET_AXIOM:
+        return pair_separated(meet, _MEET_AXIOM[mode], x, y)
     raise ValueError(f"unknown separation mode {mode!r}")
 
 
-def sep_metric(q: QuasiFamily, mode: str) -> bool:
-    """A separation condition quantified over every distinct pair.
+def sep_pair(q: QuasiFamily, mode: str, x: int, y: int) -> bool:
+    """One separation condition, evaluated at a single ordered pair."""
+    return mode_holds(*separation_pair(q), mode, x, y)
 
-    `t0_unordered` asks each unordered pair to be separated in at least one
-    direction; the remaining modes read "every distinct pair" as every
-    ordered pair.  The `literal_*` modes keep the shared-index, both-
-    directions form unchanged, which is what the discrepancy search audits.
+
+def sep_metric(q: QuasiFamily, mode: str) -> bool:
+    """A separation condition quantified over every ordered pair of distinct
+    points (t0_unordered is symmetric, so this is every unordered pair).
+    The `literal_*` modes keep the shared-index, both-directions form
+    unchanged, which is what the discrepancy search audits.
     """
     if mode not in SEP_MODES:
         raise ValueError(f"unknown separation mode {mode!r}")
+    meet, sym = separation_pair(q)
     n = q.space.n
-    if mode == "t0_unordered":
-        return all(sep_pair(q, mode, x, y) for x in range(n) for y in range(x + 1, n))
-    return all(sep_pair(q, mode, x, y) for x in range(n) for y in range(n) if x != y)
+    return all(mode_holds(meet, sym, mode, x, y) for x in range(n) for y in range(n) if x != y)
 
 
 # ---------------------------------------------------------------------------
@@ -448,12 +471,12 @@ def stat_converges(s: SequenceSpec, q: QuasiFamily, x: int,
     reports = []
     any_positive = False
     any_unknown = False
-    for label, m in zip(q.indices, q.matrices):
-        row = m[x]
-        dev = deviation_descriptor(s, lambda point: row[point] == 1)
+    for label, rows in zip(q.indices, q.rows):
+        row = rows[x]
+        dev = deviation_descriptor(s, lambda point: not row >> point & 1)
         density = natural_density(dev)
-        empirical = tuple((h, sum(c[i] for c, d in zip(counts, row) if d == 1))
-                          for i, h in enumerate(horizons))
+        far = [c for p, c in enumerate(counts) if not row >> p & 1]
+        empirical = tuple((h, sum(c[i] for c in far)) for i, h in enumerate(horizons))
         reports.append(IndexDensityReport(label, dev, density, empirical))
         if density.kind == "unknown":
             any_unknown = True

@@ -10,68 +10,26 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from . import qmetric
-from .core import PointSet, PointSpace, QuasiFamily, Topology, freeze_matrix
+from .core import PointSet, PointSpace, QuasiFamily, Topology
 from .topology import enumerate_preorders, pair_separated, specialization_preorder
 
 METRIC_PREDICATES = qmetric.SEP_MODES
 DIRECT_PREDICATES = ("t0", "t1", "t2")
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalFamily(QuasiFamily):
-    """The family indexed by the opens of a topology; the index for an open
-    U measures exactly the failures of "in U implies in U"."""
-
-    source: Topology
-
-
 def _open_label(u: PointSet) -> str:
     return json.dumps(u.members(), separators=(",", ":"))
 
 
-def d_U(t: Topology, u: PointSet, x: int, y: int) -> int:
-    """1 iff x lies in the open and y escapes it.
-
-    For x inside the open, the zero-set of d_U(x, .) recovers the open
-    exactly; that identity is asserted on every call.
-    """
-    if u.space != t.space or not t.is_open(u):
-        raise ValueError("u must be an open set of the topology")
-    t.space.check_point(x)
-    t.space.check_point(y)
-    value = 1 if (u.mask >> x & 1 and not u.mask >> y & 1) else 0
-    if u.mask >> x & 1:
-        zero_set = sum(1 << z for z in t.space.points()
-                       if not (u.mask >> x & 1 and not u.mask >> z & 1))
-        if zero_set != u.mask:
-            raise AssertionError("zero-set of d_U(x, .) failed to recover the open")
-    return value
-
-
-def p_U(t: Topology, u: PointSet, x: int, y: int) -> int:
-    """Indicator of the open at x times indicator of its complement at y.
-
-    Asserted pointwise equal to `d_U`, not merely equivalent.
-    """
-    if u.space != t.space or not t.is_open(u):
-        raise ValueError("u must be an open set of the topology")
-    value = (1 if u.mask >> x & 1 else 0) * (1 if not u.mask >> y & 1 else 0)
-    if value != d_U(t, u, x, y):
-        raise AssertionError("p_U and d_U disagree")
-    return value
-
-
-def canonical_family(t: Topology) -> CanonicalFamily:
-    """One {0,1} matrix per open; entry [x][y] is 0 iff x in U implies y in U."""
-    n = t.space.n
-    labels = []
-    matrices = []
-    for u in t.opens:
-        labels.append(_open_label(u))
-        matrices.append(freeze_matrix(
-            [[1 if (u.mask >> x & 1 and not u.mask >> y & 1) else 0
-              for y in range(n)] for x in range(n)]))
-    return CanonicalFamily(t.space, tuple(labels), tuple(matrices), t)
+def canonical_family(t: Topology) -> QuasiFamily:
+    """The family indexed by the opens of a topology: d_U(x, y) is 0 iff x
+    in U implies y in U, so the zero row of x is U when x is in U and the
+    whole space otherwise."""
+    full = t.space.full_mask
+    points = t.space.points()
+    return QuasiFamily(t.space, tuple(_open_label(u) for u in t.opens),
+                       tuple(tuple(u.mask if u.mask >> x & 1 else full for x in points)
+                             for u in t.opens))
 
 
 @dataclass(frozen=True, slots=True)
@@ -95,92 +53,76 @@ def roundtrip(t: Topology) -> RoundtripReport:
 # Discrepancy search
 
 
-def _pair_predicate(name: str):
-    """f(q, rows, x, y) for a metric mode on the family q or a direct axiom
-    on the minimal neighbourhood rows of its generated topology."""
-    if name in METRIC_PREDICATES:
-        return lambda q, rows, x, y: qmetric.sep_pair(q, name, x, y)
+def _check_predicate(name: str) -> None:
+    if name not in METRIC_PREDICATES and name not in DIRECT_PREDICATES:
+        raise ValueError(f"unknown predicate {name!r}")
+
+
+def _pair_holds(name: str, meet, sym, direct, x: int, y: int) -> bool:
+    """A metric mode on a family's (meet, sym) rows, or a direct axiom on the
+    minimal neighbourhood rows of its generated topology."""
     if name in DIRECT_PREDICATES:
-        return lambda q, rows, x, y: pair_separated(rows, name, x, y)
-    raise ValueError(f"unknown predicate {name!r}")
+        return pair_separated(direct, name, x, y)
+    return qmetric.mode_holds(meet, sym, name, x, y)
 
 
 def discrepancy_pairs(q: QuasiFamily, pred_a: str, pred_b: str) -> list[dict]:
     """Ordered pairs at which the two predicates disagree on this family."""
-    fa = _pair_predicate(pred_a)
-    fb = _pair_predicate(pred_b)
-    rows = specialization_preorder(qmetric.to_topology(q)).rows
+    _check_predicate(pred_a)
+    _check_predicate(pred_b)
+    meet, sym = qmetric.separation_pair(q)
+    direct = specialization_preorder(qmetric.to_topology(q)).rows
     out = []
     n = q.space.n
     for x in range(n):
         for y in range(n):
             if x == y:
                 continue
-            va, vb = fa(q, rows, x, y), fb(q, rows, x, y)
+            va = _pair_holds(pred_a, meet, sym, direct, x, y)
+            vb = _pair_holds(pred_b, meet, sym, direct, x, y)
             if va != vb:
                 out.append({"pair": [x, y], pred_a: va, pred_b: vb})
     return out
 
 
-def _sorted_matrices(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Distance matrices of every preorder on n points, ordered by their
-    rows read as distance masks ({y : d(x,y) = 1}), smallest first."""
+def _preorders_by_distance(n: int) -> list[tuple[int, ...]]:
+    """Zero rows of every preorder on n points, ordered by their distance
+    rows ({y : d(x,y) = 1}) read as a tuple of masks, smallest first."""
     full = (1 << n) - 1
-    keyed = []
-    for p in enumerate_preorders(n):
-        key = tuple(full & ~row for row in p.rows)
-        keyed.append((key, freeze_matrix([[key[x] >> y & 1 for y in range(n)]
-                                          for x in range(n)])))
-    keyed.sort(key=lambda km: km[0])
-    return [m for _, m in keyed]
+    return sorted((p.rows for p in enumerate_preorders(n)),
+                  key=lambda rows: tuple(full & ~r for r in rows))
 
 
 def _family_candidates(n: int, max_indices: int):
-    """Families of independent preorder-induced matrices in canonical order.
+    """Families of independent preorder-induced distances in canonical order.
 
-    A {0,1} matrix is a quasimetric iff its zero-entry relation is a
-    preorder, so enumerating per-index preorders covers exactly the valid
-    families.  Matrices are ordered as in `_sorted_matrices`, and families
-    are ordered by index count then lexicographically over their sorted
-    matrix keys.
+    A {0,1} distance is a quasimetric iff its zero relation is a preorder,
+    so enumerating per-index preorders covers exactly the valid families.
+    Preorders are ordered as in `_preorders_by_distance`, and families are
+    ordered by index count then lexicographically over their sorted keys.
     """
     space = PointSpace(n)
-    mats = _sorted_matrices(n)
+    preorders = _preorders_by_distance(n)
     for count in range(1, max_indices + 1):
-        for chosen in combinations_with_replacement(mats, count):
+        for chosen in combinations_with_replacement(preorders, count):
             labels = tuple(f"i{k}" for k in range(count))
             yield QuasiFamily(space, labels, chosen)
-
-
-def _pack(matrix, bit) -> int:
-    """Ordered pairs as an int of n^2 bits, bit x*n + y for (x, y), where
-    bit(d(x,y), d(y,x)) holds."""
-    n = len(matrix)
-    return sum(1 << (x * n + y) for x in range(n) for y in range(n)
-               if bit(matrix[x][y], matrix[y][x]))
-
-
-# The direct axiom each table predicate reads off a meet.
-_MEET_AXIOM = {"t0": "t0", "t0_unordered": "t0", "t1": "t1", "t1_amended": "t1",
-               "literal_r3": "t1", "t2": "t2"}
 
 
 def _meet_pair_mask(name: str, meet: int, n: int) -> int:
     """Packed ordered pairs of distinct points at which a predicate holds on
     every family with this packed meet.
 
-    The generated topology is the Alexandrov topology of the meet, so
-    meet row x is the minimal neighbourhood of x.  The one-direction metric
-    modes read off it like the direct axioms: some index separates x from
-    y iff some open holds x and not y.
+    The generated topology is the Alexandrov topology of the meet, so meet
+    row x is the minimal neighbourhood of x and both the direct axioms and
+    the one-direction metric modes read off it.
     """
-    axiom = _MEET_AXIOM[name]
     full = (1 << n) - 1
     rows = [meet >> (x * n) & full for x in range(n)]
     out = 0
     for x in range(n):
         for y in range(n):
-            if x != y and pair_separated(rows, axiom, x, y):
+            if x != y and _pair_holds(name, rows, None, rows, x, y):
                 out |= 1 << (x * n + y)
     return out
 
@@ -215,7 +157,7 @@ def _disagreement(pred_a: str, pred_b: str, zeros, n: int):
 
 
 def _first_hit(zeros, syms, bad, full: int, max_indices: int) -> list[int] | None:
-    """Matrix positions of the first family, by index count and then in
+    """Preorder positions of the first family, by index count and then in
     `combinations_with_replacement` order, on which `bad` holds.
 
     Level k lists every multiset of k positions in that order, as packed
@@ -256,33 +198,36 @@ def _first_hit(zeros, syms, bad, full: int, max_indices: int) -> list[int] | Non
 
 def find_discrepancy(pred_a: str, pred_b: str, n: int,
                      max_indices: int) -> QuasiFamily | None:
-    """First family (smallest point count, fewest indices, smallest matrices)
-    where the two predicates disagree at some ordered pair of distinct points.
+    """First family (smallest point count, fewest indices, smallest distance
+    rows) where the two predicates disagree at some ordered pair of distinct
+    points.
 
-    A family's meet is the AND of its packed zero relations and its
-    symmetric mask the OR of its packed symmetric-distance bits; both
-    predicates are read off those two ints, so no candidate is built as a
-    `QuasiFamily`.  The witness is re-checked on the object path.
+    Each preorder's `qmetric.separation_pair` is packed into two ints; a
+    family's meet is the AND of its indices' packed meets and its symmetric
+    mask the OR of their packed symmetric masks, and both predicates are read
+    off those two ints, so no candidate is built as a `QuasiFamily`.  The
+    witness is re-checked on the object path.
     """
     import numpy as np
 
-    _pair_predicate(pred_a)
-    _pair_predicate(pred_b)
+    _check_predicate(pred_a)
+    _check_predicate(pred_b)
     if not 1 <= n <= 4:
         raise ValueError("discrepancy search supports 1..4 points")
     if not 1 <= max_indices <= 3:
         raise ValueError("discrepancy search supports 1..3 indices")
     for points in range(1, n + 1):
-        mats = _sorted_matrices(points)
-        zeros = np.array([_pack(m, lambda d, _: d == 0) for m in mats], dtype=np.int64)
-        syms = np.array([_pack(m, lambda d, e: d == e == 1) for m in mats],
-                        dtype=np.int64)
+        space = PointSpace(points)
+        preorders = _preorders_by_distance(points)
+        pairs = [qmetric.separation_pair(QuasiFamily(space, ("i0",), (rows,)))
+                 for rows in preorders]
+        zeros = np.array([qmetric.pack(meet) for meet, _ in pairs], dtype=np.int64)
+        syms = np.array([qmetric.pack(sym) for _, sym in pairs], dtype=np.int64)
         bad = _disagreement(pred_a, pred_b, zeros, points)
         chosen = _first_hit(zeros, syms, bad, (1 << points * points) - 1, max_indices)
         if chosen is not None:
-            witness = QuasiFamily(PointSpace(points),
-                                  tuple(f"i{k}" for k in range(len(chosen))),
-                                  tuple(mats[i] for i in chosen))
+            witness = QuasiFamily(space, tuple(f"i{k}" for k in range(len(chosen))),
+                                  tuple(preorders[i] for i in chosen))
             if not discrepancy_pairs(witness, pred_a, pred_b):
                 raise AssertionError("packed search returned a family on which "
                                      f"{pred_a} and {pred_b} agree")

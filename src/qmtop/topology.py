@@ -50,11 +50,6 @@ class Preorder:
     def leq(self, x: int, y: int) -> bool:
         return bool(self.rows[x] >> y & 1)
 
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        n = self.space.n
-        return tuple(tuple(self.rows[x] >> y & 1 for y in range(n)) for x in range(n))
-
 
 @dataclass(frozen=True, slots=True)
 class TopologyViolation:
@@ -161,23 +156,23 @@ def pair_separated(rows, axiom: str, x: int, y: int) -> bool:
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
-def _separated_everywhere(t: Topology, axiom: str, ordered: bool) -> bool:
-    rows = _neighborhood_rows(t.space, t.open_masks)
-    n = t.space.n
-    return all(pair_separated(rows, axiom, x, y)
-               for x in range(n) for y in range(0 if ordered else x + 1, n) if x != y)
+def separated(rows, axiom: str) -> bool:
+    """Whether `axiom` separates every ordered pair of distinct points, read
+    off minimal neighbourhood rows (T0 and T2 are symmetric in the pair)."""
+    n = len(rows)
+    return all(pair_separated(rows, axiom, x, y) for x in range(n) for y in range(n) if x != y)
 
 
 def is_t0(t: Topology) -> bool:
-    return _separated_everywhere(t, "t0", ordered=False)
+    return separated(_neighborhood_rows(t.space, t.open_masks), "t0")
 
 
 def is_t1(t: Topology) -> bool:
-    return _separated_everywhere(t, "t1", ordered=True)
+    return separated(_neighborhood_rows(t.space, t.open_masks), "t1")
 
 
 def is_t2(t: Topology) -> bool:
-    return _separated_everywhere(t, "t2", ordered=False)
+    return separated(_neighborhood_rows(t.space, t.open_masks), "t2")
 
 
 # --- continuity and convergence -------------------------------------------

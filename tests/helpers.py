@@ -6,15 +6,15 @@ from itertools import combinations_with_replacement
 from qmtop import _kernels
 from qmtop.core import (
     FiniteSet,
+    PointSet,
     PointSpace,
     QuasiFamily,
     ResidueClasses,
     SequenceSpec,
     Topology,
-    freeze_matrix,
     serialize,
 )
-from qmtop.qmetric import sep_pair, to_topology
+from qmtop.qmetric import to_topology
 from qmtop.representation import _family_candidates
 from qmtop.topology import Preorder, enumerate_preorders
 
@@ -23,25 +23,101 @@ def sierpinski() -> Topology:
     return Topology.from_masks(PointSpace(2), [0b00, 0b10, 0b11])
 
 
-def preorder_distance_matrix(p: Preorder) -> tuple[tuple[int, ...], ...]:
-    """d(x, y) = 0 iff x is below y."""
-    n = p.space.n
-    return freeze_matrix([[0 if p.rows[x] >> y & 1 else 1 for y in range(n)]
-                          for x in range(n)])
+def d_U(t: Topology, u: PointSet, x: int, y: int) -> int:
+    """Oracle: the paper's d_U, 1 iff x lies in the open and y escapes it.
+
+    For x inside the open, the zero-set of d_U(x, .) recovers the open
+    exactly; that identity is asserted on every call.
+    """
+    if u.space != t.space or not t.is_open(u):
+        raise ValueError("u must be an open set of the topology")
+    t.space.check_point(x)
+    t.space.check_point(y)
+    value = 1 if (u.mask >> x & 1 and not u.mask >> y & 1) else 0
+    if u.mask >> x & 1:
+        zero_set = sum(1 << z for z in t.space.points()
+                       if not (u.mask >> x & 1 and not u.mask >> z & 1))
+        if zero_set != u.mask:
+            raise AssertionError("zero-set of d_U(x, .) failed to recover the open")
+    return value
+
+
+def p_U(t: Topology, u: PointSet, x: int, y: int) -> int:
+    """Oracle: indicator of the open at x times indicator of its complement
+    at y.
+
+    Asserted pointwise equal to `d_U`, not merely equivalent.
+    """
+    if u.space != t.space or not t.is_open(u):
+        raise ValueError("u must be an open set of the topology")
+    value = (1 if u.mask >> x & 1 else 0) * (1 if not u.mask >> y & 1 else 0)
+    if value != d_U(t, u, x, y):
+        raise AssertionError("p_U and d_U disagree")
+    return value
+
+
+def zero_rows(matrix) -> tuple[int, ...]:
+    """The zero-row masks of a {0,1} distance matrix: bit y of row x is set
+    iff d(x, y) = 0."""
+    return tuple(sum(1 << y for y, d in enumerate(row) if d == 0) for row in matrix)
+
+
+def matrix_family(n: int, *matrices, labels=None) -> QuasiFamily:
+    """The family of the given distance matrices, indexed i0, i1, ... unless
+    labels are given."""
+    labels = labels or tuple(f"i{k}" for k in range(len(matrices)))
+    return QuasiFamily(PointSpace(n), labels, tuple(zero_rows(m) for m in matrices))
+
+
+def distance_matrices(q: QuasiFamily) -> list[list[list[int]]]:
+    """d_k(x, y) for every index k: 1 where y is outside zero row x."""
+    n = q.space.n
+    return [[[0 if r >> y & 1 else 1 for y in range(n)] for r in rows] for rows in q.rows]
 
 
 def preorder_family(p: Preorder, label: str = "i0") -> QuasiFamily:
-    return QuasiFamily(p.space, (label,), (preorder_distance_matrix(p),))
+    """d(x, y) = 0 iff x is below y."""
+    return QuasiFamily(p.space, (label,), (p.rows,))
 
 
 def small_index_families(n: int, max_indices: int = 2):
     """Every family of one or two independent preorder coordinates on n points."""
-    mats = [preorder_distance_matrix(p) for p in enumerate_preorders(n)]
+    preorders = [p.rows for p in enumerate_preorders(n)]
     space = PointSpace(n)
     for count in range(1, max_indices + 1):
-        for chosen in combinations_with_replacement(range(len(mats)), count):
+        for chosen in combinations_with_replacement(range(len(preorders)), count):
             yield QuasiFamily(space, tuple(f"i{k}" for k in range(count)),
-                              tuple(mats[i] for i in chosen))
+                              tuple(preorders[i] for i in chosen))
+
+
+def matrix_check_quasifamily(labels, matrices) -> list[tuple]:
+    """Oracle: every reflexivity and triangle failure as (kind, index,
+    points), found by the x/y/z loop over the distance matrices."""
+    out = []
+    for label, m in zip(labels, matrices):
+        n = len(m)
+        for x in range(n):
+            if m[x][x] != 0:
+                out.append(("nonzero-self-distance", label, (x,)))
+        for x in range(n):
+            for y in range(n):
+                if m[x][y] == 0:
+                    for z in range(n):
+                        if m[y][z] == 0 and m[x][z] == 1:
+                            out.append(("triangle", label, (x, y, z)))
+    return out
+
+
+def matrix_sep_pair(matrices, mode: str, x: int, y: int) -> bool:
+    """Oracle: one separation mode at one ordered pair, scanning every
+    index's distance matrix."""
+    if mode == "t0_unordered":
+        return any(m[x][y] == 1 or m[y][x] == 1 for m in matrices)
+    if mode in ("t1_amended", "literal_r3"):
+        return any(m[x][y] == 1 for m in matrices)
+    if mode in ("literal_r4", "literal_r5"):
+        return any(m[x][y] == 1 and m[y][x] == 1 for m in matrices)
+    raise ValueError(f"unknown separation mode {mode!r}")
 
 
 def pair_separated_t0(t: Topology, x: int, y: int) -> bool:
@@ -66,16 +142,17 @@ OPENS_ORACLES = {"t0": pair_separated_t0, "t1": pair_separated_t1, "t2": pair_se
 def object_find_discrepancy(pred_a: str, pred_b: str, n: int, max_indices: int):
     """Oracle: the first candidate family, built as a `QuasiFamily` and
     checked pair by pair (direct axioms by scanning the opens of its
-    generated topology), where the predicates disagree."""
-    def holds(name, q, t, x, y):
+    generated topology, metric modes by scanning its matrices), where the
+    predicates disagree."""
+    def holds(name, mats, t, x, y):
         if name in OPENS_ORACLES:
             return OPENS_ORACLES[name](t, x, y)
-        return sep_pair(q, name, x, y)
+        return matrix_sep_pair(mats, name, x, y)
 
     for points in range(1, n + 1):
         for q in _family_candidates(points, max_indices):
-            t = to_topology(q)
-            if any(holds(pred_a, q, t, x, y) != holds(pred_b, q, t, x, y)
+            t, mats = to_topology(q), distance_matrices(q)
+            if any(holds(pred_a, mats, t, x, y) != holds(pred_b, mats, t, x, y)
                    for x in range(points) for y in range(points) if x != y):
                 return q
     return None

@@ -14,21 +14,23 @@ from qmtop.core import (
     PointMap,
     PointSpace,
     PositiveSet,
-    QuasiFamily,
     ResidueClasses,
     SequenceSpec,
     Squares,
     ValueSemigroup,
-    freeze_matrix,
     parse_document,
 )
 from qmtop import continuity, qmetric, representation, topology
 
 from helpers import (
     all_eventually_periodic,
+    d_U,
     family_route_topologies,
+    matrix_family,
+    p_U,
     sierpinski,
     small_index_families,
+    zero_rows,
 )
 
 EXPECTED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
@@ -96,13 +98,15 @@ def test_criterion_04_d_u_equals_p_u():
     ok = True
     for n in (1, 2, 3, 4):
         for t in topology.enumerate_topologies(n):
+            rows = dict(zip(t.opens, representation.canonical_family(t).rows))
             for u in t.opens:
                 for x in range(n):
                     for y in range(n):
-                        if representation.p_U(t, u, x, y) != \
-                                representation.d_U(t, u, x, y):
+                        d = d_U(t, u, x, y)
+                        if p_U(t, u, x, y) != d or (not rows[u][x] >> y & 1) != d:
                             ok = False
-    _verdict(4, "p_U and d_U agree pointwise on every open, n<=4", ok)
+    _verdict(4, "p_U and d_U agree pointwise on every open, and with the "
+                "canonical family's zero rows, n<=4", ok)
 
 
 def test_criterion_05_convergence_equivalence():
@@ -168,9 +172,9 @@ def test_criterion_07_separation_characterizations(capsys):
     out = capsys.readouterr().out
     report = json.loads(out)
     witness = parse_document(json.dumps(report["witness"]))
-    documented = (freeze_matrix([[0, 1, 0], [1, 0, 0], [1, 1, 0]]),)
+    documented = (zero_rows([[0, 1, 0], [1, 0, 0], [1, 1, 0]]),)
     ok = ok and code == 1 and report["verdict"] == "witness"
-    ok = ok and witness.matrices == documented
+    ok = ok and witness.rows == documented
     with capsys.disabled():
         _verdict(7, "t0/t1 metric characterizations hold on n<=4; literal "
                     "r4/r5 conditions unsatisfiable for canonical families; "
@@ -194,7 +198,7 @@ def test_criterion_08_statistical_convergence():
     ok = ok and densities[-1] == Fraction(1, 1000)
 
     thirds = SequenceSpec(space, 0, ((ResidueClasses(3, (0,)), 1),))
-    edge = QuasiFamily(space, ("i0",), (freeze_matrix([[0, 1], [0, 0]]),))
+    edge = matrix_family(2, [[0, 1], [0, 0]])
     res2 = qmetric.stat_converges(thirds, edge, 0, horizons=(10**3, 10**4))
     ok = ok and res2.verdict == "false"
     ok = ok and res2.per_index[0].density.value == Fraction(1, 3)
@@ -229,14 +233,11 @@ def test_criterion_09_continuity_spaces():
 def test_criterion_10_mutants_and_cli_contract(tmp_path, capsys):
     ok = True
     # seeded axiom violations with exact witnesses
-    non_transitive = QuasiFamily(
-        PointSpace(3), ("i0",),
-        (freeze_matrix([[0, 0, 1], [1, 0, 0], [1, 1, 0]]),))
+    non_transitive = matrix_family(3, [[0, 0, 1], [1, 0, 0], [1, 1, 0]])
     tri = qmetric.check_quasifamily(non_transitive)
     ok = ok and [(v.kind, v.points) for v in tri] == [("triangle", (0, 1, 2))]
 
-    refl = qmetric.check_quasifamily(
-        QuasiFamily(PointSpace(2), ("i0",), (freeze_matrix([[0, 0], [0, 1]]),)))
+    refl = qmetric.check_quasifamily(matrix_family(2, [[0, 0], [0, 1]]))
     ok = ok and ("nonzero-self-distance", (1,)) in [(v.kind, v.points) for v in refl]
 
     space = PointSpace(2)

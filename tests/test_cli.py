@@ -1,3 +1,4 @@
+import hashlib
 import json
 import pathlib
 import subprocess
@@ -383,6 +384,52 @@ def test_enumerate_command(files, capsys):
         assert check_quasifamily(q) == []
 
     assert run(capsys, "enumerate", "--n", "9", "--kind", "topologies")[0] == 2
+
+
+MALFORMED_FAMILIES = {
+    "bool entry": ([[0, True], [0, 0]], "error: matrix row must hold integers"),
+    "entry 2": ([[0, 2], [0, 0]], "error: matrix for index 'i0' has entries outside {0,1}"),
+    "ragged row": ([[0, 1], [0]], "error: matrix for index 'i0' is not 2x2"),
+    "missing row": ([[0, 1]], "error: matrix for index 'i0' is not 2x2"),
+    "extra row": ([[0, 1], [0, 0], [0, 0]], "error: matrix for index 'i0' is not 2x2"),
+    "non-list matrix": (5, "error: matrix must be a list of rows"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FAMILIES.values(), ids=MALFORMED_FAMILIES.keys())
+def test_malformed_family_is_input_error(case, files, capsys):
+    matrix, first_line = case
+    doc = files("bad.json", json.dumps({"kind": "qmetric", "n": 2, "indices": ["i0"],
+                                        "matrices": [matrix]}))
+    for argv in (["check", doc, "--kind", "qmetric"], ["topology", doc]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.splitlines()[0] == first_line
+
+
+def _stdout_sha256(capsys, *argv):
+    code = main(list(argv))
+    return code, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_preorder_stream_bytes(capsys):
+    """No benchmark workload streams preorder documents, so their bytes are
+    pinned here: 355 one-index families on four points."""
+    assert _stdout_sha256(capsys, "enumerate", "--n", "4", "--kind", "preorders") == \
+        (0, "9c31fbbb89891584f1135a9b65122196fd1d69cf358af4488ae49baf6058042d")
+
+
+def test_violation_report_bytes(files, capsys):
+    """Eleven violations over three indices, listed in document order of the
+    indices (c, a, b), then by x, y and z."""
+    doc = files("tri.json", json.dumps({
+        "kind": "qmetric", "n": 4, "indices": ["c", "a", "b"],
+        "matrices": [[[0, 0, 1, 1], [1, 0, 0, 1], [1, 1, 0, 0], [0, 1, 1, 0]],
+                     [[0, 1, 0, 1], [0, 0, 1, 0], [1, 0, 0, 1], [0, 0, 0, 1]],
+                     [[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]]]}))
+    assert _stdout_sha256(capsys, "check", doc, "--kind", "qmetric") == \
+        (1, "34d48fb9d138593133a055c39874ffd1c6ff986303287cc382164af47f0d84ee")
 
 
 def test_discrepancy_command(capsys):

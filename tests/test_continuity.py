@@ -5,7 +5,6 @@ from qmtop.core import (
     PositiveSet,
     QuasiFamily,
     ValueSemigroup,
-    freeze_matrix,
 )
 from qmtop.continuity import (
     ContinuitySpace,
@@ -67,7 +66,7 @@ def test_lift_examples():
     assert check_continuity_space(cs) == []
 
     single = lift_quasifamily(
-        QuasiFamily(PointSpace(3), ("i0",), (freeze_matrix([[0, 0, 0]] * 3),)))
+        QuasiFamily(PointSpace(3), ("i0",), ((0b111,) * 3,)))
     assert single.semigroup.size == 2
     assert all(e == single.semigroup.zero for row in single.dist for e in row)
 
@@ -109,7 +108,7 @@ def test_kopperman_topology_examples():
 
 
 def test_kopperman_reproduces_every_source_topology():
-    # indices for the empty and full sets carry all-zero matrices and never
+    # indices for the empty and full sets have only full zero rows and never
     # change the generated topology, so pruning them keeps every canonical
     # family on three points within the six-index lift bound
     for n in (1, 2, 3):
@@ -118,10 +117,9 @@ def test_kopperman_reproduces_every_source_topology():
             keep = [k for k, u in enumerate(t.opens)
                     if u.mask not in (0, t.space.full_mask)]
             pruned = (QuasiFamily(cf.space, tuple(cf.indices[k] for k in keep),
-                                  tuple(cf.matrices[k] for k in keep))
+                                  tuple(cf.rows[k] for k in keep))
                       if keep else
-                      QuasiFamily(cf.space, ("i0",),
-                                  (freeze_matrix([[0] * n for _ in range(n)]),)))
+                      QuasiFamily(cf.space, ("i0",), ((cf.space.full_mask,) * n,)))
             assert to_topology_kopperman(lift_quasifamily(pruned)).open_masks == \
                 t.open_masks
 

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from qmtop.core import (
     Complement,
     DirectedNet,
+    DocumentError,
     DocumentSyntaxError,
     FiniteSet,
     InvariantViolation,
@@ -23,14 +24,13 @@ from qmtop.core import (
     Topology,
     UnionSet,
     ValueSemigroup,
-    freeze_matrix,
     parse_document,
     serialize,
 )
 from qmtop.qmetric import check_quasifamily
 from qmtop.topology import enumerate_preorders, enumerate_topologies
 
-from helpers import preorder_family, sierpinski
+from helpers import matrix_family, preorder_family, sierpinski
 
 
 SIER_DOC = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
@@ -45,7 +45,7 @@ def test_parse_topology_sierpinski():
 def test_parse_qmetric_document():
     q = parse_document('{"kind":"qmetric","n":2,"indices":["i0"],"matrices":[[[0,1],[0,0]]]}')
     assert isinstance(q, QuasiFamily)
-    assert q.matrices == (((0, 1), (0, 0)),)
+    assert q.rows == ((0b01, 0b11),)
 
 
 def test_parse_rejects_nonzero_diagonal():
@@ -67,6 +67,67 @@ def test_parse_rejects_malformed():
         parse_document('{"kind":"topology","n":2}')
 
 
+def _qmetric_doc(indices, *matrices):
+    return json.dumps({"kind": "qmetric", "n": 2, "indices": list(indices),
+                       "matrices": list(matrices)})
+
+
+OK2 = [[0, 1], [0, 0]]
+
+# (document, exception class, message): the first fault in the order the
+# parser meets them, entry types over every matrix before labels, then the
+# shape and entries of each matrix in turn.
+MALFORMED_FAMILIES = {
+    "bool entry": (_qmetric_doc(["i0"], [[0, True], [0, 0]]),
+                   DocumentSyntaxError, "matrix row must hold integers"),
+    "float entry": (_qmetric_doc(["i0"], [[0, 1.0], [0, 0]]),
+                    DocumentSyntaxError, "matrix row must hold integers"),
+    "entry 2": (_qmetric_doc(["i0"], [[0, 2], [0, 0]]),
+                InvariantViolation, "matrix for index 'i0' has entries outside {0,1}"),
+    "ragged row": (_qmetric_doc(["i0"], [[0, 1], [0]]),
+                   InvariantViolation, "matrix for index 'i0' is not 2x2"),
+    "missing row": (_qmetric_doc(["i0"], [[0, 1]]),
+                    InvariantViolation, "matrix for index 'i0' is not 2x2"),
+    "extra row": (_qmetric_doc(["i0"], [[0, 1], [0, 0], [0, 0]]),
+                  InvariantViolation, "matrix for index 'i0' is not 2x2"),
+    "non-list matrix": (_qmetric_doc(["i0"], 5),
+                        DocumentSyntaxError, "matrix must be a list of rows"),
+    "non-list row": (_qmetric_doc(["i0"], [[0, 1], 5]),
+                     DocumentSyntaxError, "matrix must be a list of rows"),
+    "duplicate labels": (_qmetric_doc(["a", "a"], OK2, OK2),
+                         InvariantViolation, "index labels must be distinct"),
+    "duplicate labels, then a 2": (_qmetric_doc(["a", "a"], [[0, 2], [0, 0]], OK2),
+                                   InvariantViolation, "index labels must be distinct"),
+    "duplicate labels, then a bool": (_qmetric_doc(["a", "a"], OK2, [[0, False], [0, 0]]),
+                                      DocumentSyntaxError, "matrix row must hold integers"),
+    "a 2, then a bool": (_qmetric_doc(["a", "b"], [[0, 2], [0, 0]], [[0, 0], [True, 0]]),
+                         DocumentSyntaxError, "matrix row must hold integers"),
+    "a 2, then a ragged row": (_qmetric_doc(["a", "b"], [[0, 2], [0, 0]], [[0, 0], [0]]),
+                               InvariantViolation,
+                               "matrix for index 'a' has entries outside {0,1}"),
+    "a ragged row, then a 2": (_qmetric_doc(["a", "b"], [[0, 1], [0]], [[0, 0], [0, 2]]),
+                               InvariantViolation, "matrix for index 'a' is not 2x2"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FAMILIES.values(), ids=MALFORMED_FAMILIES.keys())
+def test_family_parse_faults(case):
+    doc, error, message = case
+    for validate in (True, False):
+        with pytest.raises(DocumentError) as info:
+            parse_document(doc, validate=validate)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_family_stores_zero_rows():
+    q = parse_document(_qmetric_doc(["b", "a"], [[0, 1], [1, 0]], [[0, 0], [1, 0]]))
+    assert q.indices == ("b", "a") and q.rows == ((0b01, 0b10), (0b11, 0b10))
+    assert json.loads(serialize(q))["matrices"] == [[[0, 0], [1, 0]], [[0, 1], [1, 0]]]
+    for rows in ((0b01,), (0b01, 0b100), (0b01, -1)):
+        with pytest.raises(InvariantViolation):
+            QuasiFamily(PointSpace(2), ("i0",), (rows,))
+
+
 def test_serialize_is_canonical_and_deterministic():
     t = sierpinski()
     assert serialize(t) == SIER_DOC
@@ -74,8 +135,7 @@ def test_serialize_is_canonical_and_deterministic():
 
 
 def test_serialize_reorders_indices():
-    mats = (freeze_matrix([[0, 1], [0, 0]]), freeze_matrix([[0, 0], [1, 0]]))
-    q = QuasiFamily(PointSpace(2), ("b", "a"), mats)
+    q = matrix_family(2, [[0, 1], [0, 0]], [[0, 0], [1, 0]], labels=("b", "a"))
     doc = json.loads(serialize(q))
     assert doc["indices"] == ["a", "b"]
     assert doc["matrices"] == [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]
@@ -206,12 +266,8 @@ def preorder_families(draw):
     count = draw(st.integers(1, 3))
     picks = draw(st.lists(st.sampled_from(range(len(preorders))),
                           min_size=count, max_size=count))
-    space = PointSpace(n)
-    mats = tuple(
-        freeze_matrix([[0 if preorders[i].rows[x] >> y & 1 else 1 for y in range(n)]
-                       for x in range(n)])
-        for i in picks)
-    return QuasiFamily(space, tuple(f"i{k}" for k in range(count)), mats)
+    return QuasiFamily(PointSpace(n), tuple(f"i{k}" for k in range(count)),
+                       tuple(preorders[i].rows for i in picks))
 
 
 @given(preorder_families())
@@ -228,7 +284,7 @@ def test_triangle_iff_transitive_zero_relation(n, data):
     m = [[(bits >> (n * x + y)) & 1 for y in range(n)] for x in range(n)]
     for x in range(n):
         m[x][x] = 0
-    q = QuasiFamily(PointSpace(n), ("i0",), (freeze_matrix(m),))
+    q = matrix_family(n, m)
     triangle_ok = all(m[x][z] <= m[x][y] + m[y][z]
                       for x in range(n) for y in range(n) for z in range(n))
     zero_rel = {(x, y) for x in range(n) for y in range(n) if m[x][y] == 0}

@@ -8,16 +8,15 @@ from qmtop.core import (
     PointMap,
     PointSpace,
     PowersOfTwo,
-    QuasiFamily,
     ResidueClasses,
     SequenceSpec,
     Squares,
     Topology,
     UnionSet,
-    freeze_matrix,
     parse_document,
 )
 from qmtop.qmetric import (
+    SEP_MODES,
     ball,
     check_quasifamily,
     is_right_cauchy,
@@ -42,30 +41,76 @@ from qmtop.topology import (
 
 from helpers import (
     all_eventually_periodic,
+    distance_matrices,
+    matrix_check_quasifamily,
+    matrix_family,
+    matrix_sep_pair,
     preorder_family,
     sierpinski,
     small_index_families,
 )
 
 
-def _family(n, *matrices, labels=None):
-    mats = tuple(freeze_matrix(m) for m in matrices)
-    labels = labels or tuple(f"i{k}" for k in range(len(mats)))
-    return QuasiFamily(PointSpace(n), labels, mats)
-
-
-WITNESS = _family(3, [[0, 1, 0], [1, 0, 0], [1, 1, 0]])  # zero-relation {(0,2),(1,2)}
+WITNESS = matrix_family(3, [[0, 1, 0], [1, 0, 0], [1, 1, 0]])  # zero-relation {(0,2),(1,2)}
 
 
 def test_check_quasifamily_examples():
-    assert check_quasifamily(_family(2, [[0, 1], [0, 0]])) == []
+    assert check_quasifamily(matrix_family(2, [[0, 1], [0, 0]])) == []
     # a nonzero diagonal also breaks the triangle through the broken point;
     # the reflexivity violation must be among the reports with its witness
-    bad_diag = check_quasifamily(_family(2, [[1, 0], [0, 0]]))
+    bad_diag = check_quasifamily(matrix_family(2, [[1, 0], [0, 0]]))
     assert ("nonzero-self-distance", (0,)) in [(v.kind, v.points) for v in bad_diag]
     # zero-relation {(0,1),(1,2)} without (0,2)
-    tri = check_quasifamily(_family(3, [[0, 0, 1], [1, 0, 0], [1, 1, 0]]))
+    tri = check_quasifamily(matrix_family(3, [[0, 0, 1], [1, 0, 0], [1, 1, 0]]))
     assert [(v.kind, v.points) for v in tri] == [("triangle", (0, 1, 2))]
+
+
+def _all_matrices(n):
+    """Every {0,1} matrix on n points."""
+    for bits in range(1 << n * n):
+        yield [[bits >> (x * n + y) & 1 for y in range(n)] for x in range(n)]
+
+
+def test_check_quasifamily_matches_matrix_loop():
+    """The row test lists the same violations, in the same order, as the
+    x/y/z loop over the matrices: every matrix on up to three points, and
+    every two-index family on up to two points (labels out of order, so the
+    document order of the indices shows)."""
+    def listed(q):
+        return [(v.kind, v.index, v.points) for v in check_quasifamily(q)]
+
+    for n in (1, 2, 3):
+        for m in _all_matrices(n):
+            assert listed(matrix_family(n, m)) == matrix_check_quasifamily(("i0",), [m])
+    for n in (1, 2):
+        for a in _all_matrices(n):
+            for b in _all_matrices(n):
+                q = matrix_family(n, a, b, labels=("b", "a"))
+                assert listed(q) == matrix_check_quasifamily(("b", "a"), [a, b])
+
+
+def _canonical_matrices(t):
+    """d_U per open, straight from the opens."""
+    n = t.space.n
+    return [[[1 if u >> x & 1 and not u >> y & 1 else 0 for y in range(n)] for x in range(n)]
+            for u in t.open_masks]
+
+
+def test_separation_rows_match_matrix_scan():
+    """Every mode at every ordered pair reads the same off (meet, sym) as
+    the per-pair scan over the matrices: all families of one or two
+    preorder indices on up to three points, and the canonical family of
+    every topology on up to four points."""
+    cases = [(q, distance_matrices(q)) for n in (1, 2, 3) for q in small_index_families(n, 2)]
+    cases += [(canonical_family(t), _canonical_matrices(t))
+              for n in (1, 2, 3, 4) for t in enumerate_topologies(n)]
+    for q, mats in cases:
+        n = q.space.n
+        pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+        for mode in SEP_MODES:
+            expected = [matrix_sep_pair(mats, mode, x, y) for x, y in pairs]
+            assert [sep_pair(q, mode, x, y) for x, y in pairs] == expected
+            assert sep_metric(q, mode) == all(expected)
 
 
 def test_ball_examples():
@@ -84,7 +129,7 @@ def test_to_topology_examples():
     t = to_topology(WITNESS)
     assert set(t.open_masks) == {0b000, 0b100, 0b101, 0b110, 0b111}
 
-    zero = _family(3, [[0, 0, 0]] * 3)
+    zero = matrix_family(3, [[0, 0, 0]] * 3)
     assert to_topology(zero).open_masks == (0, 0b111)
 
     discrete = Topology.from_masks(PointSpace(2), range(4))
@@ -128,7 +173,7 @@ def test_left_convergence_examples():
     assert left_converges(alternating, cf, 1)
     # d(1, 0) = 1 in this family, so square-position excursions to 1 block
     # left convergence to 0
-    q = _family(2, [[0, 0], [1, 0]])
+    q = matrix_family(2, [[0, 0], [1, 0]])
     squares_up = SequenceSpec(space, 0, ((Squares(), 1),))
     assert not left_converges(squares_up, q, 0)
 
@@ -136,11 +181,11 @@ def test_left_convergence_examples():
 def test_right_cauchy_examples():
     space = PointSpace(2)
     eventually_const = SequenceSpec(space, 1, ((FiniteSet((1, 2, 3)), 0),))
-    discrete_like = _family(2, [[0, 1], [1, 0]])
+    discrete_like = matrix_family(2, [[0, 1], [1, 0]])
     assert is_right_cauchy(eventually_const, discrete_like)
     alternating = SequenceSpec(space, 1, ((ResidueClasses(2, (1,)), 0),))
     assert not is_right_cauchy(alternating, discrete_like)
-    assert is_right_cauchy(alternating, _family(2, [[0, 0], [0, 0]]))
+    assert is_right_cauchy(alternating, matrix_family(2, [[0, 0], [0, 0]]))
 
 
 def test_net_convergence():
@@ -186,7 +231,7 @@ def test_metric_continuity_examples():
     for x in range(2):
         assert metric_continuous_at(ident, cf, cf, x)
         assert metric_continuous_at(PointMap(space, space, (1, 1)), cf, cf, x)
-    indiscrete_family = _family(2, [[0, 0], [0, 0]])
+    indiscrete_family = matrix_family(2, [[0, 0], [0, 0]])
     assert not metric_continuous_at(ident, indiscrete_family, cf, 1)
 
 
@@ -214,7 +259,7 @@ def test_literal_r5_is_literal_r4():
     holds exactly where R4 does, on every one- and two-index family."""
     for n in (1, 2, 3):
         for q in small_index_families(n, 2):
-            mats = q.matrices
+            mats = distance_matrices(q)
             for x in range(n):
                 for y in range(n):
                     if x == y:
@@ -328,7 +373,7 @@ def test_stat_converges_examples():
     assert stat_converges(SequenceSpec(space, 0), cf, 0, horizons=horizons).verdict == "true"
 
     third = SequenceSpec(space, 0, ((ResidueClasses(3, (0,)), 1),))
-    q = _family(2, [[0, 1], [0, 0]])
+    q = matrix_family(2, [[0, 1], [0, 0]])
     res = stat_converges(third, q, 0, horizons=horizons)
     assert res.verdict == "false"
     assert res.per_index[0].density.value == Fraction(1, 3)
@@ -340,7 +385,7 @@ def test_stat_converges_undecided():
         (ResidueClasses(9973, (0,)), 1),
         (ResidueClasses(9967, (1,)), 1),
     ))
-    q = _family(2, [[0, 1], [0, 0]])
+    q = matrix_family(2, [[0, 1], [0, 0]])
     res = stat_converges(seq, q, 0, horizons=(10**3,))
     assert res.verdict == "undecided"
     assert res.converges is None
@@ -354,7 +399,7 @@ def test_stat_deviation_respects_rule_shadowing():
         (ResidueClasses(2, (0,)), 1),
         (ResidueClasses(3, (0,)), 2),
     ))
-    q = _family(3, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])  # deviation only for value 2
+    q = matrix_family(3, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])  # deviation only for value 2
     res = stat_converges(seq, q, 0, horizons=(10**4,))
     assert res.verdict == "false"
     assert res.per_index[0].density.value == Fraction(1, 6)
@@ -376,6 +421,6 @@ def test_empirical_counts_match_direct_evaluation():
     seq = SequenceSpec(space, 1, ((Squares(), 0), (ResidueClasses(7, (3,)), 1)))
     res = stat_converges(seq, cf, 1, horizons=(10**3,))
     by_index = {r.index: r for r in res.per_index}
-    m = cf.matrix("[1]")
-    expected = sum(1 for k in range(1, 1001) if m[1][seq.value_at(k)] == 1)
+    row = cf.index_rows("[1]")[1]
+    expected = sum(1 for k in range(1, 1001) if not row >> seq.value_at(k) & 1)
     assert by_index["[1]"].empirical[0] == (1000, expected)

@@ -5,40 +5,37 @@ import numpy as np
 import pytest
 
 from qmtop import qmetric
-from qmtop.core import PointSpace, QuasiFamily, Topology, freeze_matrix, serialize
+from qmtop.core import PointSpace, QuasiFamily, Topology, serialize
 from qmtop.qmetric import check_quasifamily, to_topology
 from qmtop.representation import (
     DIRECT_PREDICATES,
     METRIC_PREDICATES,
-    CanonicalFamily,
     _first_hit,
     canonical_family,
-    d_U,
     discrepancy_pairs,
     find_discrepancy,
-    p_U,
     roundtrip,
 )
 from qmtop.topology import enumerate_topologies
 
-from helpers import object_find_discrepancy, sierpinski
+from helpers import d_U, object_find_discrepancy, p_U, sierpinski, zero_rows
 
 
 def test_canonical_family_examples():
     cf = canonical_family(sierpinski())
-    assert isinstance(cf, CanonicalFamily)
+    assert type(cf) is QuasiFamily
     assert cf.indices == ("[]", "[1]", "[0,1]")
-    assert cf.matrix("[1]") == ((0, 0), (1, 0))
-    assert cf.source == sierpinski()
+    # The zero row of x is the open when x is in it, the whole space otherwise.
+    assert cf.rows == ((0b11, 0b11), (0b11, 0b10), (0b11, 0b11))
+    assert cf.index_rows("[1]") == (0b11, 0b10)
 
     indiscrete = Topology.from_masks(PointSpace(3), [0, 0b111])
-    for m in canonical_family(indiscrete).matrices:
-        assert all(e == 0 for row in m for e in row)
+    assert canonical_family(indiscrete).rows == ((0b111,) * 3,) * 2
 
     discrete = Topology.from_masks(PointSpace(2), range(4))
     dcf = canonical_family(discrete)
     assert len(dcf.indices) == 4
-    assert dcf.matrix("[0]") == ((0, 1), (0, 0))
+    assert dcf.index_rows("[0]") == (0b01, 0b11)
 
 
 def test_canonical_families_are_quasimetric():
@@ -96,14 +93,14 @@ def test_pruning_trivial_indices_preserves_topology():
         if not keep:
             continue
         pruned = QuasiFamily(cf.space, tuple(cf.indices[k] for k in keep),
-                             tuple(cf.matrices[k] for k in keep))
+                             tuple(cf.rows[k] for k in keep))
         assert to_topology(pruned).open_masks == t.open_masks
 
 
 def test_find_discrepancy_documented_witness():
     w = find_discrepancy("literal_r5", "t2", 3, 1)
     assert w is not None
-    assert w.matrices == (freeze_matrix([[0, 1, 0], [1, 0, 0], [1, 1, 0]]),)
+    assert w.rows == (zero_rows([[0, 1, 0], [1, 0, 0], [1, 1, 0]]),)
     pairs = discrepancy_pairs(w, "literal_r5", "t2")
     assert {tuple(p["pair"]) for p in pairs} == {(0, 1), (1, 0)}
 
@@ -117,7 +114,7 @@ def test_find_discrepancy_exhausts_for_true_characterizations():
 def test_find_discrepancy_literal_r3_vs_t0():
     w = find_discrepancy("literal_r3", "t0", 2, 1)
     assert w is not None
-    assert w.matrices == (freeze_matrix([[0, 0], [1, 0]]),)
+    assert w.rows == (zero_rows([[0, 0], [1, 0]]),)
     assert to_topology(w).open_masks == sierpinski().open_masks
 
 

@@ -129,9 +129,9 @@ def test_minimal_neighborhood_is_least_open():
 
 def test_specialization_preorder_examples():
     rel = specialization_preorder(sierpinski())
-    assert rel.matrix == ((1, 1), (0, 1))
-    assert specialization_preorder(_discrete(2)).matrix == ((1, 0), (0, 1))
-    assert specialization_preorder(_indiscrete(2)).matrix == ((1, 1), (1, 1))
+    assert rel.rows == (0b11, 0b10)
+    assert specialization_preorder(_discrete(2)).rows == (0b01, 0b10)
+    assert specialization_preorder(_indiscrete(2)).rows == (0b11, 0b11)
 
 
 def test_separation_examples():
