@@ -15,7 +15,6 @@ from .core import (
     FiniteSet,
     InvariantViolation,
     PointMap,
-    PointSet,
     PointSpace,
     PositiveSet,
     PowersOfTwo,
@@ -41,7 +40,6 @@ __all__ = [
     "FiniteSet",
     "InvariantViolation",
     "PointMap",
-    "PointSet",
     "PointSpace",
     "PositiveSet",
     "PowersOfTwo",

@@ -23,6 +23,7 @@ from .core import (
     SequenceSpec,
     Topology,
     ValueSemigroup,
+    members,
     parse_document,
     serialize,
 )
@@ -114,6 +115,8 @@ def cmd_topology(args) -> int:
 
 
 def cmd_roundtrip(args) -> int:
+    if args.n is not None and args.file is not None:
+        return _fail_input("roundtrip takes a topology file or --n, not both")
     if args.n is not None:
         if not 1 <= args.n <= 4:
             return _fail_input("roundtrip enumeration supports --n 1..4")
@@ -139,8 +142,8 @@ def cmd_roundtrip(args) -> int:
         return _fail_input("roundtrip expects a topology document")
     report = representation.roundtrip(t)
     Verdict("roundtrip", "pass" if report.equal else "fail",
-            detail={"missing": [s.members() for s in report.missing],
-                    "extra": [s.members() for s in report.extra]}).emit()
+            detail={"missing": list(map(members, report.missing)),
+                    "extra": list(map(members, report.extra))}).emit()
     return EXIT_PASS if report.equal else EXIT_FAIL
 
 
@@ -167,10 +170,15 @@ def cmd_separation(args) -> int:
     if args.method == "direct":
         Verdict("separation", "pass", detail={"method": "direct", **direct}).emit()
         return EXIT_PASS
-    q = _as_family(value)
+    if isinstance(value, Topology):
+        # The rows of its canonical family: the opens holding x meet in the
+        # minimal neighbourhood of x, and no d_U is 1 in both directions.
+        meet, sym = rows, [0] * len(rows)
+    else:
+        meet, sym = qmetric.separation_pair(value)
     if args.method == "metric":
-        metric = {"t0": qmetric.sep_metric(q, "t0_unordered"),
-                  "t1": qmetric.sep_metric(q, "t1_amended"),
+        metric = {"t0": qmetric.mode_separated(meet, sym, "t0_unordered"),
+                  "t1": qmetric.mode_separated(meet, sym, "t1_amended"),
                   "t2": direct["t2"]}
         mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
         Verdict("separation", "fail" if mismatches else "pass",
@@ -182,12 +190,12 @@ def cmd_separation(args) -> int:
                         "direct": direct, "disagreements": mismatches}).emit()
         return EXIT_FAIL if mismatches else EXIT_PASS
     axiom = {"literal_r3": "t0", "literal_r4": "t1", "literal_r5": "t2"}[args.method]
-    pairs = representation.discrepancy_pairs(q, args.method, axiom)
+    pairs = representation.disagreeing_pairs(meet, sym, rows, args.method, axiom)
     Verdict("separation", "fail" if pairs else "pass",
             reason=f"literal condition disagrees with direct {axiom} at some pair"
             if pairs else None,
             detail={"method": args.method, "axiom": axiom,
-                    "condition": qmetric.sep_metric(q, args.method),
+                    "condition": qmetric.mode_separated(meet, sym, args.method),
                     "direct": direct[axiom],
                     "disagreeing_pairs": pairs}).emit()
     return EXIT_FAIL if pairs else EXIT_PASS
@@ -197,8 +205,11 @@ def cmd_converge(args) -> int:
     # The cross-check evaluates every position up to the horizon; the
     # statistical scan stops at the same top horizon.
     horizon_cap = max(qmetric.EMPIRICAL_HORIZONS)
-    if args.mode == "topological" and args.horizon > horizon_cap:
-        return _fail_input(f"--horizon must be at most {horizon_cap}")
+    if args.mode == "topological":
+        if args.horizon > horizon_cap:
+            return _fail_input(f"--horizon must be at most {horizon_cap}")
+        if args.horizon < 1:
+            return _fail_input("--horizon must be at least 1")
     seq = parse_document(_read(args.sequence))
     space_doc = parse_document(_read(args.space))
     x = args.point

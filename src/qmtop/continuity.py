@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 from .core import (
     InvariantViolation,
-    PointSet,
     PointSpace,
     PositiveSet,
     QuasiFamily,
@@ -177,8 +176,8 @@ def check_continuity_space(cs: ContinuitySpace) -> list[AxiomViolation]:
     return out
 
 
-def ball_r(cs: ContinuitySpace, x: int, r: int) -> PointSet:
-    """Points within distance r of x under the derived order."""
+def ball_r(cs: ContinuitySpace, x: int, r: int) -> int:
+    """Mask of the points within distance r of x under the derived order."""
     cs.space.check_point(x)
     if r not in cs.positives.members:
         raise ValueError(f"radius {r} is not a positive element")
@@ -187,13 +186,13 @@ def ball_r(cs: ContinuitySpace, x: int, r: int) -> PointSet:
     for y in cs.space.points():
         if sg.leq(cs.dist[x][y], r):
             mask |= 1 << y
-    return PointSet(cs.space, mask)
+    return mask
 
 
 def to_topology_kopperman(cs: ContinuitySpace) -> Topology:
     """Opens are the sets containing a positive-radius ball around each point."""
     n = cs.space.n
-    balls = {(x, r): ball_r(cs, x, r).mask
+    balls = {(x, r): ball_r(cs, x, r)
              for x in range(n) for r in cs.positives.members}
     opens = []
     for u in range(1 << n):

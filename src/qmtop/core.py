@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Union
+from typing import Union
 
 
 MAX_POINTS = 16
@@ -44,6 +44,11 @@ class SpaceMismatchError(ValueError):
 # Spaces, point sets, topologies, quasimetric families
 
 
+def members(mask: int) -> list[int]:
+    """The points of a mask, ascending."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
 @dataclass(frozen=True, slots=True)
 class PointSpace:
     """A finite carrier of n points, optionally labelled for presentation."""
@@ -71,12 +76,12 @@ class PointSpace:
         """Labels are presentation only; spaces interoperate by cardinality."""
         return self.n == other.n
 
-    def subset(self, members) -> "PointSet":
+    def subset(self, points) -> int:
         mask = 0
-        for p in members:
+        for p in points:
             self.check_point(p)
             mask |= 1 << p
-        return PointSet(self, mask)
+        return mask
 
     def check_point(self, p: int) -> None:
         if not 0 <= p < self.n:
@@ -84,73 +89,26 @@ class PointSpace:
 
 
 @dataclass(frozen=True, slots=True)
-class PointSet:
-    """A subset of a point space, stored as a bit mask."""
-
-    space: PointSpace
-    mask: int
-
-    def __post_init__(self):
-        if self.mask & ~self.space.full_mask:
-            raise InvariantViolation(f"mask {self.mask:#x} has bits outside the space")
-
-    def members(self) -> list[int]:
-        return [p for p in self.space.points() if self.mask >> p & 1]
-
-    def __contains__(self, p: int) -> bool:
-        return 0 <= p < self.space.n and bool(self.mask >> p & 1)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.members())
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
-    def _same_space(self, other: "PointSet") -> None:
-        if not self.space.compatible(other.space):
-            raise SpaceMismatchError("point sets live over different spaces")
-
-    def union(self, other: "PointSet") -> "PointSet":
-        self._same_space(other)
-        return PointSet(self.space, self.mask | other.mask)
-
-    def intersection(self, other: "PointSet") -> "PointSet":
-        self._same_space(other)
-        return PointSet(self.space, self.mask & other.mask)
-
-    def complement(self) -> "PointSet":
-        return PointSet(self.space, self.space.full_mask & ~self.mask)
-
-    def issubset(self, other: "PointSet") -> bool:
-        self._same_space(other)
-        return self.mask & ~other.mask == 0
-
-    __or__ = union
-    __and__ = intersection
-
-
-@dataclass(frozen=True, slots=True)
 class Topology:
-    """A family of open sets over a finite space, sorted by mask value.
+    """A family of open sets over a finite space, as masks sorted ascending.
 
-    Construction does not verify the closure axioms; `topology.check_topology`
-    does, and `parse_document` runs it by default.
+    Construction only checks that every mask lies inside the space; the
+    closure axioms are verified by `topology.check_topology`, which
+    `parse_document` runs by default.
     """
 
     space: PointSpace
-    opens: tuple[PointSet, ...]
+    opens: tuple[int, ...]
+
+    def __post_init__(self):
+        full = self.space.full_mask
+        if self.opens and (min(self.opens) < 0 or max(self.opens) > full):
+            mask = next(m for m in self.opens if m & ~full)
+            raise InvariantViolation(f"mask {mask:#x} has bits outside the space")
 
     @classmethod
     def from_masks(cls, space: PointSpace, masks) -> "Topology":
-        ordered = tuple(sorted(set(masks)))
-        return cls(space, tuple(PointSet(space, m) for m in ordered))
-
-    @property
-    def open_masks(self) -> tuple[int, ...]:
-        return tuple(s.mask for s in self.opens)
-
-    def is_open(self, s: PointSet) -> bool:
-        return s.mask in set(self.open_masks)
+        return cls(space, tuple(sorted(set(masks))))
 
 
 @dataclass(frozen=True, slots=True)
@@ -516,10 +474,7 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
     if kind == "topology":
         space = _space_from(obj)
         _require(isinstance(obj.get("opens"), list), "topology needs a list of opens")
-        masks = []
-        for members in obj["opens"]:
-            s = space.subset(_int_list(members, "open set"))
-            masks.append(s.mask)
+        masks = [space.subset(_int_list(points, "open set")) for points in obj["opens"]]
         if len(set(masks)) != len(masks):
             raise InvariantViolation("duplicate open sets")
         value = Topology.from_masks(space, masks)
@@ -637,7 +592,7 @@ def serialize(value: Document) -> str:
     """
     if isinstance(value, Topology):
         obj = _space_json(value.space, {"kind": "topology"})
-        obj["opens"] = [s.members() for s in sorted(value.opens, key=lambda s: s.mask)]
+        obj["opens"] = [members(m) for m in sorted(value.opens)]
         return _dump(obj)
 
     if isinstance(value, QuasiFamily):

@@ -20,7 +20,6 @@ from .core import (
     FiniteSet,
     IndexSetDescriptor,
     PointMap,
-    PointSet,
     QuasiFamily,
     ResidueClasses,
     SequenceSpec,
@@ -29,6 +28,7 @@ from .core import (
     PowersOfTwo,
     Topology,
     UnionSet,
+    members,
 )
 from .topology import generate_from_subbase, pair_separated
 
@@ -54,14 +54,6 @@ class QuasiViolation:
         return {"kind": self.kind, "index": self.index, "points": list(self.points)}
 
 
-def _bits(mask: int):
-    """The members of a mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 def check_quasifamily(q: QuasiFamily) -> list[QuasiViolation]:
     """Every reflexivity or triangle failure, with index and witness points.
 
@@ -76,11 +68,11 @@ def check_quasifamily(q: QuasiFamily) -> list[QuasiViolation]:
         for x, row in enumerate(rows):
             if not row >> x & 1:
                 out.append(QuasiViolation("nonzero-self-distance", label, (x,)))
-        if all(all(rows[y] & ~row == 0 for y in _bits(row)) for row in set(rows)):
+        if all(all(rows[y] & ~row == 0 for y in members(row)) for row in set(rows)):
             continue
         for x, row in enumerate(rows):
-            for y in _bits(row):
-                for z in _bits(rows[y] & ~row):
+            for y in members(row):
+                for z in members(rows[y] & ~row):
                     out.append(QuasiViolation("triangle", label, (x, y, z)))
     return out
 
@@ -95,10 +87,11 @@ def ball_meet(q: QuasiFamily) -> list[int]:
     return meet
 
 
-def ball(q: QuasiFamily, index: str, x: int) -> PointSet:
-    """The zero-set of one coordinate at a base point; always contains x."""
+def ball(q: QuasiFamily, index: str, x: int) -> int:
+    """Mask of the zero-set of one coordinate at a base point; always
+    contains x."""
     q.space.check_point(x)
-    return PointSet(q.space, q.index_rows(index)[x])
+    return q.index_rows(index)[x]
 
 
 def to_topology(q: QuasiFamily) -> Topology:
@@ -111,9 +104,8 @@ def to_topology(q: QuasiFamily) -> Topology:
     subbase-generated topology of all balls and the two must agree.
     """
     direct = Topology.from_masks(q.space, upsets(ball_meet(q)))
-    balls = set(chain.from_iterable(q.rows))
-    generated = generate_from_subbase(q.space, [PointSet(q.space, m) for m in balls])
-    if direct.open_masks != generated.open_masks:
+    generated = generate_from_subbase(q.space, set(chain.from_iterable(q.rows)))
+    if direct.opens != generated.opens:
         raise AssertionError("ball-intersection opens differ from subbase closure")
     return direct
 
@@ -173,7 +165,7 @@ def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
                        for a0 in range(len(later)))
                    for rows in q.rows)
     recur = sum(1 << v for v in _tails.recurrent_values(s))
-    return all(rows[a] & recur == recur for rows in q.rows for a in _bits(recur))
+    return all(rows[a] & recur == recur for rows in q.rows for a in members(recur))
 
 
 def product_converges(s: SequenceSpec, q: QuasiFamily, x: int) -> bool:
@@ -264,10 +256,15 @@ def sep_metric(q: QuasiFamily, mode: str) -> bool:
     The `literal_*` modes keep the shared-index, both-directions form
     unchanged, which is what the discrepancy search audits.
     """
+    return mode_separated(*separation_pair(q), mode)
+
+
+def mode_separated(meet, sym, mode: str) -> bool:
+    """One separation mode at every ordered pair of distinct points, read off
+    `separation_pair` rows."""
     if mode not in SEP_MODES:
         raise ValueError(f"unknown separation mode {mode!r}")
-    meet, sym = separation_pair(q)
-    n = q.space.n
+    n = len(meet)
     return all(mode_holds(meet, sym, mode, x, y) for x in range(n) for y in range(n) if x != y)
 
 

@@ -10,15 +10,11 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from . import qmetric
-from .core import PointSet, PointSpace, QuasiFamily, Topology
+from .core import PointSpace, QuasiFamily, Topology, members
 from .topology import enumerate_preorders, pair_separated, specialization_preorder
 
 METRIC_PREDICATES = qmetric.SEP_MODES
 DIRECT_PREDICATES = ("t0", "t1", "t2")
-
-
-def _open_label(u: PointSet) -> str:
-    return json.dumps(u.members(), separators=(",", ":"))
 
 
 def canonical_family(t: Topology) -> QuasiFamily:
@@ -27,25 +23,24 @@ def canonical_family(t: Topology) -> QuasiFamily:
     whole space otherwise."""
     full = t.space.full_mask
     points = t.space.points()
-    return QuasiFamily(t.space, tuple(_open_label(u) for u in t.opens),
-                       tuple(tuple(u.mask if u.mask >> x & 1 else full for x in points)
+    return QuasiFamily(t.space,
+                       tuple(json.dumps(members(u), separators=(",", ":")) for u in t.opens),
+                       tuple(tuple(u if u >> x & 1 else full for x in points)
                              for u in t.opens))
 
 
 @dataclass(frozen=True, slots=True)
 class RoundtripReport:
     equal: bool
-    missing: tuple[PointSet, ...]
-    extra: tuple[PointSet, ...]
+    missing: tuple[int, ...]
+    extra: tuple[int, ...]
 
 
 def roundtrip(t: Topology) -> RoundtripReport:
     """Regenerate the topology from its canonical family and compare exactly."""
     regenerated = qmetric.to_topology(canonical_family(t))
-    original = set(t.open_masks)
-    back = set(regenerated.open_masks)
-    missing = tuple(PointSet(t.space, m) for m in sorted(original - back))
-    extra = tuple(PointSet(t.space, m) for m in sorted(back - original))
+    original, back = set(t.opens), set(regenerated.opens)
+    missing, extra = tuple(sorted(original - back)), tuple(sorted(back - original))
     return RoundtripReport(not missing and not extra, missing, extra)
 
 
@@ -68,12 +63,18 @@ def _pair_holds(name: str, meet, sym, direct, x: int, y: int) -> bool:
 
 def discrepancy_pairs(q: QuasiFamily, pred_a: str, pred_b: str) -> list[dict]:
     """Ordered pairs at which the two predicates disagree on this family."""
+    direct = specialization_preorder(qmetric.to_topology(q)).rows
+    return disagreeing_pairs(*qmetric.separation_pair(q), direct, pred_a, pred_b)
+
+
+def disagreeing_pairs(meet, sym, direct, pred_a: str, pred_b: str) -> list[dict]:
+    """Ordered pairs at which the two predicates disagree, read off a family's
+    `qmetric.separation_pair` rows and the minimal neighbourhood rows of its
+    generated topology."""
     _check_predicate(pred_a)
     _check_predicate(pred_b)
-    meet, sym = qmetric.separation_pair(q)
-    direct = specialization_preorder(qmetric.to_topology(q)).rows
     out = []
-    n = q.space.n
+    n = len(meet)
     for x in range(n):
         for y in range(n):
             if x == y:

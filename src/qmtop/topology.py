@@ -14,11 +14,11 @@ from . import _kernels, _tails
 from .core import (
     InvariantViolation,
     PointMap,
-    PointSet,
     PointSpace,
     SequenceSpec,
     SpaceMismatchError,
     Topology,
+    members,
     serialize,
 )
 
@@ -78,20 +78,21 @@ def _neighborhood_rows(space: PointSpace, masks) -> list[int]:
     return rows
 
 
-def check_topology(space: PointSpace, family) -> list[TopologyViolation]:
-    """All closure failures of a candidate family of open sets.
+def check_topology(space: PointSpace, masks) -> list[TopologyViolation]:
+    """All closure failures of a candidate family of open sets, given as
+    masks; a mask with bits outside the space raises `InvariantViolation`.
 
     Every member is an up-set of the family's neighbourhood rows, so the
     family is a topology exactly when it has as many members as those rows
     have up-sets; only a failure pays for the scan over pairs.
     """
-    masks = sorted({s.mask for s in family})
+    masks = Topology.from_masks(space, masks).opens
     if len(_kernels.upsets(_neighborhood_rows(space, masks))) == len(masks):
         return []
     return _pair_scan(space, masks)
 
 
-def _pair_scan(space: PointSpace, masks: list[int]) -> list[TopologyViolation]:
+def _pair_scan(space: PointSpace, masks) -> list[TopologyViolation]:
     """Missing empty or full set, then every escaping union or intersection
     of two distinct members (ascending masks)."""
     present = set(masks)
@@ -100,35 +101,35 @@ def _pair_scan(space: PointSpace, masks: list[int]) -> list[TopologyViolation]:
         out.append(TopologyViolation("no-empty-set", ()))
     if space.full_mask not in present:
         out.append(TopologyViolation("no-full-set", ()))
-    members = {m: tuple(PointSet(space, m).members()) for m in masks}
+    points = {m: tuple(members(m)) for m in masks}
     for a, b in combinations(masks, 2):
         if a | b not in present:
-            out.append(TopologyViolation("union-escape", (members[a], members[b])))
+            out.append(TopologyViolation("union-escape", (points[a], points[b])))
         if a & b not in present:
-            out.append(TopologyViolation("intersection-escape", (members[a], members[b])))
+            out.append(TopologyViolation("intersection-escape", (points[a], points[b])))
     return out
 
 
-def generate_from_subbase(space: PointSpace, subbase) -> Topology:
-    """Smallest topology containing the subbase: the up-sets of the minimal
-    neighbourhoods the subbase determines.
+def generate_from_subbase(space: PointSpace, masks) -> Topology:
+    """Smallest topology containing the subbase of the given masks: the
+    up-sets of the minimal neighbourhoods the subbase determines.
 
     The empty intersection is the full set and the empty union is the empty
     set, so the result is a topology even for an empty subbase.
     """
-    rows = _neighborhood_rows(space, {s.mask for s in subbase})
-    return Topology.from_masks(space, _kernels.upsets(rows))
+    return Topology.from_masks(space, _kernels.upsets(_neighborhood_rows(space, masks)))
 
 
-def minimal_neighborhood(t: Topology, x: int) -> PointSet:
-    """Intersection of every open containing x; open itself on finite carriers."""
+def minimal_neighborhood(t: Topology, x: int) -> int:
+    """Mask of the intersection of every open containing x; open itself on
+    finite carriers."""
     t.space.check_point(x)
-    return PointSet(t.space, _neighborhood_rows(t.space, t.open_masks)[x])
+    return _neighborhood_rows(t.space, t.opens)[x]
 
 
 def specialization_preorder(t: Topology) -> Preorder:
     """x below y iff every open containing x contains y."""
-    return Preorder(t.space, tuple(_neighborhood_rows(t.space, t.open_masks)))
+    return Preorder(t.space, tuple(_neighborhood_rows(t.space, t.opens)))
 
 
 def alexandrov_topology(p: Preorder) -> Topology:
@@ -164,15 +165,15 @@ def separated(rows, axiom: str) -> bool:
 
 
 def is_t0(t: Topology) -> bool:
-    return separated(_neighborhood_rows(t.space, t.open_masks), "t0")
+    return separated(_neighborhood_rows(t.space, t.opens), "t0")
 
 
 def is_t1(t: Topology) -> bool:
-    return separated(_neighborhood_rows(t.space, t.open_masks), "t1")
+    return separated(_neighborhood_rows(t.space, t.opens), "t1")
 
 
 def is_t2(t: Topology) -> bool:
-    return separated(_neighborhood_rows(t.space, t.open_masks), "t2")
+    return separated(_neighborhood_rows(t.space, t.opens), "t2")
 
 
 # --- continuity and convergence -------------------------------------------
@@ -181,8 +182,8 @@ def is_continuous(f: PointMap, td: Topology, tc: Topology) -> bool:
     """Preimage of every codomain open is open in the domain."""
     if not f.domain.compatible(td.space) or not f.codomain.compatible(tc.space):
         raise SpaceMismatchError("map spaces do not match the topologies")
-    domain_opens = set(td.open_masks)
-    return all(f.preimage_mask(s.mask) in domain_opens for s in tc.opens)
+    domain_opens = set(td.opens)
+    return all(f.preimage_mask(m) in domain_opens for m in tc.opens)
 
 
 def converges_topologically(s: SequenceSpec, t: Topology, x: int,
@@ -195,7 +196,7 @@ def converges_topologically(s: SequenceSpec, t: Topology, x: int,
     if not s.space.compatible(t.space):
         raise SpaceMismatchError("sequence and topology spaces differ")
     t.space.check_point(x)
-    good = minimal_neighborhood(t, x).mask
+    good = minimal_neighborhood(t, x)
     decided = _tails.eventually_in(s, good)
     _tails.assert_tail_consistent(s, good, decided, horizon)
     return decided

@@ -1,12 +1,14 @@
 """Shared builders and independent oracles for the test suite."""
 
+import io
+from contextlib import redirect_stdout
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from qmtop import _kernels
+from qmtop.cli import Verdict
 from qmtop.core import (
     FiniteSet,
-    PointSet,
     PointSpace,
     QuasiFamily,
     ResidueClasses,
@@ -14,43 +16,43 @@ from qmtop.core import (
     Topology,
     serialize,
 )
-from qmtop.qmetric import to_topology
-from qmtop.representation import _family_candidates
-from qmtop.topology import Preorder, enumerate_preorders
+from qmtop.qmetric import sep_metric, to_topology
+from qmtop.representation import _family_candidates, canonical_family, discrepancy_pairs
+from qmtop.topology import Preorder, enumerate_preorders, separated, specialization_preorder
 
 
 def sierpinski() -> Topology:
     return Topology.from_masks(PointSpace(2), [0b00, 0b10, 0b11])
 
 
-def d_U(t: Topology, u: PointSet, x: int, y: int) -> int:
+def d_U(t: Topology, u: int, x: int, y: int) -> int:
     """Oracle: the paper's d_U, 1 iff x lies in the open and y escapes it.
 
     For x inside the open, the zero-set of d_U(x, .) recovers the open
     exactly; that identity is asserted on every call.
     """
-    if u.space != t.space or not t.is_open(u):
+    if u not in t.opens:
         raise ValueError("u must be an open set of the topology")
     t.space.check_point(x)
     t.space.check_point(y)
-    value = 1 if (u.mask >> x & 1 and not u.mask >> y & 1) else 0
-    if u.mask >> x & 1:
+    value = 1 if (u >> x & 1 and not u >> y & 1) else 0
+    if u >> x & 1:
         zero_set = sum(1 << z for z in t.space.points()
-                       if not (u.mask >> x & 1 and not u.mask >> z & 1))
-        if zero_set != u.mask:
+                       if not (u >> x & 1 and not u >> z & 1))
+        if zero_set != u:
             raise AssertionError("zero-set of d_U(x, .) failed to recover the open")
     return value
 
 
-def p_U(t: Topology, u: PointSet, x: int, y: int) -> int:
+def p_U(t: Topology, u: int, x: int, y: int) -> int:
     """Oracle: indicator of the open at x times indicator of its complement
     at y.
 
     Asserted pointwise equal to `d_U`, not merely equivalent.
     """
-    if u.space != t.space or not t.is_open(u):
+    if u not in t.opens:
         raise ValueError("u must be an open set of the topology")
-    value = (1 if u.mask >> x & 1 else 0) * (1 if not u.mask >> y & 1 else 0)
+    value = (1 if u >> x & 1 else 0) * (1 if not u >> y & 1 else 0)
     if value != d_U(t, u, x, y):
         raise AssertionError("p_U and d_U disagree")
     return value
@@ -122,17 +124,17 @@ def matrix_sep_pair(matrices, mode: str, x: int, y: int) -> bool:
 
 def pair_separated_t0(t: Topology, x: int, y: int) -> bool:
     """Oracle: some open contains exactly one of x, y."""
-    return any((s.mask >> x & 1) != (s.mask >> y & 1) for s in t.opens)
+    return any((s >> x & 1) != (s >> y & 1) for s in t.opens)
 
 
 def pair_separated_t1(t: Topology, x: int, y: int) -> bool:
     """Oracle: some open contains x and not y."""
-    return any(s.mask >> x & 1 and not s.mask >> y & 1 for s in t.opens)
+    return any(s >> x & 1 and not s >> y & 1 for s in t.opens)
 
 
 def pair_separated_t2(t: Topology, x: int, y: int) -> bool:
     """Oracle: x and y have disjoint open neighbourhoods."""
-    return any(u.mask >> x & 1 and v.mask >> y & 1 and u.mask & v.mask == 0
+    return any(u >> x & 1 and v >> y & 1 and u & v == 0
                for u in t.opens for v in t.opens)
 
 
@@ -156,6 +158,42 @@ def object_find_discrepancy(pred_a: str, pred_b: str, n: int, max_indices: int):
                    for x in range(points) for y in range(points) if x != y):
                 return q
     return None
+
+
+def canonical_route_separation(t: Topology, method: str) -> tuple[int, str]:
+    """Oracle: exit code and stdout of `separation --method METHOD` on a
+    topology document, computed on its canonical family: the metric modes by
+    `sep_metric`, the literal ones by `discrepancy_pairs`, and the direct
+    axioms on the topology the family generates."""
+    q = canonical_family(t)
+    rows = specialization_preorder(to_topology(q)).rows
+    direct = {axiom: separated(rows, axiom) for axiom in ("t0", "t1", "t2")}
+    if method == "metric":
+        metric = {"t0": sep_metric(q, "t0_unordered"), "t1": sep_metric(q, "t1_amended"),
+                  "t2": direct["t2"]}
+        mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
+        report = Verdict("separation", "fail" if mismatches else "pass",
+                         reason=f"metric and direct verdicts disagree on {mismatches}"
+                         if mismatches else None,
+                         detail={"method": "metric", **metric,
+                                 "note": "t2 from the generated topology; no sound "
+                                         "metric criterion is available",
+                                 "direct": direct, "disagreements": mismatches})
+        failed = bool(mismatches)
+    else:
+        axiom = {"literal_r3": "t0", "literal_r4": "t1", "literal_r5": "t2"}[method]
+        pairs = discrepancy_pairs(q, method, axiom)
+        report = Verdict("separation", "fail" if pairs else "pass",
+                         reason=f"literal condition disagrees with direct {axiom} at some pair"
+                         if pairs else None,
+                         detail={"method": method, "axiom": axiom,
+                                 "condition": sep_metric(q, method),
+                                 "direct": direct[axiom], "disagreeing_pairs": pairs})
+        failed = bool(pairs)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        report.emit()
+    return int(failed), out.getvalue()
 
 
 def eventually_periodic(space: PointSpace, prefix: tuple[int, ...],
@@ -203,7 +241,7 @@ def family_route_topologies(n: int) -> list[Topology]:
 
 @lru_cache(maxsize=None)
 def _family_route_opens(n: int) -> tuple[frozenset, ...]:
-    return tuple(frozenset(t.open_masks) for t in family_route_topologies(n))
+    return tuple(frozenset(t.opens) for t in family_route_topologies(n))
 
 
 def brute_minimal_topology(space: PointSpace, subbase_masks) -> frozenset:

@@ -84,12 +84,12 @@ def test_criterion_03_balls_open_and_subbase():
     ok = True
     for q in _test_families():
         t = qmetric.to_topology(q)  # internally asserts = subbase closure
-        opens = set(t.open_masks)
+        opens = set(t.opens)
         balls = [qmetric.ball(q, label, x) for label in q.indices
                  for x in q.space.points()]
-        ok = ok and all(b.mask in opens for b in balls)
+        ok = ok and all(b in opens for b in balls)
         generated = topology.generate_from_subbase(q.space, balls)
-        ok = ok and generated.open_masks == t.open_masks
+        ok = ok and generated.opens == t.opens
     _verdict(3, "every ball is open and the balls form a subbase "
                 "(canonical n<=4, one/two-index families n<=3)", ok)
 
@@ -216,8 +216,8 @@ def test_criterion_09_continuity_spaces():
     for n in (1, 2, 3):
         for q in small_index_families(n, max_indices=2):
             lifted = continuity.lift_quasifamily(q)
-            if continuity.to_topology_kopperman(lifted).open_masks != \
-                    qmetric.to_topology(q).open_masks:
+            if continuity.to_topology_kopperman(lifted).opens != \
+                    qmetric.to_topology(q).opens:
                 ok = False
     xor = ValueSemigroup(("0", "1"), ((0, 1), (1, 0)), zero=0, infinity=1)
     ok = ok and any(v.axiom == "absorbing"

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -13,7 +14,7 @@ from qmtop.core import MAX_SET_DEPTH, parse_document, serialize
 from qmtop.qmetric import check_quasifamily, sep_pair, to_topology
 from qmtop.topology import is_t2
 
-from helpers import sierpinski
+from helpers import canonical_route_separation, sierpinski
 
 SIER = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
 BAD_QMETRIC = '{"kind":"qmetric","n":3,"indices":["i0"],"matrices":[[[0,0,1],[1,0,0],[1,1,0]]]}'
@@ -269,6 +270,59 @@ def test_topological_horizon_is_bounded(files, capsys):
     assert code == 0 and json.loads(out)["verdict"] == "pass"
 
 
+def test_topological_horizon_must_be_positive(files, capsys):
+    """A horizon below 1 would skip the tail cross-check without a word."""
+    seq = files("const.json", '{"kind":"sequence","n":2,"default":1}')
+    sier = files("sier.json", SIER)
+    for horizon in (0, -1, -10**9):
+        code = main(["converge", seq, sier, "--point", "1", "--mode", "topological",
+                     "--horizon", str(horizon)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: --horizon must be at least 1\n"
+    assert run(capsys, "converge", seq, sier, "--point", "1", "--mode", "topological",
+               "--horizon", "1")[0] == 0
+
+
+def test_roundtrip_file_and_n_is_input_error(files, capsys):
+    code = main(["roundtrip", files("sier.json", SIER), "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: roundtrip takes a topology file or --n, not both\n"
+
+
+@pytest.mark.parametrize("method", ["direct", "metric", "literal_r3", "literal_r4",
+                                    "literal_r5"])
+def test_separation_builds_each_route_once(method, monkeypatch, files, capsys):
+    """A topology document is read as its specialization rows, without its
+    canonical family or a regenerated topology; a family document pays for
+    its separation rows and its generated topology once each."""
+    calls = {}
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(representation, "canonical_family")
+    count(qmetric, "to_topology")
+    count(qmetric, "separation_pair")
+    sier = files("sier.json", SIER)
+    assert run(capsys, "separation", sier, "--method", method)[0] in (0, 1)
+    assert calls == {}
+    family = run(capsys, "canonical", sier)[1]
+    calls.clear()
+    assert run(capsys, "separation", files("fam.json", family), "--method", method)[0] in (0, 1)
+    expected = {"to_topology": 1}
+    if method != "direct":
+        expected["separation_pair"] = 1
+    assert calls == expected
+
+
 def _top_point_family(n: int) -> str:
     """One index on n points whose last point lies above every other point
     and no other two points are comparable."""
@@ -430,6 +484,30 @@ def test_violation_report_bytes(files, capsys):
                      [[0, 1, 1, 1], [0, 0, 1, 1], [0, 0, 0, 1], [0, 0, 0, 0]]]}))
     assert _stdout_sha256(capsys, "check", doc, "--kind", "qmetric") == \
         (1, "34d48fb9d138593133a055c39874ffd1c6ff986303287cc382164af47f0d84ee")
+
+
+def test_topology_violation_report_bytes(files, capsys):
+    """No full set, then the union- and intersection-escapes of every pair of
+    opens in ascending mask order."""
+    doc = files("escapes.json", json.dumps({
+        "kind": "topology", "n": 4,
+        "opens": [[], [0], [1], [2, 3], [0, 2], [1, 2, 3]]}))
+    assert _stdout_sha256(capsys, "check", doc, "--kind", "topology") == \
+        (1, "8e4215754306767daa21111390897392858384ac7ea120b01cdefca1c4056338")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_separation_on_topology_matches_canonical_route(n, monkeypatch, capsys):
+    """A topology document and its canonical family document give the bytes
+    and exit code that the canonical family's separation rows give."""
+    for t in topology.enumerate_topologies(n):
+        family = serialize(representation.canonical_family(t))
+        for method in ("metric", "literal_r3", "literal_r4", "literal_r5"):
+            expected = canonical_route_separation(t, method)
+            for doc in (serialize(t), family):
+                monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+                code = main(["separation", "-", "--method", method])
+                assert (code, capsys.readouterr().out) == expected, (doc, method)
 
 
 def test_discrepancy_command(capsys):

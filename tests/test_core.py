@@ -12,19 +12,18 @@ from qmtop.core import (
     FiniteSet,
     InvariantViolation,
     PointMap,
-    PointSet,
     PointSpace,
     PositiveSet,
     PowersOfTwo,
     QuasiFamily,
     ResidueClasses,
     SequenceSpec,
-    SpaceMismatchError,
     Squares,
     Topology,
     UnionSet,
     ValueSemigroup,
     parse_document,
+    members,
     serialize,
 )
 from qmtop.qmetric import check_quasifamily
@@ -39,7 +38,7 @@ SIER_DOC = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
 def test_parse_topology_sierpinski():
     t = parse_document(SIER_DOC)
     assert isinstance(t, Topology)
-    assert t.open_masks == (0b00, 0b10, 0b11)
+    assert t.opens == (0b00, 0b10, 0b11)
 
 
 def test_parse_qmetric_document():
@@ -214,19 +213,6 @@ def test_long_chain_net_parses_quickly():
     assert len(net.elements) == m
 
 
-def test_set_ops():
-    space = PointSpace(3)
-    a = space.subset([0, 2])
-    b = space.subset([1, 2])
-    assert (a | b).members() == [0, 1, 2]
-    assert (a & b).members() == [2]
-    assert PointSpace(2).subset([1]).complement().members() == [0]
-    assert a.issubset(a | b)
-    assert not (a | b).issubset(a)
-    with pytest.raises(SpaceMismatchError):
-        a.union(PointSpace(2).subset([0]))
-
-
 def test_point_space_bounds():
     with pytest.raises(InvariantViolation):
         PointSpace(0)
@@ -234,16 +220,16 @@ def test_point_space_bounds():
         PointSpace(17)
     with pytest.raises(InvariantViolation):
         PointSpace(2, ("a", "a"))
-    with pytest.raises(InvariantViolation):
-        PointSet(PointSpace(2), 0b100)
+    with pytest.raises(InvariantViolation, match="mask 0x4 has bits outside the space"):
+        Topology.from_masks(PointSpace(2), [0b00, 0b100])
 
 
 def test_labels_are_presentation_only():
     labelled = PointSpace(2, ("p", "q"))
     plain = PointSpace(2)
     assert labelled.compatible(plain)
-    merged = PointSet(labelled, 0b01) | PointSet(plain, 0b10)
-    assert merged.members() == [0, 1]
+    merged = labelled.subset([0]) | plain.subset([1])
+    assert members(merged) == [0, 1]
     doc = parse_document('{"kind":"topology","n":2,"labels":["p","q"],'
                          '"opens":[[],[1],[0,1]]}')
     assert doc.space.labels == ("p", "q")

@@ -5,6 +5,7 @@ import pytest
 from qmtop import topology
 
 from qmtop.core import (
+    InvariantViolation,
     PointMap,
     PointSpace,
     ResidueClasses,
@@ -12,6 +13,7 @@ from qmtop.core import (
     SpaceMismatchError,
     Squares,
     Topology,
+    members,
 )
 from qmtop.topology import (
     alexandrov_topology,
@@ -54,23 +56,25 @@ def test_check_topology_examples():
     kinds = {v.kind for v in check_topology(space, bad)}
     assert kinds == {"no-full-set", "union-escape"}
     assert check_topology(PointSpace(3), _discrete(3).opens) == []
+    with pytest.raises(InvariantViolation, match="mask 0x7 has bits outside the space"):
+        check_topology(space, [0b00, 0b01, 0b11, 0b111])
 
 
 def test_generate_from_subbase_examples():
     space = PointSpace(3)
     sub = [space.subset([0, 2]), space.subset([1, 2])]
     t = generate_from_subbase(space, sub)
-    assert set(t.open_masks) == {0b000, 0b100, 0b101, 0b110, 0b111}
-    assert set(t.open_masks) == brute_minimal_topology(space, [s.mask for s in sub])
+    assert set(t.opens) == {0b000, 0b100, 0b101, 0b110, 0b111}
+    assert set(t.opens) == brute_minimal_topology(space, sub)
 
-    assert generate_from_subbase(space, []).open_masks == (0, 0b111)
+    assert generate_from_subbase(space, []).opens == (0, 0b111)
     singletons = [space.subset([p]) for p in range(3)]
-    assert generate_from_subbase(space, singletons).open_masks == _discrete(3).open_masks
+    assert generate_from_subbase(space, singletons).opens == _discrete(3).opens
 
 
 def _subbase_agrees(space, masks, brute=False):
     got = frozenset(generate_from_subbase(space, [space.subset(
-        [p for p in space.points() if m >> p & 1]) for m in masks]).open_masks)
+        [p for p in space.points() if m >> p & 1]) for m in masks]).opens)
     assert got == subbase_closure(space, masks), (space.n, masks)
     if brute:
         assert got == brute_minimal_topology(space, masks), (space.n, masks)
@@ -106,25 +110,25 @@ def test_check_topology_shortcut_matches_pair_scan():
 def test_generate_from_subbase_idempotent_on_topologies():
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
-            assert generate_from_subbase(t.space, t.opens).open_masks == t.open_masks
+            assert generate_from_subbase(t.space, t.opens).opens == t.opens
 
 
 def test_minimal_neighborhood_examples():
     t = sierpinski()
-    assert minimal_neighborhood(t, 1).members() == [1]
-    assert minimal_neighborhood(t, 0).members() == [0, 1]
-    assert minimal_neighborhood(_discrete(3), 2).members() == [2]
+    assert members(minimal_neighborhood(t, 1)) == [1]
+    assert members(minimal_neighborhood(t, 0)) == [0, 1]
+    assert members(minimal_neighborhood(_discrete(3), 2)) == [2]
 
 
 def test_minimal_neighborhood_is_least_open():
     for t in enumerate_topologies(3):
-        opens = set(t.open_masks)
+        opens = set(t.opens)
         for x in range(3):
             m = minimal_neighborhood(t, x)
-            assert m.mask in opens and m.mask >> x & 1
+            assert m in opens and m >> x & 1
             for s in t.opens:
-                if s.mask >> x & 1:
-                    assert m.mask & ~s.mask == 0
+                if s >> x & 1:
+                    assert m & ~s == 0
 
 
 def test_specialization_preorder_examples():
@@ -146,12 +150,12 @@ def test_separation_examples():
 
 def test_separation_chain_and_finite_t1_is_discrete():
     for n in (1, 2, 3, 4):
-        discrete_masks = _discrete(n).open_masks
+        discrete_masks = _discrete(n).opens
         for t in enumerate_topologies(n):
             t0, t1, t2 = is_t0(t), is_t1(t), is_t2(t)
             assert not t1 or t0
             assert not t2 or t1
-            assert t1 == t2 == (t.open_masks == discrete_masks)
+            assert t1 == t2 == (t.opens == discrete_masks)
 
 
 def test_pair_separated_matches_opens_oracles():
@@ -171,7 +175,7 @@ def test_pair_separated_matches_opens_oracles():
                     for axiom, oracle in OPENS_ORACLES.items():
                         got = pair_separated(rows, axiom, x, y)
                         assert type(got) is bool
-                        assert got == oracle(t, x, y), (t.open_masks, axiom, x, y)
+                        assert got == oracle(t, x, y), (t.opens, axiom, x, y)
                         verdicts[axiom] &= got
             assert (is_t0(t), is_t1(t), is_t2(t)) == \
                 (verdicts["t0"], verdicts["t1"], verdicts["t2"])
@@ -241,8 +245,8 @@ def test_enumeration_counts_and_bounds():
 
 def test_enumeration_methods_agree():
     for n in (1, 2, 3):
-        a = [t.open_masks for t in family_route_topologies(n)]
-        b = [t.open_masks for t in enumerate_topologies(n)]
+        a = [t.opens for t in family_route_topologies(n)]
+        b = [t.opens for t in enumerate_topologies(n)]
         assert a == b
 
 
@@ -251,7 +255,7 @@ def test_alexandrov_and_specialization_are_inverse():
         for p in enumerate_preorders(n):
             assert specialization_preorder(alexandrov_topology(p)) == p
         for t in enumerate_topologies(n):
-            assert alexandrov_topology(specialization_preorder(t)).open_masks == t.open_masks
+            assert alexandrov_topology(specialization_preorder(t)).opens == t.opens
 
 
 def test_five_point_enumeration_count():
