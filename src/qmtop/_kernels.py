@@ -10,6 +10,8 @@ exponentially slower and serves only as the cross-check of that route.
 
 from __future__ import annotations
 
+from .core import members
+
 
 def _walk(rows, down, inside: int, outside: int, full: int, out: list) -> None:
     undecided = full & ~(inside | outside)
@@ -63,19 +65,16 @@ def preorder_rows(n: int) -> list[tuple[int, ...]]:
     return level
 
 
-def closed_family_masks(n: int):
-    """Family bitmasks (over the 2^n subsets), as a numpy array, of all
-    labelled topologies on n points: families holding the empty and full
-    sets and closed under pairwise union and intersection."""
-    import numpy as np
-
+def closed_family_masks(n: int) -> list[int]:
+    """Family bitmasks (over the 2^n subsets), ascending, of all labelled
+    topologies on n points: families holding the empty and full sets and
+    closed under pairwise union and intersection.  Bit f of present[a] says
+    whether family f holds subset a: 2^a zeros, 2^a ones, repeated."""
     subsets = 1 << n
-    total = 1 << subsets
-    fam = np.arange(total, dtype=np.int64)
-    present = ((fam[:, None] >> np.arange(subsets)) & 1).astype(bool)
-    ok = present[:, 0] & present[:, subsets - 1]
+    full = (1 << (1 << subsets)) - 1
+    present = [full ^ full // ((1 << (1 << a)) + 1) for a in range(subsets)]
+    ok = present[0] & present[subsets - 1]
     for a in range(subsets):
         for b in range(a + 1, subsets):
-            both = present[:, a] & present[:, b]
-            ok &= ~both | (present[:, a | b] & present[:, a & b])
-    return fam[ok]
+            ok &= ~(present[a] & present[b]) | (present[a | b] & present[a & b])
+    return members(ok)

@@ -275,15 +275,15 @@ def _preorder_doc(p) -> str:
 def cmd_enumerate(args) -> int:
     n, kind = args.n, args.kind
     try:
+        if args.count_only:
+            print(topology.count_preorders(n))
+            return EXIT_PASS
         if kind == "topologies":
             items, to_doc = topology.enumerate_topologies(n), serialize
         else:
             items, to_doc = topology.enumerate_preorders(n), _preorder_doc
-        if args.count_only:
-            print(sum(1 for _ in items))
-        else:
-            for item in items:
-                print(to_doc(item))
+        for item in items:
+            print(to_doc(item))
     except ValueError as e:
         return _fail_input(str(e))
     return EXIT_PASS

@@ -33,6 +33,8 @@ from .core import (
 from .topology import generate_from_subbase, pair_separated
 
 SEP_MODES = ("t0_unordered", "t1_amended", "literal_r3", "literal_r4", "literal_r5")
+# The modes that read a family's symmetric mask rather than its meet.
+SYM_MODES = ("literal_r4", "literal_r5")
 EMPIRICAL_HORIZONS = (10**3, 10**4, 10**5, 10**6)
 DENSITY_MODULUS_CAP = 10**6
 
@@ -238,7 +240,7 @@ def mode_holds(meet, sym, mode: str, x: int, y: int) -> bool:
     separating the pair in both directions; taking j = i shows it is exactly
     R4, which reads sym.
     """
-    if mode in ("literal_r4", "literal_r5"):
+    if mode in SYM_MODES:
         return bool(sym[x] >> y & 1)
     if mode in _MEET_AXIOM:
         return pair_separated(meet, _MEET_AXIOM[mode], x, y)

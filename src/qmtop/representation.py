@@ -6,8 +6,10 @@ axiom disagree.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
+from operator import itemgetter
 
 from . import qmetric
 from .core import PointSpace, QuasiFamily, Topology, members
@@ -128,73 +130,51 @@ def _meet_pair_mask(name: str, meet: int, n: int) -> int:
     return out
 
 
-def _disagreement(pred_a: str, pred_b: str, zeros, n: int):
-    """bad(meet, sym): whether the two predicates differ at some ordered
-    pair, for arrays of packed family meets and symmetric masks.
+def _first_hit(generators, bad, full: int, max_indices: int) -> list[int] | None:
+    """Generator positions of the first multiset, by size and then in
+    `combinations_with_replacement` order, whose (meet, sym) state, the AND
+    of its generators' meets and the OR of their syms, satisfies `bad`.
 
-    `literal_r4` and `literal_r5` hold exactly on the OR of the per-index
-    symmetric bits; every other predicate is a table over meets, and each
-    meet of preorders is itself one of the preorders.
+    Level j maps each state some j-multiset reaches to the largest first
+    position of such a multiset (level 0: the empty family, labelled with
+    the generator count), so the k-multisets starting at i are generator i
+    combined with the states of level k - 1 labelled i or more; `bad` sees
+    each state once.
     """
-    import numpy as np
-
-    table = np.unique(zeros)
-
-    def pair_masks(name):
-        if name in ("literal_r4", "literal_r5"):
-            return None
-        return np.array([_meet_pair_mask(name, z, n) for z in table.tolist()],
-                        dtype=np.int64)
-
-    masks_a, masks_b = pair_masks(pred_a), pair_masks(pred_b)
-
-    def bad(meet, sym):
-        rank = np.searchsorted(table, meet)
-        a = sym if masks_a is None else masks_a[rank]
-        b = sym if masks_b is None else masks_b[rank]
-        return a != b
-
-    return bad
-
-
-def _first_hit(zeros, syms, bad, full: int, max_indices: int) -> list[int] | None:
-    """Preorder positions of the first family, by index count and then in
-    `combinations_with_replacement` order, on which `bad` holds.
-
-    Level k lists every multiset of k positions in that order, as packed
-    meet and symmetric masks plus the first position and where the rest
-    sits in level k - 1 (level 0 is the empty family).  The families of
-    level k starting at position i are i followed by the suffix of level
-    k - 1 whose first position is at least i, so each is one vector
-    operation; only the levels below `max_indices` are kept.
-    """
-    import numpy as np
-
-    count = len(zeros)
-    meet = np.array([full], dtype=np.int64)
-    sym = np.zeros(1, dtype=np.int64)
-    head = np.array([count])
-    links = []  # (head, tail) of levels 1 .. k - 1
-    for size in range(1, max_indices + 1):
-        keep = size < max_indices
-        parts = []
-        for i in range(count):
-            lo = int(np.searchsorted(head, i))
-            m = zeros[i] & meet[lo:]
-            s = syms[i] | sym[lo:]
-            hit = bad(m, s)
-            if hit.any():
-                chosen, pos = [i], lo + int(hit.argmax())
-                for h, t in reversed(links):
-                    chosen.append(int(h[pos]))
-                    pos = int(t[pos])
-                return chosen
-            if keep:
-                parts.append((m, s, np.full(len(m), i), np.arange(lo, len(meet))))
-        if keep:
-            meet, sym, head, tail = (np.concatenate(c) for c in zip(*parts))
-            links.append((head, tail))
+    levels = [([(full, 0)], [len(generators)])]
+    tested = set()
+    for _ in range(max_indices):
+        states, labels = levels[-1]
+        level = {}
+        for i, (gm, gs) in enumerate(generators):
+            for m, s in states[bisect_left(labels, i):]:
+                state = (m & gm, s | gs)
+                if state not in tested:
+                    tested.add(state)
+                    if bad(*state):
+                        return _recover(generators, levels, i, bad)
+                level[state] = i
+        ordered = sorted(level.items(), key=itemgetter(1))
+        levels.append(([state for state, _ in ordered], [label for _, label in ordered]))
     return None
+
+
+def _recover(generators, levels, first: int, bad) -> list[int]:
+    """The first bad multiset starting at `first`, one level down at a time:
+    the smallest position, not below the last one, that combined with some
+    state labelled at least as high lands in the targets; those states
+    become the next targets."""
+    chosen, hit = [], bad
+    for states, labels in reversed(levels):
+        for i in range(chosen[-1] if chosen else first, len(generators)):
+            gm, gs = generators[i]
+            targets = {(m, s) for m, s in states[bisect_left(labels, i):]
+                       if hit(m & gm, s | gs)}
+            if targets:
+                break
+        chosen.append(i)
+        hit = lambda m, s, targets=targets: (m, s) in targets
+    return chosen
 
 
 def find_discrepancy(pred_a: str, pred_b: str, n: int,
@@ -204,33 +184,41 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
     points.
 
     Each preorder's `qmetric.separation_pair` is packed into two ints; a
-    family's meet is the AND of its indices' packed meets and its symmetric
-    mask the OR of their packed symmetric masks, and both predicates are read
-    off those two ints, so no candidate is built as a `QuasiFamily`.  The
-    witness is re-checked on the object path.
+    family's state is the AND of its indices' packed meets and the OR of
+    their packed symmetric masks (left 0 unless `literal_r4`/`literal_r5`
+    reads it).  Both predicates are read off that state, so no candidate is
+    built as a `QuasiFamily`; the witness is re-checked on the object path.
     """
-    import numpy as np
-
     _check_predicate(pred_a)
     _check_predicate(pred_b)
     if not 1 <= n <= 4:
         raise ValueError("discrepancy search supports 1..4 points")
     if not 1 <= max_indices <= 3:
         raise ValueError("discrepancy search supports 1..3 indices")
+    reads_sym = pred_a in qmetric.SYM_MODES or pred_b in qmetric.SYM_MODES
     for points in range(1, n + 1):
         space = PointSpace(points)
         preorders = _preorders_by_distance(points)
         pairs = [qmetric.separation_pair(QuasiFamily(space, ("i0",), (rows,)))
                  for rows in preorders]
-        zeros = np.array([qmetric.pack(meet) for meet, _ in pairs], dtype=np.int64)
-        syms = np.array([qmetric.pack(sym) for _, sym in pairs], dtype=np.int64)
-        bad = _disagreement(pred_a, pred_b, zeros, points)
-        chosen = _first_hit(zeros, syms, bad, (1 << points * points) - 1, max_indices)
+        generators = [(qmetric.pack(meet), qmetric.pack(sym) if reads_sym else 0)
+                      for meet, sym in pairs]
+        # Each meet of preorders is itself a preorder, so these tables hold
+        # every reachable meet.
+        held = [None if name in qmetric.SYM_MODES
+                else {m: _meet_pair_mask(name, m, points) for m, _ in generators}
+                for name in (pred_a, pred_b)]
+
+        def bad(meet: int, sym: int) -> bool:
+            a, b = (sym if table is None else table[meet] for table in held)
+            return a != b
+
+        chosen = _first_hit(generators, bad, (1 << points * points) - 1, max_indices)
         if chosen is not None:
             witness = QuasiFamily(space, tuple(f"i{k}" for k in range(len(chosen))),
                                   tuple(preorders[i] for i in chosen))
             if not discrepancy_pairs(witness, pred_a, pred_b):
-                raise AssertionError("packed search returned a family on which "
+                raise AssertionError("state search returned a family on which "
                                      f"{pred_a} and {pred_b} agree")
             return witness
     return None

@@ -204,13 +204,23 @@ def converges_topologically(s: SequenceSpec, t: Topology, x: int,
 
 # --- exhaustive enumeration -------------------------------------------------
 
-def enumerate_preorders(n: int):
-    """Every preorder on n labelled points, ascending by relation rows."""
+def _enumerated_rows(n: int) -> list[tuple[int, ...]]:
     if not 1 <= n <= ENUM_MAX_POINTS:
         raise ValueError(f"enumeration supports 1..{ENUM_MAX_POINTS} points, got {n}")
+    return _kernels.preorder_rows(n)
+
+
+def count_preorders(n: int) -> int:
+    """The number of preorders, and so of topologies, on n labelled points."""
+    return len(_enumerated_rows(n))
+
+
+def enumerate_preorders(n: int):
+    """Every preorder on n labelled points, ascending by relation rows."""
+    rows = sorted(_enumerated_rows(n))
     space = PointSpace(n)
-    for rows in sorted(_kernels.preorder_rows(n)):
-        yield Preorder(space, rows)
+    for r in rows:
+        yield Preorder(space, r)
 
 
 def enumerate_topologies(n: int):

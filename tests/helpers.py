@@ -234,7 +234,7 @@ def family_route_topologies(n: int) -> list[Topology]:
     assert 1 <= n <= 4, "the family route holds 2^(2^n) candidates in memory"
     space = PointSpace(n)
     tops = [Topology.from_masks(space, [u for u in range(1 << n) if fam >> u & 1])
-            for fam in map(int, _kernels.closed_family_masks(n))]
+            for fam in _kernels.closed_family_masks(n)]
     tops.sort(key=serialize)
     return tops
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from qmtop import qmetric, representation, topology
+from qmtop import cli, qmetric, representation, topology
 from qmtop.cli import main
 from qmtop.core import MAX_SET_DEPTH, parse_document, serialize
 from qmtop.qmetric import check_quasifamily, sep_pair, to_topology
@@ -440,6 +440,26 @@ def test_enumerate_command(files, capsys):
     assert run(capsys, "enumerate", "--n", "9", "--kind", "topologies")[0] == 2
 
 
+def test_count_only_builds_no_objects(capsys, monkeypatch):
+    built = []
+    real_alexandrov = topology.alexandrov_topology
+    monkeypatch.setattr(topology, "alexandrov_topology",
+                        lambda p: built.append("alexandrov") or real_alexandrov(p))
+    for module in (cli, topology):
+        monkeypatch.setattr(module, "serialize",
+                            lambda value: built.append("serialize") or serialize(value))
+    for kind in ("topologies", "preorders"):
+        counts = [run(capsys, "enumerate", "--n", str(n), "--kind", kind, "--count-only")
+                  for n in (1, 2, 3, 4, 5)]
+        assert counts == [(0, "1\n"), (0, "4\n"), (0, "29\n"), (0, "355\n"), (0, "6942\n")]
+        for n in (0, 6):
+            code = main(["enumerate", "--n", str(n), "--kind", kind, "--count-only"])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err == f"error: enumeration supports 1..5 points, got {n}\n"
+    assert built == []
+
+
 MALFORMED_FAMILIES = {
     "bool entry": ([[0, True], [0, 0]], "error: matrix row must hold integers"),
     "entry 2": ([[0, 2], [0, 0]], "error: matrix for index 'i0' has entries outside {0,1}"),
@@ -580,26 +600,39 @@ def test_module_entry_point():
     assert proc.returncode == 0 and proc.stdout.strip() == "4"
 
 
-# Runs each argv list of sys.argv[1] through `main`, then the README's
-# discrepancy search, and reports what was loaded.
-_IMPORT_PROBE = """
+# Refuses every import from outside the standard library and qmtop, then
+# runs each argv list of sys.argv[1] through `main`, then the README's
+# discrepancy search.
+_STDLIB_ONLY_PROBE = """
 import contextlib, io, json, sys
+
+class StandardLibraryOnly:
+    def find_spec(self, name, path=None, target=None):
+        top = name.partition(".")[0]
+        if top != "qmtop" and top not in sys.stdlib_module_names:
+            raise ImportError(f"{name} is not in the standard library")
+        return None
+
+before = {m.partition(".")[0] for m in sys.modules}
+sys.meta_path.insert(0, StandardLibraryOnly())
 from qmtop.cli import main
-report = {"before": "numpy" in sys.modules, "calls": []}
+report = {"calls": []}
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = main(argv)
-    report["calls"].append([argv[0], code, "numpy" in sys.modules])
+    report["calls"].append([argv[0], code])
 out = io.StringIO()
 with contextlib.redirect_stdout(out):
     code = main(["discrepancy", "--left", "literal_r5", "--right", "direct-t2",
                  "--n", "3", "--indices", "1"])
-report["discrepancy"] = [code, json.loads(out.getvalue()), "numpy" in sys.modules]
+report["discrepancy"] = [code, json.loads(out.getvalue())]
+report["loaded"] = sorted({m.partition(".")[0] for m in sys.modules}
+                          - before - set(sys.stdlib_module_names))
 print(json.dumps(report))
 """
 
 
-def test_only_the_discrepancy_search_loads_numpy(files):
+def test_no_command_imports_a_third_party_package(files):
     sier, seq = files("sier.json", SIER), files("squares.json", SQUARES_SEQ)
     sg = files("sg.json", '{"kind":"semigroup","elements":["0","1"],'
                           '"add":[[0,1],[1,1]],"zero":0,"infinity":1,"positives":[0,1]}')
@@ -611,16 +644,17 @@ def test_only_the_discrepancy_search_loads_numpy(files):
               for mode in ("right", "left", "cauchy", "topological", "product",
                            "statistical")]
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE, json.dumps(calls)],
+    proc = subprocess.run([sys.executable, "-c", _STDLIB_ONLY_PROBE, json.dumps(calls)],
                           env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert not report["before"]
-    assert [call for call in report["calls"] if call[1] not in (0, 1) or call[2]] == []
-    code, verdict, loaded = report["discrepancy"]
-    assert code == 1 and loaded
+    assert len(report["calls"]) == 13
+    assert [call for call in report["calls"] if call[1] not in (0, 1)] == []
+    code, verdict = report["discrepancy"]
+    assert code == 1 and verdict["verdict"] == "witness"
     assert verdict["witness"]["matrices"] == [[[0, 1, 0], [1, 0, 0], [1, 1, 0]]]
+    assert report["loaded"] == ["qmtop"]
 
 
 def test_emitted_witness_reverifies(files, capsys):

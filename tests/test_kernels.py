@@ -56,4 +56,4 @@ def test_upsets_against_brute_force():
 
 def test_family_kernel_against_brute_force():
     for n in (1, 2, 3):
-        assert [int(v) for v in _kernels.closed_family_masks(n)] == _brute_family_masks(n)
+        assert _kernels.closed_family_masks(n) == _brute_family_masks(n)

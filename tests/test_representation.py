@@ -1,16 +1,18 @@
+import json
+import pathlib
 import random
 from itertools import combinations_with_replacement
 
-import numpy as np
 import pytest
 
 from qmtop import qmetric
 from qmtop.core import PointSpace, QuasiFamily, Topology, members, serialize
-from qmtop.qmetric import check_quasifamily, to_topology
+from qmtop.qmetric import check_quasifamily, pack, separation_pair, to_topology
 from qmtop.representation import (
     DIRECT_PREDICATES,
     METRIC_PREDICATES,
     _first_hit,
+    _preorders_by_distance,
     canonical_family,
     discrepancy_pairs,
     find_discrepancy,
@@ -139,6 +141,36 @@ def test_packed_search_matches_object_search(n, max_indices):
             assert (fast and serialize(fast)) == (slow and serialize(slow)), (a, b)
 
 
+def test_first_witnesses_at_four_points_and_three_indices():
+    """Every ordered predicate pair at the search's largest size, which the
+    object oracle cannot reach, against pinned serialized witnesses."""
+    path = pathlib.Path(__file__).parent / "data" / "discrepancy_witnesses_n4_i3.json"
+    pinned = json.loads(path.read_text())
+    names = METRIC_PREDICATES + DIRECT_PREDICATES
+    found = {a: {b: (lambda w: w and serialize(w))(find_discrepancy(a, b, 4, 3))
+                 for b in names} for a in names}
+    assert found == pinned
+
+
+def _states_by_index_count(n, max_indices):
+    """Number of (meet, sym) states of the families with exactly k indices,
+    k = 1..max_indices, by closing the preorders' packed pairs under AND/OR."""
+    space = PointSpace(n)
+    generators = {tuple(map(pack, separation_pair(QuasiFamily(space, ("i0",), (rows,)))))
+                  for rows in _preorders_by_distance(n)}
+    level, counts = {((1 << n * n) - 1, 0)}, []
+    for _ in range(max_indices):
+        level = {(m & gm, s | gs) for m, s in level for gm, gs in generators}
+        counts.append(len(level))
+    return counts
+
+
+def test_reachable_states_saturate():
+    assert _states_by_index_count(2, 3) == [4, 5, 5]
+    assert _states_by_index_count(3, 3) == [29, 63, 63]
+    assert _states_by_index_count(4, 4) == [355, 2053, 2113, 2113]
+
+
 def test_packed_search_builds_topology_only_for_the_witness(monkeypatch):
     calls = []
     real = qmetric.to_topology
@@ -170,8 +202,34 @@ def test_packed_scan_visits_families_in_candidate_order():
         expected = next(list(c) for size in (1, 2, 3)
                         for c in combinations_with_replacement(range(count), size)
                         if masks(c) == target)
-        found = _first_hit(np.array(zeros), np.array(syms),
-                           lambda m, s: (m == target[0]) & (s == target[1]), 63, 3)
+        found = _first_hit(list(zip(zeros, syms)), lambda m, s: (m, s) == target, 63, 3)
         assert found == expected
         sizes.add(len(found))
     assert sizes == {1, 2, 3}
+
+
+def test_state_scan_takes_the_first_of_several_bad_families():
+    """With several bad states, the first hit is still the first multiset
+    in candidate order reaching any of them, or None when none is reached."""
+    rng = random.Random(1)
+    outcomes = set()
+    for _ in range(300):
+        count = rng.randint(1, 8)
+        generators = [(rng.randrange(64), rng.randrange(64)) for _ in range(count)]
+
+        def state(chosen):
+            meet, sym = 63, 0
+            for i in chosen:
+                meet, sym = meet & generators[i][0], sym | generators[i][1]
+            return meet, sym
+
+        targets = {state(rng.choices(range(count), k=rng.randint(1, 3)))
+                   for _ in range(rng.randint(0, 3))}
+        targets |= {(rng.randrange(64), rng.randrange(64)) for _ in range(2)}
+        expected = next((list(c) for size in (1, 2, 3)
+                         for c in combinations_with_replacement(range(count), size)
+                         if state(c) in targets), None)
+        found = _first_hit(generators, lambda m, s: (m, s) in targets, 63, 3)
+        assert found == expected
+        outcomes.add(None if found is None else len(found))
+    assert outcomes == {None, 1, 2, 3}
