@@ -18,6 +18,7 @@ from ._tails import TailAnalysisError
 from .core import (
     DirectedNet,
     DocumentError,
+    PointSpace,
     PositiveSet,
     QuasiFamily,
     SequenceSpec,
@@ -122,13 +123,14 @@ def cmd_roundtrip(args) -> int:
             return _fail_input("roundtrip enumeration supports --n 1..4")
         checked = equal = 0
         first_failure = None
-        for t in topology.enumerate_topologies(args.n):
-            report = representation.roundtrip(t)
+        space = PointSpace(args.n)
+        for text, opens in topology.topology_documents(args.n):
+            report = representation.roundtrip(Topology(space, opens))
             checked += 1
             if report.equal:
                 equal += 1
             elif first_failure is None:
-                first_failure = serialize(t)
+                first_failure = text
         verdict = Verdict("roundtrip", "pass" if checked == equal else "fail",
                           witness=first_failure,
                           detail={"n": args.n, "checked": checked, "equal": equal,
@@ -268,22 +270,15 @@ def cmd_converge(args) -> int:
     return EXIT_PASS
 
 
-def _preorder_doc(p) -> str:
-    return serialize(QuasiFamily(p.space, ("i0",), (p.rows,)))
-
-
 def cmd_enumerate(args) -> int:
     n, kind = args.n, args.kind
     try:
         if args.count_only:
             print(topology.count_preorders(n))
-            return EXIT_PASS
-        if kind == "topologies":
-            items, to_doc = topology.enumerate_topologies(n), serialize
+        elif kind == "topologies":
+            print(*(text for text, _ in topology.topology_documents(n)), sep="\n")
         else:
-            items, to_doc = topology.enumerate_preorders(n), _preorder_doc
-        for item in items:
-            print(to_doc(item))
+            print(*topology.preorder_documents(n), sep="\n")
     except ValueError as e:
         return _fail_input(str(e))
     return EXIT_PASS

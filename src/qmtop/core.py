@@ -583,6 +583,55 @@ def _space_json(space: PointSpace, obj: dict) -> dict:
     return obj
 
 
+# Topology and qmetric documents are written as text: a prefix, then one
+# short JSON list per open or per zero row, looked up rather than encoded
+# again, so a document stream can share one table across every document.
+
+
+_POINT_TEXTS = tuple(map(str, range(MAX_POINTS)))
+
+
+def members_text(mask: int) -> str:
+    """The compact JSON text of `members(mask)` for a mask of a space."""
+    return "[" + ",".join([_POINT_TEXTS[p] for p in range(mask.bit_length())
+                           if mask >> p & 1]) + "]"
+
+
+def distances_text(n: int, row: int) -> str:
+    """The compact JSON text of the distance list of a zero row: 0 at its
+    points, 1 elsewhere."""
+    return "[" + ",".join("0" if row >> y & 1 else "1" for y in range(n)) + "]"
+
+
+def _open_prefix(obj: dict) -> str:
+    """The compact text of a document whose last value is an empty list, cut
+    before that list's closing bracket."""
+    return _dump(obj)[:-2]
+
+
+def topology_prefix(space: PointSpace) -> str:
+    """The text of a topology document up to its first open."""
+    return _open_prefix(_space_json(space, {"kind": "topology"}) | {"opens": []})
+
+
+def topology_text(prefix: str, opens, text_of=members_text) -> str:
+    """The topology document of `topology_prefix` and ascending open masks,
+    each written as `text_of(mask)`."""
+    return prefix + ",".join(map(text_of, opens)) + "]}"
+
+
+def qmetric_prefix(space: PointSpace, indices) -> str:
+    """The text of a qmetric document up to its first matrix."""
+    return _open_prefix(_space_json(space, {"kind": "qmetric"})
+                        | {"indices": list(indices), "matrices": []})
+
+
+def qmetric_text(prefix: str, rows, text_of) -> str:
+    """The qmetric document of `qmetric_prefix` and the zero rows of each
+    index, each row written as `text_of(row)`."""
+    return prefix + ",".join("[" + ",".join(map(text_of, r)) + "]" for r in rows) + "]}"
+
+
 def serialize(value: Document) -> str:
     """Canonical document of a value; `parse_document` round-trips it.
 
@@ -591,20 +640,15 @@ def serialize(value: Document) -> str:
     where bit y of zero row x is set, permuted consistently.
     """
     if isinstance(value, Topology):
-        obj = _space_json(value.space, {"kind": "topology"})
-        obj["opens"] = [members(m) for m in sorted(value.opens)]
-        return _dump(obj)
+        return topology_text(topology_prefix(value.space), sorted(value.opens))
 
     if isinstance(value, QuasiFamily):
         canon = value.canonical()
-        obj = _space_json(canon.space, {"kind": "qmetric"})
-        obj["indices"] = list(canon.indices)
         n = canon.space.n
-        # One list per distinct zero row, shared by every matrix holding it.
-        distances = {z: [0 if z >> y & 1 else 1 for y in range(n)]
-                     for z in set(chain.from_iterable(canon.rows))}
-        obj["matrices"] = [list(map(distances.__getitem__, rows)) for rows in canon.rows]
-        return _dump(obj)
+        # One text per distinct zero row, shared by every matrix holding it.
+        distances = {z: distances_text(n, z) for z in set(chain.from_iterable(canon.rows))}
+        return qmetric_text(qmetric_prefix(canon.space, canon.indices), canon.rows,
+                            distances.__getitem__)
 
     if isinstance(value, SequenceSpec):
         obj = _space_json(value.space, {"kind": "sequence"})

@@ -11,9 +11,13 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
-from . import qmetric
+from . import _kernels, qmetric
 from .core import PointSpace, QuasiFamily, Topology, members
-from .topology import enumerate_preorders, pair_separated, specialization_preorder
+from .topology import (  # noqa: F401  (enumerate_preorders: an import site perfbench patches)
+    enumerate_preorders,
+    pair_separated,
+    specialization_preorder,
+)
 
 METRIC_PREDICATES = qmetric.SEP_MODES
 DIRECT_PREDICATES = ("t0", "t1", "t2")
@@ -92,8 +96,7 @@ def _preorders_by_distance(n: int) -> list[tuple[int, ...]]:
     """Zero rows of every preorder on n points, ordered by their distance
     rows ({y : d(x,y) = 1}) read as a tuple of masks, smallest first."""
     full = (1 << n) - 1
-    return sorted((p.rows for p in enumerate_preorders(n)),
-                  key=lambda rows: tuple(full & ~r for r in rows))
+    return sorted(_kernels.preorder_rows(n), key=lambda rows: tuple(full & ~r for r in rows))
 
 
 def _family_candidates(n: int, max_indices: int):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import itemgetter
 
 from . import _kernels, _tails
 from .core import (
@@ -18,8 +19,14 @@ from .core import (
     SequenceSpec,
     SpaceMismatchError,
     Topology,
+    distances_text,
     members,
-    serialize,
+    members_text,
+    qmetric_prefix,
+    qmetric_text,
+    serialize,  # noqa: F401  (an import site perfbench's tracer patches)
+    topology_prefix,
+    topology_text,
 )
 
 ENUM_MAX_POINTS = 5
@@ -223,9 +230,41 @@ def enumerate_preorders(n: int):
         yield Preorder(space, r)
 
 
+def preorder_documents(n: int) -> list[str]:
+    """The single-index qmetric document (d(x, y) = 0 iff x is below y) of
+    every preorder on n labelled points, ascending by relation rows.
+
+    The rows come from `_kernels.preorder_rows`, which yields only
+    preorders, so no `Preorder` is built to check them again.
+    """
+    rows = sorted(_enumerated_rows(n))
+    prefix = qmetric_prefix(PointSpace(n), ("i0",))
+    text_of = [distances_text(n, r) for r in range(1 << n)].__getitem__
+    return [qmetric_text(prefix, (r,), text_of) for r in rows]
+
+
+def topology_documents(n: int) -> list[tuple[str, tuple[int, ...]]]:
+    """(document, ascending opens) of every labelled topology on n points,
+    sorted by document, which is the canonical order.
+
+    The opens are the up-sets of each enumerated preorder, and each
+    document is written once, from the members text of all 2^n masks.
+    """
+    rows = _enumerated_rows(n)
+    prefix = topology_prefix(PointSpace(n))
+    text_of = [members_text(m) for m in range(1 << n)].__getitem__
+    docs = []
+    for r in rows:
+        opens = tuple(sorted(_kernels.upsets(r)))
+        docs.append((topology_text(prefix, opens, text_of), opens))
+    docs.sort(key=itemgetter(0))
+    return docs
+
+
 def enumerate_topologies(n: int):
-    """Every labelled topology on n points, sorted by canonical document:
-    the up-sets of each enumerated preorder."""
-    tops = [alexandrov_topology(p) for p in enumerate_preorders(n)]
-    tops.sort(key=serialize)
-    yield from tops
+    """Every labelled topology on n points, in the order of
+    `topology_documents`."""
+    docs = topology_documents(n)
+    space = PointSpace(n)
+    for _, opens in docs:
+        yield Topology(space, opens)

@@ -18,7 +18,13 @@ from qmtop.core import (
 )
 from qmtop.qmetric import sep_metric, to_topology
 from qmtop.representation import _family_candidates, canonical_family, discrepancy_pairs
-from qmtop.topology import Preorder, enumerate_preorders, separated, specialization_preorder
+from qmtop.topology import (
+    Preorder,
+    alexandrov_topology,
+    enumerate_preorders,
+    separated,
+    specialization_preorder,
+)
 
 
 def sierpinski() -> Topology:
@@ -80,6 +86,15 @@ def distance_matrices(q: QuasiFamily) -> list[list[list[int]]]:
 def preorder_family(p: Preorder, label: str = "i0") -> QuasiFamily:
     """d(x, y) = 0 iff x is below y."""
     return QuasiFamily(p.space, (label,), (p.rows,))
+
+
+def object_route_documents(n: int, kind: str) -> list[str]:
+    """Oracle: the documents `enumerate --n N --kind KIND` streams, built as
+    objects: `serialize` of each preorder's Alexandrov topology, sorted by
+    document, or of each preorder's one-index family, in row order."""
+    if kind == "topologies":
+        return sorted(serialize(alexandrov_topology(p)) for p in enumerate_preorders(n))
+    return [serialize(preorder_family(p)) for p in enumerate_preorders(n)]
 
 
 def small_index_families(n: int, max_indices: int = 2):

@@ -8,13 +8,13 @@ import time
 
 import pytest
 
-from qmtop import cli, qmetric, representation, topology
+from qmtop import cli, core, qmetric, representation, topology
 from qmtop.cli import main
 from qmtop.core import MAX_SET_DEPTH, parse_document, serialize
 from qmtop.qmetric import check_quasifamily, sep_pair, to_topology
 from qmtop.topology import is_t2
 
-from helpers import canonical_route_separation, sierpinski
+from helpers import canonical_route_separation, object_route_documents, sierpinski
 
 SIER = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
 BAD_QMETRIC = '{"kind":"qmetric","n":3,"indices":["i0"],"matrices":[[[0,0,1],[1,0,0],[1,1,0]]]}'
@@ -440,14 +440,23 @@ def test_enumerate_command(files, capsys):
     assert run(capsys, "enumerate", "--n", "9", "--kind", "topologies")[0] == 2
 
 
-def test_count_only_builds_no_objects(capsys, monkeypatch):
-    built = []
-    real_alexandrov = topology.alexandrov_topology
-    monkeypatch.setattr(topology, "alexandrov_topology",
-                        lambda p: built.append("alexandrov") or real_alexandrov(p))
-    for module in (cli, topology):
-        monkeypatch.setattr(module, "serialize",
-                            lambda value: built.append("serialize") or serialize(value))
+@pytest.fixture
+def built(monkeypatch):
+    """The name of each `alexandrov_topology`, `Preorder` or `serialize` call
+    made, in order."""
+    calls = []
+
+    def counted(name, real):
+        return lambda *args: calls.append(name) or real(*args)
+
+    for name in ("alexandrov_topology", "Preorder"):
+        monkeypatch.setattr(topology, name, counted(name, getattr(topology, name)))
+    for module in (core, cli, topology):
+        monkeypatch.setattr(module, "serialize", counted("serialize", serialize))
+    return calls
+
+
+def test_count_only_builds_no_objects(capsys, built):
     for kind in ("topologies", "preorders"):
         counts = [run(capsys, "enumerate", "--n", str(n), "--kind", kind, "--count-only")
                   for n in (1, 2, 3, 4, 5)]
@@ -457,6 +466,21 @@ def test_count_only_builds_no_objects(capsys, monkeypatch):
             captured = capsys.readouterr()
             assert code == 2 and captured.out == ""
             assert captured.err == f"error: enumeration supports 1..5 points, got {n}\n"
+    assert built == []
+
+
+@pytest.mark.parametrize("kind", ["topologies", "preorders"])
+def test_enumerate_stream_matches_object_route(kind, capsys):
+    for n in (1, 2, 3, 4, 5):
+        code, out = run(capsys, "enumerate", "--n", str(n), "--kind", kind)
+        assert code == 0
+        assert out == "".join(doc + "\n" for doc in object_route_documents(n, kind))
+
+
+def test_enumerate_stream_builds_no_objects(capsys, built):
+    for kind in ("topologies", "preorders"):
+        code, out = run(capsys, "enumerate", "--n", "5", "--kind", kind)
+        assert code == 0 and out.count("\n") == 6942
     assert built == []
 
 
@@ -590,13 +614,18 @@ def test_check_kind_mismatches(files, capsys):
     assert run(capsys, "check", files("s.json", SIER), "--kind", "qmetric")[0] == 2
 
 
-def test_module_entry_point():
+def _child_env() -> dict:
+    """A child runs qmtop from the source tree and writes no `__pycache__`
+    into it."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    return {"PYTHONPATH": src, "PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1"}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "qmtop", "enumerate", "--n", "2",
          "--kind", "topologies", "--count-only"],
-        env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-        capture_output=True, text=True)
+        env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "4"
 
 
@@ -643,10 +672,8 @@ def test_no_command_imports_a_third_party_package(files):
     calls += [["converge", seq, sier, "--point", "1", "--mode", mode]
               for mode in ("right", "left", "cauchy", "topological", "product",
                            "statistical")]
-    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     proc = subprocess.run([sys.executable, "-c", _STDLIB_ONLY_PROBE, json.dumps(calls)],
-                          env={"PYTHONPATH": src, "PATH": "/usr/bin:/bin"},
-                          capture_output=True, text=True)
+                          env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert len(report["calls"]) == 13

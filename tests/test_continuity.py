@@ -18,7 +18,7 @@ from qmtop.continuity import (
 )
 from qmtop.qmetric import ball, to_topology
 from qmtop.representation import canonical_family
-from qmtop.topology import enumerate_topologies
+from qmtop.topology import enumerate_topologies, specialization_preorder
 
 from helpers import sierpinski, small_index_families
 
@@ -122,6 +122,15 @@ def test_kopperman_reproduces_every_source_topology():
                       QuasiFamily(cf.space, ("i0",), ((cf.space.full_mask,) * n,)))
             assert to_topology_kopperman(lift_quasifamily(pruned)).opens == \
                 t.opens
+
+
+def test_kopperman_one_index_route_on_every_small_topology():
+    # d(x, y) = 0 iff y is in the least open neighbourhood of x: one index
+    # whose lift is the two-element semigroup
+    for n in (1, 2, 3, 4, 5):
+        for t in enumerate_topologies(n):
+            q = QuasiFamily(t.space, ("k",), (specialization_preorder(t).rows,))
+            assert to_topology_kopperman(lift_quasifamily(q)).opens == t.opens
 
 
 def test_kopperman_agrees_with_family_topology():

@@ -1,6 +1,8 @@
 from itertools import product
 
 from qmtop import _kernels
+from qmtop.core import PointSpace
+from qmtop.topology import Preorder
 
 
 def _brute_preorder_rows(n):
@@ -43,6 +45,15 @@ def test_known_counts():
         counts.append(len(rows))
     assert counts == [1, 4, 29, 355, 6942]
     assert [len(_kernels.closed_family_masks(n)) for n in (1, 2, 3, 4)] == [1, 4, 29, 355]
+
+
+def test_every_kernel_preorder_passes_validation():
+    """The enumeration streams trust these rows without building a
+    `Preorder`: each is in range, reflexive and transitive."""
+    for n in (1, 2, 3, 4, 5):
+        space = PointSpace(n)
+        for rows in _kernels.preorder_rows(n):
+            assert Preorder(space, rows).rows == rows
 
 
 def test_upsets_against_brute_force():

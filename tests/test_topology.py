@@ -14,6 +14,7 @@ from qmtop.core import (
     Squares,
     Topology,
     members,
+    serialize,
 )
 from qmtop.topology import (
     alexandrov_topology,
@@ -29,6 +30,7 @@ from qmtop.topology import (
     minimal_neighborhood,
     pair_separated,
     specialization_preorder,
+    topology_documents,
 )
 
 from helpers import (
@@ -248,6 +250,12 @@ def test_enumeration_methods_agree():
         a = [t.opens for t in family_route_topologies(n)]
         b = [t.opens for t in enumerate_topologies(n)]
         assert a == b
+
+
+def test_enumerated_objects_carry_their_documents():
+    for n in (1, 2, 3, 4):
+        assert [(serialize(t), t.opens) for t in enumerate_topologies(n)] == \
+            topology_documents(n)
 
 
 def test_alexandrov_and_specialization_are_inverse():
