@@ -1,5 +1,5 @@
-"""The row-mask spine: preorders as row masks, their up-sets, and the
-family-subset scan kept as an independent second route.
+"""The row-mask spine: relations as row masks, packed or transposed, the
+up-sets of preorders, and the family-subset scan kept as a second route.
 
 A preorder on n points is a tuple of row masks, rows[x] = {y : x below y}.
 Every finite topology is the set of up-sets of its specialization preorder,
@@ -10,7 +10,16 @@ exponentially slower and serves only as the cross-check of that route.
 
 from __future__ import annotations
 
+from operator import lshift
+
 from .core import members
+
+
+def pack(rows) -> int:
+    """A relation on n points, given by its rows, as one int of n^2 bits:
+    bit x*n + y holds the pair (x, y)."""
+    n = len(rows)
+    return sum(map(lshift, rows, range(0, n * n, n)))
 
 
 def _walk(rows, down, inside: int, outside: int, full: int, out: list) -> None:
@@ -23,6 +32,18 @@ def _walk(rows, down, inside: int, outside: int, full: int, out: list) -> None:
     _walk(rows, down, inside, outside | down[x], full, out)
 
 
+def transpose(rows) -> list[int]:
+    """Rows of the converse relation: row y masks {x : y in rows[x]}."""
+    columns = [0] * len(rows)
+    for x, row in enumerate(rows):
+        bit = 1 << x
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    return columns
+
+
 def upsets(rows) -> list[int]:
     """Masks of every up-closed set of the preorder, in no particular order.
 
@@ -31,11 +52,8 @@ def upsets(rows) -> list[int]:
     branches stay consistent, so every leaf is a distinct up-set and the
     cost is linear in the number of up-sets.
     """
-    n = len(rows)
-    full = (1 << n) - 1
-    down = [sum(1 << y for y in range(n) if rows[y] >> x & 1) for x in range(n)]
     out: list[int] = []
-    _walk(rows, down, 0, 0, full, out)
+    _walk(rows, transpose(rows), 0, 0, (1 << len(rows)) - 1, out)
     return out
 
 

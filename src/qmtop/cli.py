@@ -175,13 +175,14 @@ def cmd_separation(args) -> int:
     if isinstance(value, Topology):
         # The rows of its canonical family: the opens holding x meet in the
         # minimal neighbourhood of x, and no d_U is 1 in both directions.
-        meet, sym = rows, [0] * len(rows)
+        meet, sym = rows, 0
     else:
-        meet, sym = qmetric.separation_pair(value)
+        meet, sym = qmetric.separation_pair(value.space.n, value.rows)
+    n = len(rows)
+    held = {mode: qmetric.mode_pairs(meet, sym, mode).bit_count() == n * (n - 1)
+            for mode in qmetric.SEP_MODES}
     if args.method == "metric":
-        metric = {"t0": qmetric.mode_separated(meet, sym, "t0_unordered"),
-                  "t1": qmetric.mode_separated(meet, sym, "t1_amended"),
-                  "t2": direct["t2"]}
+        metric = {"t0": held["t0_unordered"], "t1": held["t1_amended"], "t2": direct["t2"]}
         mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
         Verdict("separation", "fail" if mismatches else "pass",
                 reason=f"metric and direct verdicts disagree on {mismatches}"
@@ -197,7 +198,7 @@ def cmd_separation(args) -> int:
             reason=f"literal condition disagrees with direct {axiom} at some pair"
             if pairs else None,
             detail={"method": args.method, "axiom": axiom,
-                    "condition": qmetric.mode_separated(meet, sym, args.method),
+                    "condition": held[args.method],
                     "direct": direct[axiom],
                     "disagreeing_pairs": pairs}).emit()
     return EXIT_FAIL if pairs else EXIT_PASS
@@ -286,7 +287,8 @@ def cmd_enumerate(args) -> int:
 
 def cmd_discrepancy(args) -> int:
     def normalize(name: str) -> str:
-        return name.removeprefix("direct-")
+        bare = name.removeprefix("direct-")
+        return bare if bare in representation.DIRECT_PREDICATES else name
 
     left, right = normalize(args.left), normalize(args.right)
     try:

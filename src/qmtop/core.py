@@ -257,6 +257,8 @@ class DirectedNet:
 
     def __post_init__(self):
         m = len(self.elements)
+        if not m:
+            raise InvariantViolation("a directed set needs at least one element")
         if len(set(self.elements)) != m:
             raise InvariantViolation("net element names must be distinct")
         if len(self.order) != m or any(len(row) != m for row in self.order):

@@ -13,7 +13,7 @@ from operator import and_, lshift
 from typing import Union
 
 from . import _tails
-from ._kernels import upsets
+from ._kernels import pack, transpose, upsets
 from .core import (
     Complement,
     DirectedNet,
@@ -30,7 +30,7 @@ from .core import (
     UnionSet,
     members,
 )
-from .topology import generate_from_subbase, pair_separated
+from .topology import generate_from_subbase, separating_pairs
 
 SEP_MODES = ("t0_unordered", "t1_amended", "literal_r3", "literal_r4", "literal_r5")
 # The modes that read a family's symmetric mask rather than its meet.
@@ -147,9 +147,10 @@ def left_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     if isinstance(s, DirectedNet):
         return all(_net_eventually(s, lambda v, rows=rows: rows[v] >> x & 1)
                    for rows in q.rows)
-    # The left ball at x is the column {y : x in row y}.
-    columns = [sum(1 << y for y, row in enumerate(rows) if row >> x & 1) for rows in q.rows]
-    return all(_tails.eventually_in(s, column) for column in columns)
+    # The left ball at x is the column {y : x in row y}.  A sequence is
+    # eventually inside each of finitely many sets iff it is eventually
+    # inside their intersection, the column of the meet.
+    return _tails.eventually_in(s, transpose(ball_meet(q))[x])
 
 
 def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
@@ -202,72 +203,53 @@ def metric_continuous_at(f: PointMap, q: QuasiFamily, p: QuasiFamily, x: int) ->
 # Separation predicates: the provable variants and the literal ones
 
 
-def pack(rows) -> int:
-    """A relation on n points, given by its rows, as one int of n^2 bits:
-    bit x*n + y holds the pair (x, y)."""
-    n = len(rows)
-    return sum(map(lshift, rows, range(0, n * n, n)))
-
-
-def separation_pair(q: QuasiFamily) -> tuple[list[int], list[int]]:
-    """The rows every separation mode reads: meet[x] = {y : d_k(x, y) = 0
-    for every k} (`ball_meet`) and sym[x] = {y : d_k(x, y) = d_k(y, x) = 1
-    for some k}, the pairs that no index's packed zero pairs, or their
-    transpose, cover."""
-    n = q.space.n
+def separation_pair(n: int, indices) -> tuple[list[int], int]:
+    """The two relations every separation mode reads, from the zero rows of
+    each index of a family on n points: the rows meet[x] = {y : d_k(x, y) =
+    0 for every k} (`ball_meet`), and sym = {(x, y) : d_k(x, y) = d_k(y, x)
+    = 1 for some k}, packed as `pack` does: the pairs that no index's packed
+    zero pairs, or their transpose, cover."""
     square = (1 << n * n) - 1
     # column[r] moves bit y of a row mask r to bit y*n: n-1 zeros go
     # between the binary digits of r.
     gap, digits = "0" * (n - 1), f"0{n}b"
-    column = {r: int(gap.join(format(r, digits)), 2) for r in set(chain.from_iterable(q.rows))}
-    covered = square
-    for rows in q.rows:
+    column = {r: int(gap.join(format(r, digits)), 2) for r in set(chain.from_iterable(indices))}
+    meet, covered = [(1 << n) - 1] * n, square
+    for rows in indices:
+        meet = list(map(and_, meet, rows))
         covered &= pack(rows) | sum(map(lshift, map(column.__getitem__, rows), range(n)))
-    sym = ~covered & square
-    return ball_meet(q), [sym >> x * n & q.space.full_mask for x in range(n)]
+    return meet, ~covered & square
 
 
 # The direct axiom each one-direction mode is, read off the meet rows.
 _MEET_AXIOM = {"t0_unordered": "t0", "t1_amended": "t1", "literal_r3": "t1"}
 
 
-def mode_holds(meet, sym, mode: str, x: int, y: int) -> bool:
-    """One separation mode at one ordered pair, read off `separation_pair`.
+def mode_pairs(meet, sym: int, mode: str) -> int:
+    """The packed ordered pairs of distinct points at which a separation
+    mode holds, read off `separation_pair`.
 
     Some index separates x from y (t1_amended, literal_r3) iff y is outside
     meet[x], and t0_unordered asks that of one direction: these are the
     direct axioms on the meet rows.  R5 asks for indices i and j both
     separating the pair in both directions; taking j = i shows it is exactly
-    R4, which reads sym.
+    R4, which is sym.
     """
     if mode in SYM_MODES:
-        return bool(sym[x] >> y & 1)
+        return sym
     if mode in _MEET_AXIOM:
-        return pair_separated(meet, _MEET_AXIOM[mode], x, y)
+        return separating_pairs(meet, _MEET_AXIOM[mode])
     raise ValueError(f"unknown separation mode {mode!r}")
 
 
-def sep_pair(q: QuasiFamily, mode: str, x: int, y: int) -> bool:
-    """One separation condition, evaluated at a single ordered pair."""
-    return mode_holds(*separation_pair(q), mode, x, y)
-
-
 def sep_metric(q: QuasiFamily, mode: str) -> bool:
-    """A separation condition quantified over every ordered pair of distinct
-    points (t0_unordered is symmetric, so this is every unordered pair).
-    The `literal_*` modes keep the shared-index, both-directions form
+    """A separation condition at every ordered pair of distinct points
+    (t0_unordered is symmetric, so this is every unordered pair).  The
+    `literal_*` modes keep the shared-index, both-directions form
     unchanged, which is what the discrepancy search audits.
     """
-    return mode_separated(*separation_pair(q), mode)
-
-
-def mode_separated(meet, sym, mode: str) -> bool:
-    """One separation mode at every ordered pair of distinct points, read off
-    `separation_pair` rows."""
-    if mode not in SEP_MODES:
-        raise ValueError(f"unknown separation mode {mode!r}")
-    n = len(meet)
-    return all(mode_holds(meet, sym, mode, x, y) for x in range(n) for y in range(n) if x != y)
+    n = q.space.n
+    return mode_pairs(*separation_pair(n, q.rows), mode).bit_count() == n * (n - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from . import _kernels, qmetric
 from .core import PointSpace, QuasiFamily, Topology, members
 from .topology import (  # noqa: F401  (enumerate_preorders: an import site perfbench patches)
     enumerate_preorders,
-    pair_separated,
+    separating_pairs,
     specialization_preorder,
 )
 
@@ -59,37 +59,32 @@ def _check_predicate(name: str) -> None:
         raise ValueError(f"unknown predicate {name!r}")
 
 
-def _pair_holds(name: str, meet, sym, direct, x: int, y: int) -> bool:
-    """A metric mode on a family's (meet, sym) rows, or a direct axiom on the
-    minimal neighbourhood rows of its generated topology."""
+def predicate_pairs(name: str, meet, sym: int, direct) -> int:
+    """Packed ordered pairs of distinct points where a predicate holds: a
+    metric mode on a family's `qmetric.separation_pair`, or a direct axiom
+    on the minimal neighbourhood rows of the topology it generates."""
     if name in DIRECT_PREDICATES:
-        return pair_separated(direct, name, x, y)
-    return qmetric.mode_holds(meet, sym, name, x, y)
+        return separating_pairs(direct, name)
+    return qmetric.mode_pairs(meet, sym, name)
 
 
 def discrepancy_pairs(q: QuasiFamily, pred_a: str, pred_b: str) -> list[dict]:
     """Ordered pairs at which the two predicates disagree on this family."""
+    meet, sym = qmetric.separation_pair(q.space.n, q.rows)
     direct = specialization_preorder(qmetric.to_topology(q)).rows
-    return disagreeing_pairs(*qmetric.separation_pair(q), direct, pred_a, pred_b)
+    return disagreeing_pairs(meet, sym, direct, pred_a, pred_b)
 
 
-def disagreeing_pairs(meet, sym, direct, pred_a: str, pred_b: str) -> list[dict]:
-    """Ordered pairs at which the two predicates disagree, read off a family's
-    `qmetric.separation_pair` rows and the minimal neighbourhood rows of its
-    generated topology."""
+def disagreeing_pairs(meet, sym: int, direct, pred_a: str, pred_b: str) -> list[dict]:
+    """Ordered pairs, ascending, at which the two predicates disagree, read
+    off a family's `qmetric.separation_pair` and the minimal neighbourhood
+    rows of its generated topology."""
     _check_predicate(pred_a)
     _check_predicate(pred_b)
-    out = []
     n = len(meet)
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            va = _pair_holds(pred_a, meet, sym, direct, x, y)
-            vb = _pair_holds(pred_b, meet, sym, direct, x, y)
-            if va != vb:
-                out.append({"pair": [x, y], pred_a: va, pred_b: vb})
-    return out
+    a, b = (predicate_pairs(name, meet, sym, direct) for name in (pred_a, pred_b))
+    return [{"pair": [p // n, p % n], pred_a: bool(a >> p & 1), pred_b: bool(b >> p & 1)}
+            for p in members(a ^ b)]
 
 
 def _preorders_by_distance(n: int) -> list[tuple[int, ...]]:
@@ -113,24 +108,6 @@ def _family_candidates(n: int, max_indices: int):
         for chosen in combinations_with_replacement(preorders, count):
             labels = tuple(f"i{k}" for k in range(count))
             yield QuasiFamily(space, labels, chosen)
-
-
-def _meet_pair_mask(name: str, meet: int, n: int) -> int:
-    """Packed ordered pairs of distinct points at which a predicate holds on
-    every family with this packed meet.
-
-    The generated topology is the Alexandrov topology of the meet, so meet
-    row x is the minimal neighbourhood of x and both the direct axioms and
-    the one-direction metric modes read off it.
-    """
-    full = (1 << n) - 1
-    rows = [meet >> (x * n) & full for x in range(n)]
-    out = 0
-    for x in range(n):
-        for y in range(n):
-            if x != y and _pair_holds(name, rows, None, rows, x, y):
-                out |= 1 << (x * n + y)
-    return out
 
 
 def _first_hit(generators, bad, full: int, max_indices: int) -> list[int] | None:
@@ -202,14 +179,14 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
     for points in range(1, n + 1):
         space = PointSpace(points)
         preorders = _preorders_by_distance(points)
-        pairs = [qmetric.separation_pair(QuasiFamily(space, ("i0",), (rows,)))
-                 for rows in preorders]
-        generators = [(qmetric.pack(meet), qmetric.pack(sym) if reads_sym else 0)
-                      for meet, sym in pairs]
-        # Each meet of preorders is itself a preorder, so these tables hold
-        # every reachable meet.
+        pairs = [qmetric.separation_pair(points, (rows,)) for rows in preorders]
+        generators = [(_kernels.pack(meet), sym if reads_sym else 0) for meet, sym in pairs]
+        # Each meet of preorders is itself a preorder, and the topology a
+        # family generates is the Alexandrov topology of its meet, so these
+        # tables hold every reachable meet and read the direct axioms off it.
         held = [None if name in qmetric.SYM_MODES
-                else {m: _meet_pair_mask(name, m, points) for m, _ in generators}
+                else {_kernels.pack(rows): predicate_pairs(name, rows, 0, rows)
+                      for rows in preorders}
                 for name in (pred_a, pred_b)]
 
         def bad(meet: int, sym: int) -> bool:

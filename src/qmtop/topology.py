@@ -8,10 +8,12 @@ oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from . import _kernels, _tails
+from ._kernels import pack, transpose
 from .core import (
     InvariantViolation,
     PointMap,
@@ -53,9 +55,6 @@ class Preorder:
             for y in range(n):
                 if self.rows[x] >> y & 1 and self.rows[y] & ~self.rows[x]:
                     raise InvariantViolation(f"relation not transitive through ({x},{y})")
-
-    def leq(self, x: int, y: int) -> bool:
-        return bool(self.rows[x] >> y & 1)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,29 +145,34 @@ def alexandrov_topology(p: Preorder) -> Topology:
 
 # --- separation axioms, read off the minimal neighbourhoods ---------------
 
-def pair_separated(rows, axiom: str, x: int, y: int) -> bool:
-    """Whether `axiom` ("t0", "t1" or "t2") separates x from y, read off the
+def separating_pairs(rows, axiom: str) -> int:
+    """The ordered pairs of distinct points that `axiom` ("t0", "t1" or
+    "t2") separates, packed as `_kernels.pack` packs a relation, read off the
     minimal neighbourhood rows of a finite space.
 
     rows[x] is the least open containing x, so some open holds x and not y
     iff y is outside rows[x] (T1 at (x, y)); T0 asks that of one direction;
     x and y have disjoint open neighbourhoods iff their least ones are
-    disjoint (T2).
+    disjoint (T2), iff y is in no column of a point of rows[x].  The rows
+    are reflexive, so no pair (x, x) is ever set.
     """
+    square = (1 << len(rows) ** 2) - 1
     if axiom == "t1":
-        return not rows[x] >> y & 1
+        return square & ~pack(rows)
     if axiom == "t0":
-        return not (rows[x] >> y & 1 and rows[y] >> x & 1)
+        return square & ~(pack(rows) & pack(transpose(rows)))
     if axiom == "t2":
-        return rows[x] & rows[y] == 0
+        columns = transpose(rows)
+        return square & ~pack([reduce(or_, map(columns.__getitem__, members(row)), 0)
+                               for row in rows])
     raise ValueError(f"unknown axiom {axiom!r}")
 
 
 def separated(rows, axiom: str) -> bool:
     """Whether `axiom` separates every ordered pair of distinct points, read
-    off minimal neighbourhood rows (T0 and T2 are symmetric in the pair)."""
+    off minimal neighbourhood rows."""
     n = len(rows)
-    return all(pair_separated(rows, axiom, x, y) for x in range(n) for y in range(n) if x != y)
+    return separating_pairs(rows, axiom).bit_count() == n * (n - 1)
 
 
 def is_t0(t: Topology) -> bool:

@@ -211,6 +211,54 @@ def canonical_route_separation(t: Topology, method: str) -> tuple[int, str]:
     return int(failed), out.getvalue()
 
 
+def family_route_separation(q: QuasiFamily, method: str) -> tuple[int, str]:
+    """Oracle: exit code and stdout of `separation --method METHOD` on a
+    family document, built pair by pair: the metric modes by scanning the
+    distance matrices (`matrix_sep_pair`), the direct axioms by scanning the
+    opens that the family's balls generate (`OPENS_ORACLES`), and the
+    disagreeing pairs in ascending order."""
+    n = q.space.n
+    mats = distance_matrices(q)
+    balls = [sum(1 << y for y in range(n) if m[x][y] == 0) for m in mats for x in range(n)]
+    t = Topology.from_masks(q.space, subbase_closure(q.space, balls))
+    pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
+    direct = {axiom: all(oracle(t, x, y) for x, y in pairs)
+              for axiom, oracle in OPENS_ORACLES.items()}
+    if method == "direct":
+        report = Verdict("separation", "pass", detail={"method": "direct", **direct})
+        failed = False
+    elif method == "metric":
+        metric = {"t0": all(matrix_sep_pair(mats, "t0_unordered", x, y) for x, y in pairs),
+                  "t1": all(matrix_sep_pair(mats, "t1_amended", x, y) for x, y in pairs),
+                  "t2": direct["t2"]}
+        mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
+        report = Verdict("separation", "fail" if mismatches else "pass",
+                         reason=f"metric and direct verdicts disagree on {mismatches}"
+                         if mismatches else None,
+                         detail={"method": "metric", **metric,
+                                 "note": "t2 from the generated topology; no sound "
+                                         "metric criterion is available",
+                                 "direct": direct, "disagreements": mismatches})
+        failed = bool(mismatches)
+    else:
+        axiom = {"literal_r3": "t0", "literal_r4": "t1", "literal_r5": "t2"}[method]
+        held = {(x, y): (matrix_sep_pair(mats, method, x, y), OPENS_ORACLES[axiom](t, x, y))
+                for x, y in pairs}
+        disagree = [{"pair": [x, y], method: a, axiom: b}
+                    for (x, y), (a, b) in held.items() if a != b]
+        report = Verdict("separation", "fail" if disagree else "pass",
+                         reason=f"literal condition disagrees with direct {axiom} at some pair"
+                         if disagree else None,
+                         detail={"method": method, "axiom": axiom,
+                                 "condition": all(a for a, _ in held.values()),
+                                 "direct": direct[axiom], "disagreeing_pairs": disagree})
+        failed = bool(disagree)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        report.emit()
+    return int(failed), out.getvalue()
+
+
 def eventually_periodic(space: PointSpace, prefix: tuple[int, ...],
                         period: tuple[int, ...]) -> SequenceSpec:
     """Sequence with the given prefix, then the period repeated forever."""

@@ -11,10 +11,16 @@ import pytest
 from qmtop import cli, core, qmetric, representation, topology
 from qmtop.cli import main
 from qmtop.core import MAX_SET_DEPTH, parse_document, serialize
-from qmtop.qmetric import check_quasifamily, sep_pair, to_topology
+from qmtop.qmetric import check_quasifamily, mode_pairs, separation_pair, to_topology
 from qmtop.topology import is_t2
 
-from helpers import canonical_route_separation, object_route_documents, sierpinski
+from helpers import (
+    canonical_route_separation,
+    family_route_separation,
+    object_route_documents,
+    sierpinski,
+    small_index_families,
+)
 
 SIER = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
 BAD_QMETRIC = '{"kind":"qmetric","n":3,"indices":["i0"],"matrices":[[[0,0,1],[1,0,0],[1,1,0]]]}'
@@ -554,6 +560,29 @@ def test_separation_on_topology_matches_canonical_route(n, monkeypatch, capsys):
                 assert (code, capsys.readouterr().out) == expected, (doc, method)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_separation_on_families_matches_pair_scans(n, monkeypatch, capsys):
+    """Every family of one or two preorder indices on n points, through
+    every method, gives the bytes and exit code of the report built pair by
+    pair from its distance matrices and the opens it generates.  Unlike a
+    canonical family, such a family can satisfy literal_r4/literal_r5, and
+    on three points literal_r5 holds at a pair that is not T2."""
+    seen = set()
+    for q in small_index_families(n):
+        doc = serialize(q)
+        for method in ("direct", "metric", "literal_r3", "literal_r4", "literal_r5"):
+            expected = family_route_separation(q, method)
+            monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+            code = main(["separation", "-", "--method", method])
+            assert (code, capsys.readouterr().out) == expected, (doc, method)
+            detail = json.loads(expected[1])["detail"]
+            seen.add((method, detail.get("condition")))
+            seen.update((method, "pair", p[method]) for p in detail.get("disagreeing_pairs", ()))
+    if n > 1:
+        assert {("literal_r4", True), ("literal_r5", True)} <= seen
+    assert (("literal_r5", "pair", True) in seen) == (n == 3)
+
+
 def test_discrepancy_command(capsys):
     code, out = run(capsys, "discrepancy", "--left", "literal_r5",
                     "--right", "direct-t2", "--n", "3", "--indices", "1")
@@ -561,7 +590,8 @@ def test_discrepancy_command(capsys):
     assert code == 1 and report["verdict"] == "witness"
     witness = parse_document(json.dumps(report["witness"]))
     assert check_quasifamily(witness) == []
-    assert sep_pair(witness, "literal_r5", 0, 1)
+    # bit 0*3 + 1 is the pair (0, 1)
+    assert mode_pairs(*separation_pair(3, witness.rows), "literal_r5") >> 1 & 1
     assert not is_t2(to_topology(witness))
 
     code, out = run(capsys, "discrepancy", "--left", "t0_unordered",
@@ -570,6 +600,21 @@ def test_discrepancy_command(capsys):
 
     assert run(capsys, "discrepancy", "--left", "bogus", "--right", "t2",
                "--n", "2", "--indices", "1")[0] == 2
+
+
+@pytest.mark.parametrize("name", ["direct-literal_r5", "direct-t0_unordered", "direct-t3",
+                                  "direct-direct-t1", "direct-"])
+def test_discrepancy_strips_direct_only_from_an_axiom(name, capsys):
+    """`direct-` names a direct axiom; on any other name it is not stripped,
+    so the name is unknown."""
+    for left, right in ((name, "t1"), ("t1", name)):
+        code = main(["discrepancy", "--left", left, "--right", right, "--n", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: unknown predicate {name!r}\n"
+    code, out = run(capsys, "discrepancy", "--left", "direct-t1", "--right", "t1_amended",
+                    "--n", "2")
+    assert code == 0 and json.loads(out)["detail"]["left"] == "t1"
 
 
 def test_converge_accepts_nets(files, capsys):
@@ -581,6 +626,15 @@ def test_converge_accepts_nets(files, capsys):
     # nets have no statistical semantics
     assert run(capsys, "converge", net, sier, "--point", "1",
                "--mode", "statistical")[0] == 2
+
+
+@pytest.mark.parametrize("mode", ["right", "left", "cauchy"])
+def test_empty_net_is_input_error(mode, files, capsys):
+    net = files("net.json", '{"kind":"net","elements":[],"order":[],"assignment":[],"n":2}')
+    code = main(["converge", net, files("sier.json", SIER), "--point", "0", "--mode", mode])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a directed set needs at least one element\n"
 
 
 def test_stdin_input(capsys, monkeypatch):

@@ -200,6 +200,14 @@ def test_net_order_witnesses():
     assert _net([[1, 2, 0], [0, 1, 0], [0, 7, -1]]).order[2][1] == 7
 
 
+def test_empty_net_is_rejected():
+    """A directed set is nonempty, so a net needs at least one element."""
+    with pytest.raises(InvariantViolation, match="at least one element"):
+        _net([])
+    with pytest.raises(InvariantViolation, match="at least one element"):
+        parse_document('{"kind":"net","elements":[],"order":[],"assignment":[],"n":2}')
+
+
 def test_long_chain_net_parses_quickly():
     # The transitivity check is a row-mask test per related pair; a triple
     # loop over the elements is cubic (about 40 s here on a 2-core VM).

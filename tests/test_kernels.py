@@ -68,3 +68,18 @@ def test_upsets_against_brute_force():
 def test_family_kernel_against_brute_force():
     for n in (1, 2, 3):
         assert _kernels.closed_family_masks(n) == _brute_family_masks(n)
+
+
+def test_transpose_and_pack_read_every_relation_bit():
+    """On every relation of three points (reflexive or not), row y of the
+    transpose holds x iff row x holds y, and bit x*n + y of the packed
+    relation is set iff row x holds y."""
+    n = 3
+    for rows in product(range(1 << n), repeat=n):
+        columns = _kernels.transpose(rows)
+        packed = _kernels.pack(rows)
+        for x in range(n):
+            for y in range(n):
+                assert (columns[y] >> x & 1) == (rows[x] >> y & 1)
+                assert (packed >> x * n + y & 1) == (rows[x] >> y & 1)
+        assert packed >> n * n == 0

@@ -26,8 +26,9 @@ from qmtop.qmetric import (
     natural_density,
     product_converges,
     right_converges,
+    mode_pairs,
     sep_metric,
-    sep_pair,
+    separation_pair,
     stat_converges,
     to_topology,
 )
@@ -43,6 +44,7 @@ from qmtop.topology import (
 from helpers import (
     all_eventually_periodic,
     distance_matrices,
+    eventually_periodic,
     matrix_check_quasifamily,
     matrix_family,
     matrix_sep_pair,
@@ -110,7 +112,8 @@ def test_separation_rows_match_matrix_scan():
         pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
         for mode in SEP_MODES:
             expected = [matrix_sep_pair(mats, mode, x, y) for x, y in pairs]
-            assert [sep_pair(q, mode, x, y) for x, y in pairs] == expected
+            packed = sum(1 << x * n + y for (x, y), e in zip(pairs, expected) if e)
+            assert mode_pairs(*separation_pair(n, q.rows), mode) == packed
             assert sep_metric(q, mode) == all(expected)
 
 
@@ -225,6 +228,25 @@ def test_convergence_routes_agree_two_points():
                 assert product_converges(seq, cf, x) == r
 
 
+def test_left_convergence_matches_per_index_definition():
+    """A sequence converges on the left to x iff every index puts each value
+    of its period at distance 0 from x: every eventually periodic sequence
+    with a prefix of at most one term, on every family of one or two
+    preorder indices on up to three points."""
+    for n in (1, 2, 3):
+        space = PointSpace(n)
+        points = range(n)
+        periods = [(a,) for a in points] + [(a, b) for a in points for b in points]
+        sequences = [(eventually_periodic(space, prefix, period), period)
+                     for prefix in [()] + [(a,) for a in points] for period in periods]
+        for q in small_index_families(n):
+            mats = distance_matrices(q)
+            for seq, period in sequences:
+                for x in points:
+                    expected = all(m[v][x] == 0 for m in mats for v in period)
+                    assert left_converges(seq, q, x) == expected
+
+
 def test_metric_continuity_examples():
     cf = canonical_family(sierpinski())
     space = cf.space
@@ -234,6 +256,11 @@ def test_metric_continuity_examples():
         assert metric_continuous_at(PointMap(space, space, (1, 1)), cf, cf, x)
     indiscrete_family = matrix_family(2, [[0, 0], [0, 0]])
     assert not metric_continuous_at(ident, indiscrete_family, cf, 1)
+
+
+def _holds(q, mode, x, y):
+    """Whether a separation mode holds at one ordered pair of a family."""
+    return bool(mode_pairs(*separation_pair(q.space.n, q.rows), mode) >> x * q.space.n + y & 1)
 
 
 def test_sep_metric_examples():
@@ -248,7 +275,7 @@ def test_sep_metric_examples():
 
     # the literal condition holds at the pair (0,1) of the witness family
     # with i = j, yet its topology is not T2
-    assert sep_pair(WITNESS, "literal_r5", 0, 1)
+    assert _holds(WITNESS, "literal_r5", 0, 1)
     assert not is_t2(to_topology(WITNESS))
 
     with pytest.raises(ValueError):
@@ -268,8 +295,8 @@ def test_literal_r5_is_literal_r4():
                     stated = any(mi[x][y] == 1 and mi[y][x] == 1
                                  and mj[x][y] == 1 and mj[y][x] == 1
                                  for mi in mats for mj in mats)
-                    assert sep_pair(q, "literal_r5", x, y) == stated
-                    assert sep_pair(q, "literal_r4", x, y) == stated
+                    assert _holds(q, "literal_r5", x, y) == stated
+                    assert _holds(q, "literal_r4", x, y) == stated
             assert sep_metric(q, "literal_r5") == sep_metric(q, "literal_r4")
 
 

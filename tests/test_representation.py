@@ -155,9 +155,8 @@ def test_first_witnesses_at_four_points_and_three_indices():
 def _states_by_index_count(n, max_indices):
     """Number of (meet, sym) states of the families with exactly k indices,
     k = 1..max_indices, by closing the preorders' packed pairs under AND/OR."""
-    space = PointSpace(n)
-    generators = {tuple(map(pack, separation_pair(QuasiFamily(space, ("i0",), (rows,)))))
-                  for rows in _preorders_by_distance(n)}
+    generators = {(pack(meet), sym) for meet, sym in
+                  (separation_pair(n, (rows,)) for rows in _preorders_by_distance(n))}
     level, counts = {((1 << n * n) - 1, 0)}, []
     for _ in range(max_indices):
         level = {(m & gm, s | gs) for m, s in level for gm, gs in generators}

@@ -28,7 +28,7 @@ from qmtop.topology import (
     is_t1,
     is_t2,
     minimal_neighborhood,
-    pair_separated,
+    separating_pairs,
     specialization_preorder,
     topology_documents,
 )
@@ -160,30 +160,33 @@ def test_separation_chain_and_finite_t1_is_discrete():
             assert t1 == t2 == (t.opens == discrete_masks)
 
 
-def test_pair_separated_matches_opens_oracles():
-    """The row tests equal the opens-scanning definitions on every ordered
-    pair of every topology on at most five points, and `is_t*` equal the
-    oracles quantified over the pairs."""
+def test_separating_pairs_match_opens_oracles():
+    """The packed pair sets equal the opens-scanning definitions on every
+    ordered pair of every topology on at most five points, hold no pair
+    (x, x), and `is_t*` equal the oracles quantified over the pairs."""
     pairs = 0
     for n in range(1, 6):
         for t in enumerate_topologies(n):
             rows = specialization_preorder(t).rows
+            packed = {axiom: separating_pairs(rows, axiom) for axiom in OPENS_ORACLES}
             verdicts = {axiom: True for axiom in OPENS_ORACLES}
+            for axiom in OPENS_ORACLES:
+                assert packed[axiom] >> n * n == 0
+                assert all(not packed[axiom] >> x * n + x & 1 for x in range(n))
             for x in range(n):
                 for y in range(n):
                     if x == y:
                         continue
                     pairs += 1
                     for axiom, oracle in OPENS_ORACLES.items():
-                        got = pair_separated(rows, axiom, x, y)
-                        assert type(got) is bool
+                        got = bool(packed[axiom] >> x * n + y & 1)
                         assert got == oracle(t, x, y), (t.opens, axiom, x, y)
                         verdicts[axiom] &= got
             assert (is_t0(t), is_t1(t), is_t2(t)) == \
                 (verdicts["t0"], verdicts["t1"], verdicts["t2"])
     assert pairs == 143_282
     with pytest.raises(ValueError):
-        pair_separated((1, 2), "t3", 0, 1)
+        separating_pairs((1, 2), "t3")
 
 
 def test_is_continuous_examples():
