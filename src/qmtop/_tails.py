@@ -21,7 +21,6 @@ types, with an explicit settle bound past which the typed behaviour governs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .core import (
@@ -33,6 +32,7 @@ from .core import (
     SequenceSpec,
     Squares,
     UnionSet,
+    record,
 )
 
 # Exactness over types costs O(modulus lcm); refuse rather than guess past this.
@@ -43,13 +43,13 @@ class TailAnalysisError(ValueError):
     """The rule moduli are too entangled for exact tail analysis."""
 
 
-@dataclass
+@record
 class TailTypes:
     modulus: int
     settle: int
-    # flat arrays indexed by 4*r + 2*s + p
-    values: list[int]
-    unbounded: list[bool]
+    # flat tuples indexed by 4*r + 2*s + p
+    values: tuple[int, ...]
+    unbounded: tuple[bool, ...]
 
     def recurrent_values(self) -> frozenset[int]:
         return frozenset(v for v, u in zip(self.values, self.unbounded) if u)
@@ -150,7 +150,7 @@ def tail_types(seq: SequenceSpec) -> TailTypes:
                 values.append(value)
                 unbounded.append(vast)
 
-    return TailTypes(modulus, settle, values, unbounded)
+    return TailTypes(modulus, settle, tuple(values), tuple(unbounded))
 
 
 def eventually_in(seq: SequenceSpec, good_mask: int) -> bool:

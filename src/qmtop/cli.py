@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from . import continuity, qmetric, representation, topology
-from ._tails import TailAnalysisError
 from .core import (
     DirectedNet,
     DocumentError,
@@ -35,23 +33,18 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 
-@dataclass
-class Verdict:
-    op: str
-    verdict: str
-    witness: str | None = None
-    reason: str | None = None
-    detail: dict = field(default_factory=dict)
-
-    def emit(self) -> None:
-        obj = {"op": self.op, "verdict": self.verdict}
-        if self.reason is not None:
-            obj["reason"] = self.reason
-        if self.witness is not None:
-            obj["witness"] = json.loads(self.witness)
-        if self.detail:
-            obj["detail"] = self.detail
-        print(json.dumps(obj, separators=(",", ":")))
+def emit(op: str, verdict: str, *, witness: str | None = None, reason: str | None = None,
+         detail: dict | None = None) -> None:
+    """Print one verdict report: a compact JSON object on one line of stdout.
+    `witness` is a document's text, embedded as its JSON value."""
+    obj = {"op": op, "verdict": verdict}
+    if reason is not None:
+        obj["reason"] = reason
+    if witness is not None:
+        obj["witness"] = json.loads(witness)
+    if detail:
+        obj["detail"] = detail
+    print(json.dumps(obj, separators=(",", ":")))
 
 
 def _read(path: str) -> str:
@@ -92,10 +85,10 @@ def cmd_check(args) -> int:
         if not violations:
             violations = continuity.check_positives(value)
     if violations:
-        Verdict("check", "fail", reason=str(violations[0]),
-                detail={"violations": [v.to_json() for v in violations]}).emit()
+        emit("check", "fail", reason=str(violations[0]),
+             detail={"violations": [v.to_json() for v in violations]})
         return EXIT_FAIL
-    Verdict("check", "pass").emit()
+    emit("check", "pass")
     return EXIT_PASS
 
 
@@ -131,11 +124,9 @@ def cmd_roundtrip(args) -> int:
                 equal += 1
             elif first_failure is None:
                 first_failure = text
-        verdict = Verdict("roundtrip", "pass" if checked == equal else "fail",
-                          witness=first_failure,
-                          detail={"n": args.n, "checked": checked, "equal": equal,
-                                  "message": f"{checked} topologies, {equal} equal"})
-        verdict.emit()
+        emit("roundtrip", "pass" if checked == equal else "fail", witness=first_failure,
+             detail={"n": args.n, "checked": checked, "equal": equal,
+                     "message": f"{checked} topologies, {equal} equal"})
         return EXIT_PASS if checked == equal else EXIT_FAIL
     if args.file is None:
         return _fail_input("roundtrip needs a topology file or --n")
@@ -143,9 +134,9 @@ def cmd_roundtrip(args) -> int:
     if not isinstance(t, Topology):
         return _fail_input("roundtrip expects a topology document")
     report = representation.roundtrip(t)
-    Verdict("roundtrip", "pass" if report.equal else "fail",
-            detail={"missing": list(map(members, report.missing)),
-                    "extra": list(map(members, report.extra))}).emit()
+    emit("roundtrip", "pass" if report.equal else "fail",
+         detail={"missing": list(map(members, report.missing)),
+                 "extra": list(map(members, report.extra))})
     return EXIT_PASS if report.equal else EXIT_FAIL
 
 
@@ -170,37 +161,40 @@ def cmd_separation(args) -> int:
     rows = topology.specialization_preorder(_as_topology(value)).rows
     direct = {axiom: topology.separated(rows, axiom) for axiom in ("t0", "t1", "t2")}
     if args.method == "direct":
-        Verdict("separation", "pass", detail={"method": "direct", **direct}).emit()
+        emit("separation", "pass", detail={"method": "direct", **direct})
         return EXIT_PASS
-    if isinstance(value, Topology):
-        # The rows of its canonical family: the opens holding x meet in the
-        # minimal neighbourhood of x, and no d_U is 1 in both directions.
-        meet, sym = rows, 0
-    else:
-        meet, sym = qmetric.separation_pair(value.space.n, value.rows)
+    # The balls of a family meet in the minimal neighbourhoods of the topology
+    # it generates, so `rows` is its meet.  Only the literal R4 and R5 read
+    # the symmetric mask, which is empty for a topology document: no d_U of
+    # its canonical family is 1 in both directions.
+    sym = 0
+    if isinstance(value, QuasiFamily) and args.method in qmetric.SYM_MODES:
+        sym = qmetric.separation_pair(value.space.n, value.rows)[1]
     n = len(rows)
-    held = {mode: qmetric.mode_pairs(meet, sym, mode).bit_count() == n * (n - 1)
-            for mode in qmetric.SEP_MODES}
+
+    def held(mode: str) -> bool:
+        return qmetric.mode_pairs(rows, sym, mode).bit_count() == n * (n - 1)
+
     if args.method == "metric":
-        metric = {"t0": held["t0_unordered"], "t1": held["t1_amended"], "t2": direct["t2"]}
+        metric = {"t0": held("t0_unordered"), "t1": held("t1_amended"), "t2": direct["t2"]}
         mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
-        Verdict("separation", "fail" if mismatches else "pass",
-                reason=f"metric and direct verdicts disagree on {mismatches}"
-                if mismatches else None,
-                detail={"method": "metric", **metric,
-                        "note": "t2 from the generated topology; no sound "
-                                "metric criterion is available",
-                        "direct": direct, "disagreements": mismatches}).emit()
+        emit("separation", "fail" if mismatches else "pass",
+             reason=f"metric and direct verdicts disagree on {mismatches}"
+             if mismatches else None,
+             detail={"method": "metric", **metric,
+                     "note": "t2 from the generated topology; no sound "
+                             "metric criterion is available",
+                     "direct": direct, "disagreements": mismatches})
         return EXIT_FAIL if mismatches else EXIT_PASS
     axiom = {"literal_r3": "t0", "literal_r4": "t1", "literal_r5": "t2"}[args.method]
-    pairs = representation.disagreeing_pairs(meet, sym, rows, args.method, axiom)
-    Verdict("separation", "fail" if pairs else "pass",
-            reason=f"literal condition disagrees with direct {axiom} at some pair"
-            if pairs else None,
-            detail={"method": args.method, "axiom": axiom,
-                    "condition": held[args.method],
-                    "direct": direct[axiom],
-                    "disagreeing_pairs": pairs}).emit()
+    pairs = representation.disagreeing_pairs(rows, sym, rows, args.method, axiom)
+    emit("separation", "fail" if pairs else "pass",
+         reason=f"literal condition disagrees with direct {axiom} at some pair"
+         if pairs else None,
+         detail={"method": args.method, "axiom": axiom,
+                 "condition": held(args.method),
+                 "direct": direct[axiom],
+                 "disagreeing_pairs": pairs})
     return EXIT_FAIL if pairs else EXIT_PASS
 
 
@@ -222,10 +216,10 @@ def cmd_converge(args) -> int:
             return _fail_input("topological mode needs a sequence document")
         t = _as_topology(space_doc)
         ok = topology.converges_topologically(seq, t, x, horizon=args.horizon)
-        Verdict("converge", "pass" if ok else "fail",
-                reason=None if ok else "sequence leaves the minimal neighbourhood "
-                                       "unboundedly often",
-                detail={"mode": mode, "point": x}).emit()
+        emit("converge", "pass" if ok else "fail",
+             reason=None if ok else "sequence leaves the minimal neighbourhood "
+                                    "unboundedly often",
+             detail={"mode": mode, "point": x})
         return EXIT_PASS if ok else EXIT_FAIL
     q = _as_family(space_doc)
     if mode in ("right", "left", "cauchy"):
@@ -237,17 +231,17 @@ def cmd_converge(args) -> int:
             ok = qmetric.left_converges(seq, q, x)
         else:
             ok = qmetric.is_right_cauchy(seq, q)
-        Verdict("converge", "pass" if ok else "fail",
-                reason=None if ok else f"{mode} condition fails at some index",
-                detail={"mode": mode, "point": x}).emit()
+        emit("converge", "pass" if ok else "fail",
+             reason=None if ok else f"{mode} condition fails at some index",
+             detail={"mode": mode, "point": x})
         return EXIT_PASS if ok else EXIT_FAIL
     if not isinstance(seq, SequenceSpec):
         return _fail_input(f"{mode} mode needs a sequence document")
     if mode == "product":
         ok = qmetric.product_converges(seq, q, x)
-        Verdict("converge", "pass" if ok else "fail",
-                reason=None if ok else "some coordinate never settles",
-                detail={"mode": mode, "point": x}).emit()
+        emit("converge", "pass" if ok else "fail",
+             reason=None if ok else "some coordinate never settles",
+             detail={"mode": mode, "point": x})
         return EXIT_PASS if ok else EXIT_FAIL
     result = qmetric.stat_converges(seq, q, x)
     per_index = []
@@ -259,11 +253,11 @@ def cmd_converge(args) -> int:
                            "density": c / h} for h, c in rep.empirical],
         })
     verdict = {"true": "pass", "false": "fail", "undecided": "undecided"}[result.verdict]
-    Verdict("converge", verdict,
-            reason=None if verdict == "pass" else
-            "some index has positive deviation density" if verdict == "fail"
-            else "some deviation density is unknown",
-            detail={"mode": mode, "point": x, "per_index": per_index}).emit()
+    emit("converge", verdict,
+         reason=None if verdict == "pass" else
+         "some index has positive deviation density" if verdict == "fail"
+         else "some deviation density is unknown",
+         detail={"mode": mode, "point": x, "per_index": per_index})
     if verdict == "fail":
         return EXIT_FAIL
     if verdict == "undecided" and args.strict:
@@ -296,14 +290,14 @@ def cmd_discrepancy(args) -> int:
     except ValueError as e:
         return _fail_input(str(e))
     if witness is None:
-        Verdict("discrepancy", "none",
-                detail={"left": left, "right": right, "n": args.n,
-                        "indices": args.indices}).emit()
+        emit("discrepancy", "none",
+             detail={"left": left, "right": right, "n": args.n,
+                     "indices": args.indices})
         return EXIT_PASS
-    Verdict("discrepancy", "witness", witness=serialize(witness),
-            reason=f"{left} and {right} disagree",
-            detail={"left": left, "right": right,
-                    "pairs": representation.discrepancy_pairs(witness, left, right)}).emit()
+    emit("discrepancy", "witness", witness=serialize(witness),
+         reason=f"{left} and {right} disagree",
+         detail={"left": left, "right": right,
+                 "pairs": representation.discrepancy_pairs(witness, left, right)})
     return EXIT_FAIL
 
 
@@ -378,11 +372,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (DocumentError, TailAnalysisError) as e:
-        return _fail_input(str(e))
-    except FileNotFoundError as e:
-        return _fail_input(str(e))
-    except ValueError as e:
+    except (OSError, ValueError) as e:
+        # Unreadable paths, and bad documents: `DocumentError` and
+        # `_tails.TailAnalysisError` are both `ValueError`s.
         return _fail_input(str(e))
     except AssertionError as e:
         # A second route disagreed with the first: a defect, not a verdict.

@@ -5,7 +5,6 @@ quasimetric family lifts to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .core import (
     InvariantViolation,
@@ -14,6 +13,7 @@ from .core import (
     QuasiFamily,
     Topology,
     ValueSemigroup,
+    record,
 )
 from .topology import check_topology
 
@@ -21,7 +21,7 @@ SEMIGROUP_MAX_SIZE = 64
 LIFT_MAX_INDICES = 6
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class AxiomViolation:
     axiom: str
     witness: tuple[int, ...]
@@ -141,7 +141,7 @@ def check_positives(p: PositiveSet) -> list[AxiomViolation]:
 # Continuity spaces
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ContinuitySpace:
     space: PointSpace
     semigroup: ValueSemigroup

@@ -2,14 +2,14 @@
 
 Points of an n-point space are the indices 0..n-1; every subset is an
 n-bit mask (bit p set iff point p is a member).  All values here are
-immutable and hashable, so they are safe to share across workers.
+immutable and compare and hash by their fields, so they serve as set
+members and cache keys.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Union
 
@@ -41,6 +41,92 @@ class SpaceMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# Records: immutable values compared, hashed and shown by their fields
+
+
+def _values(obj) -> tuple:
+    return tuple([getattr(obj, name) for name in obj.__slots__])
+
+
+def _init(self, *args, **kwargs):
+    cls = type(self)
+    names = cls.__slots__
+    if kwargs or len(args) != len(names):
+        args = _bind(cls, args, kwargs)
+    for name, value in zip(names, args):
+        object.__setattr__(self, name, value)
+    post_init = getattr(cls, "__post_init__", None)
+    if post_init is not None:
+        post_init(self)
+
+
+def _bind(cls, args: tuple, kwargs: dict) -> list:
+    """The field values of a call with keywords, defaults or a wrong count."""
+    names, title = cls.__slots__, cls.__name__
+    if len(args) > len(names):
+        raise TypeError(f"{title}() takes {len(names)} positional arguments "
+                        f"but {len(args)} were given")
+    given = dict(zip(names, args))
+    for name, value in kwargs.items():
+        if name not in names:
+            raise TypeError(f"{title}() got an unexpected keyword argument {name!r}")
+        if name in given:
+            raise TypeError(f"{title}() got multiple values for argument {name!r}")
+        given[name] = value
+    given = cls._defaults | given
+    missing = [name for name in names if name not in given]
+    if missing:
+        raise TypeError(f"{title}() missing required arguments: "
+                        + ", ".join(map(repr, missing)))
+    return [given[name] for name in names]
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+    return f"{type(self).__qualname__}({fields})"
+
+
+def _setattr(self, name: str, value) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _delattr(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def record(cls: type) -> type:
+    """An immutable slotted class with the annotated fields of `cls`.
+
+    Fields are the names annotated in the class body, in order; a value
+    assigned there is that field's default.  Instances take their fields
+    positionally or by name, run `__post_init__` (if the body defines one)
+    after the fields are set, compare equal only to an instance of the same
+    class with equal fields, hash as the tuple of their fields and refuse
+    assignment and deletion; `__post_init__` normalises a field through
+    `object.__setattr__`.  Every record shares one set of these methods, so
+    defining a record generates and compiles no code.
+    """
+    names = tuple(vars(cls).get("__annotations__", {}))
+    body = {key: value for key, value in vars(cls).items()
+            if key not in names and key not in ("__dict__", "__weakref__")}
+    body.update(__slots__=names,
+                _defaults={name: vars(cls)[name] for name in names if name in vars(cls)},
+                __init__=_init, __eq__=_eq, __hash__=_hash, __repr__=_repr,
+                __setattr__=_setattr, __delattr__=_delattr)
+    return type(cls.__name__, cls.__bases__, body)
+
+
+# ---------------------------------------------------------------------------
 # Spaces, point sets, topologies, quasimetric families
 
 
@@ -49,7 +135,7 @@ def members(mask: int) -> list[int]:
     return [p for p in range(mask.bit_length()) if mask >> p & 1]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PointSpace:
     """A finite carrier of n points, optionally labelled for presentation."""
 
@@ -88,7 +174,7 @@ class PointSpace:
             raise InvariantViolation(f"point {p} outside space of {self.n} points")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Topology:
     """A family of open sets over a finite space, as masks sorted ascending.
 
@@ -111,7 +197,7 @@ class Topology:
         return cls(space, tuple(sorted(set(masks))))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QuasiFamily:
     """An indexed family of {0,1}-valued distances, stored as zero rows.
 
@@ -157,7 +243,7 @@ class QuasiFamily:
 # Describable index sets and sequences
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class FiniteSet:
     members: tuple[int, ...]
 
@@ -170,7 +256,7 @@ class FiniteSet:
         return k in self.members
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ResidueClasses:
     modulus: int
     residues: tuple[int, ...]
@@ -186,19 +272,19 @@ class ResidueClasses:
         return k % self.modulus in self.residues
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Squares:
     def contains(self, k: int) -> bool:
         return k >= 0 and math.isqrt(k) ** 2 == k
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PowersOfTwo:
     def contains(self, k: int) -> bool:
         return k >= 1 and k & (k - 1) == 0
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Complement:
     of: "IndexSetDescriptor"
 
@@ -206,7 +292,7 @@ class Complement:
         return not self.of.contains(k)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class UnionSet:
     parts: tuple["IndexSetDescriptor", ...]
 
@@ -217,7 +303,7 @@ class UnionSet:
 IndexSetDescriptor = Union[FiniteSet, ResidueClasses, Squares, PowersOfTwo, Complement, UnionSet]
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class SequenceSpec:
     """A finitely-described infinite sequence of points.
 
@@ -242,7 +328,7 @@ class SequenceSpec:
         return self.default
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DirectedNet:
     """A net over a finite directed index set.
 
@@ -284,7 +370,7 @@ class DirectedNet:
                     raise InvariantViolation(f"elements {a},{b} have no upper bound")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PointMap:
     """A total function between two finite spaces."""
 
@@ -313,7 +399,7 @@ class PointMap:
 # Semigroup documents (checked in `continuity`)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class ValueSemigroup:
     """A finite addition table with designated zero and infinity.
 
@@ -351,7 +437,7 @@ class ValueSemigroup:
         return any(self.add[a][x] == b for x in range(self.size))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class PositiveSet:
     semigroup: ValueSemigroup
     members: tuple[int, ...]

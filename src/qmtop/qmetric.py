@@ -6,7 +6,6 @@ convergence through natural density.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import and_, lshift
@@ -29,6 +28,7 @@ from .core import (
     Topology,
     UnionSet,
     members,
+    record,
 )
 from .topology import generate_from_subbase, separating_pairs
 
@@ -43,7 +43,7 @@ DENSITY_MODULUS_CAP = 10**6
 # Axioms and balls
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class QuasiViolation:
     kind: str
     index: str
@@ -256,7 +256,7 @@ def sep_metric(q: QuasiFamily, mode: str) -> bool:
 # Natural density
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class DensityValue:
     """Natural density of a described index set.
 
@@ -302,7 +302,7 @@ class _DensityUnknown(Exception):
         self.reason = reason
 
 
-@dataclass
+@record
 class _NormalForm:
     # The set equals {k : k mod modulus in residues} up to a density-zero
     # correction bounded by the recorded sparse components.
@@ -385,7 +385,7 @@ def natural_density(ds: IndexSetDescriptor) -> DensityValue:
 # Statistical convergence
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class IndexDensityReport:
     index: str
     deviation: IndexSetDescriptor
@@ -397,7 +397,7 @@ class IndexDensityReport:
         return tuple(Fraction(c, h) for h, c in self.empirical)
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class StatResult:
     verdict: str  # "true" | "false" | "undecided"
     per_index: tuple[IndexDensityReport, ...]

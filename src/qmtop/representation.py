@@ -7,12 +7,11 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
 from . import _kernels, qmetric
-from .core import PointSpace, QuasiFamily, Topology, members
+from .core import PointSpace, QuasiFamily, Topology, members, record
 from .topology import (  # noqa: F401  (enumerate_preorders: an import site perfbench patches)
     enumerate_preorders,
     separating_pairs,
@@ -35,7 +34,7 @@ def canonical_family(t: Topology) -> QuasiFamily:
                              for u in t.opens))
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class RoundtripReport:
     equal: bool
     missing: tuple[int, ...]

@@ -7,7 +7,6 @@ oracles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from itertools import combinations
 from operator import itemgetter, or_
@@ -26,6 +25,7 @@ from .core import (
     members_text,
     qmetric_prefix,
     qmetric_text,
+    record,
     serialize,  # noqa: F401  (an import site perfbench's tracer patches)
     topology_prefix,
     topology_text,
@@ -34,7 +34,7 @@ from .core import (
 ENUM_MAX_POINTS = 5
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class Preorder:
     """A reflexive transitive relation; rows[x] masks {y : x below y}."""
 
@@ -57,7 +57,7 @@ class Preorder:
                     raise InvariantViolation(f"relation not transitive through ({x},{y})")
 
 
-@dataclass(frozen=True, slots=True)
+@record
 class TopologyViolation:
     kind: str
     witness: tuple[tuple[int, ...], ...]

@@ -2,11 +2,11 @@
 
 import io
 from contextlib import redirect_stdout
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 
 from qmtop import _kernels
-from qmtop.cli import Verdict
+from qmtop.cli import emit
 from qmtop.core import (
     FiniteSet,
     PointSpace,
@@ -187,27 +187,29 @@ def canonical_route_separation(t: Topology, method: str) -> tuple[int, str]:
         metric = {"t0": sep_metric(q, "t0_unordered"), "t1": sep_metric(q, "t1_amended"),
                   "t2": direct["t2"]}
         mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
-        report = Verdict("separation", "fail" if mismatches else "pass",
-                         reason=f"metric and direct verdicts disagree on {mismatches}"
-                         if mismatches else None,
-                         detail={"method": "metric", **metric,
-                                 "note": "t2 from the generated topology; no sound "
-                                         "metric criterion is available",
-                                 "direct": direct, "disagreements": mismatches})
+        report = partial(
+            emit, "separation", "fail" if mismatches else "pass",
+            reason=f"metric and direct verdicts disagree on {mismatches}"
+            if mismatches else None,
+            detail={"method": "metric", **metric,
+                    "note": "t2 from the generated topology; no sound "
+                            "metric criterion is available",
+                    "direct": direct, "disagreements": mismatches})
         failed = bool(mismatches)
     else:
         axiom = {"literal_r3": "t0", "literal_r4": "t1", "literal_r5": "t2"}[method]
         pairs = discrepancy_pairs(q, method, axiom)
-        report = Verdict("separation", "fail" if pairs else "pass",
-                         reason=f"literal condition disagrees with direct {axiom} at some pair"
-                         if pairs else None,
-                         detail={"method": method, "axiom": axiom,
-                                 "condition": sep_metric(q, method),
-                                 "direct": direct[axiom], "disagreeing_pairs": pairs})
+        report = partial(
+            emit, "separation", "fail" if pairs else "pass",
+            reason=f"literal condition disagrees with direct {axiom} at some pair"
+            if pairs else None,
+            detail={"method": method, "axiom": axiom,
+                    "condition": sep_metric(q, method),
+                    "direct": direct[axiom], "disagreeing_pairs": pairs})
         failed = bool(pairs)
     out = io.StringIO()
     with redirect_stdout(out):
-        report.emit()
+        report()
     return int(failed), out.getvalue()
 
 
@@ -225,20 +227,21 @@ def family_route_separation(q: QuasiFamily, method: str) -> tuple[int, str]:
     direct = {axiom: all(oracle(t, x, y) for x, y in pairs)
               for axiom, oracle in OPENS_ORACLES.items()}
     if method == "direct":
-        report = Verdict("separation", "pass", detail={"method": "direct", **direct})
+        report = partial(emit, "separation", "pass", detail={"method": "direct", **direct})
         failed = False
     elif method == "metric":
         metric = {"t0": all(matrix_sep_pair(mats, "t0_unordered", x, y) for x, y in pairs),
                   "t1": all(matrix_sep_pair(mats, "t1_amended", x, y) for x, y in pairs),
                   "t2": direct["t2"]}
         mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
-        report = Verdict("separation", "fail" if mismatches else "pass",
-                         reason=f"metric and direct verdicts disagree on {mismatches}"
-                         if mismatches else None,
-                         detail={"method": "metric", **metric,
-                                 "note": "t2 from the generated topology; no sound "
-                                         "metric criterion is available",
-                                 "direct": direct, "disagreements": mismatches})
+        report = partial(
+            emit, "separation", "fail" if mismatches else "pass",
+            reason=f"metric and direct verdicts disagree on {mismatches}"
+            if mismatches else None,
+            detail={"method": "metric", **metric,
+                    "note": "t2 from the generated topology; no sound "
+                            "metric criterion is available",
+                    "direct": direct, "disagreements": mismatches})
         failed = bool(mismatches)
     else:
         axiom = {"literal_r3": "t0", "literal_r4": "t1", "literal_r5": "t2"}[method]
@@ -246,16 +249,17 @@ def family_route_separation(q: QuasiFamily, method: str) -> tuple[int, str]:
                 for x, y in pairs}
         disagree = [{"pair": [x, y], method: a, axiom: b}
                     for (x, y), (a, b) in held.items() if a != b]
-        report = Verdict("separation", "fail" if disagree else "pass",
-                         reason=f"literal condition disagrees with direct {axiom} at some pair"
-                         if disagree else None,
-                         detail={"method": method, "axiom": axiom,
-                                 "condition": all(a for a, _ in held.values()),
-                                 "direct": direct[axiom], "disagreeing_pairs": disagree})
+        report = partial(
+            emit, "separation", "fail" if disagree else "pass",
+            reason=f"literal condition disagrees with direct {axiom} at some pair"
+            if disagree else None,
+            detail={"method": method, "axiom": axiom,
+                    "condition": all(a for a, _ in held.values()),
+                    "direct": direct[axiom], "disagreeing_pairs": disagree})
         failed = bool(disagree)
     out = io.StringIO()
     with redirect_stdout(out):
-        report.emit()
+        report()
     return int(failed), out.getvalue()
 
 

@@ -302,7 +302,8 @@ def test_roundtrip_file_and_n_is_input_error(files, capsys):
 def test_separation_builds_each_route_once(method, monkeypatch, files, capsys):
     """A topology document is read as its specialization rows, without its
     canonical family or a regenerated topology; a family document pays for
-    its separation rows and its generated topology once each."""
+    its generated topology once, and for its symmetric mask once only under
+    the literal R4 and R5, the two methods that read it."""
     calls = {}
 
     def count(module, name):
@@ -324,7 +325,7 @@ def test_separation_builds_each_route_once(method, monkeypatch, files, capsys):
     calls.clear()
     assert run(capsys, "separation", files("fam.json", family), "--method", method)[0] in (0, 1)
     expected = {"to_topology": 1}
-    if method != "direct":
+    if method in ("literal_r4", "literal_r5"):
         expected["separation_pair"] = 1
     assert calls == expected
 
@@ -649,6 +650,26 @@ def test_missing_file_is_input_error(capsys):
     assert run(capsys, "check", "/nonexistent/x.json", "--kind", "topology")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "{dir}", "--kind", "topology"],
+    ["canonical", "{dir}"],
+    ["topology", "{dir}"],
+    ["roundtrip", "{dir}"],
+    ["separation", "{dir}", "--method", "metric"],
+    ["converge", "{dir}", "{sier}", "--point", "0", "--mode", "right"],
+    ["converge", "{seq}", "{dir}", "--point", "0", "--mode", "statistical"],
+], ids=lambda argv: argv[0] + ("-space" if argv[1] == "{seq}" else ""))
+def test_directory_path_is_input_error(argv, tmp_path, files, capsys):
+    """A path that cannot be read as a file is an input error, whichever
+    command reads it."""
+    paths = {"dir": str(tmp_path), "sier": files("sier.json", SIER),
+             "seq": files("squares.json", SQUARES_SEQ)}
+    code = main([arg.format(**paths) for arg in argv])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
+
+
 def test_check_kind_mismatches(files, capsys):
     sg = files("sg.json", '{"kind":"semigroup","elements":["0","1"],'
                           '"add":[[0,1],[1,1]],"zero":0,"infinity":1}')
@@ -685,7 +706,7 @@ def test_module_entry_point():
 
 # Refuses every import from outside the standard library and qmtop, then
 # runs each argv list of sys.argv[1] through `main`, then the README's
-# discrepancy search.
+# discrepancy search, and reports the modules loaded by then.
 _STDLIB_ONLY_PROBE = """
 import contextlib, io, json, sys
 
@@ -711,6 +732,7 @@ with contextlib.redirect_stdout(out):
 report["discrepancy"] = [code, json.loads(out.getvalue())]
 report["loaded"] = sorted({m.partition(".")[0] for m in sys.modules}
                           - before - set(sys.stdlib_module_names))
+report["start_up"] = sorted({"dataclasses", "inspect"} & sys.modules.keys())
 print(json.dumps(report))
 """
 
@@ -736,6 +758,9 @@ def test_no_command_imports_a_third_party_package(files):
     assert code == 1 and verdict["verdict"] == "witness"
     assert verdict["witness"]["matrices"] == [[[0, 1, 0], [1, 0, 0], [1, 1, 0]]]
     assert report["loaded"] == ["qmtop"]
+    # Neither is needed by any command, and importing them would add to
+    # every call's start-up time.
+    assert report["start_up"] == []
 
 
 def test_emitted_witness_reverifies(files, capsys):

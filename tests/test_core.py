@@ -1,5 +1,8 @@
 import json
+import pathlib
+import re
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -26,6 +29,7 @@ from qmtop.core import (
     members,
     serialize,
 )
+from qmtop import _tails, continuity, core, qmetric, representation, topology
 from qmtop.qmetric import check_quasifamily
 from qmtop.topology import enumerate_preorders, enumerate_topologies
 
@@ -290,3 +294,122 @@ def test_triangle_iff_transitive_zero_relation(n, data):
 def test_preorder_family_helper_is_valid():
     for p in enumerate_preorders(3):
         assert not check_quasifamily(preorder_family(p))
+
+
+# ---------------------------------------------------------------------------
+# Records
+
+
+_SG = ValueSemigroup(("0", "1"), ((0, 1), (1, 1)), 0, 1)
+
+# Field values of one instance of every record class, in field order.
+RECORD_SAMPLES = {
+    PointSpace: (2, ("a", "b")),
+    Topology: (PointSpace(2), (0, 2, 3)),
+    QuasiFamily: (PointSpace(2), ("i0",), ((1, 3),)),
+    FiniteSet: ((1, 3),),
+    ResidueClasses: (4, (1, 3)),
+    Squares: (),
+    PowersOfTwo: (),
+    Complement: (Squares(),),
+    UnionSet: ((Squares(), FiniteSet((2,))),),
+    SequenceSpec: (PointSpace(2), 0, ((Squares(), 1),)),
+    DirectedNet: (PointSpace(2), ("a",), ((1,),), (0,)),
+    PointMap: (PointSpace(2), PointSpace(1), (0, 0)),
+    ValueSemigroup: (("0", "1"), ((0, 1), (1, 1)), 0, 1),
+    PositiveSet: (_SG, (0, 1)),
+    topology.Preorder: (PointSpace(2), (1, 3)),
+    topology.TopologyViolation: ("union", ((0,), (1,))),
+    qmetric.QuasiViolation: ("triangle", "i0", (0, 1, 2)),
+    qmetric.DensityValue: ("exact", Fraction(1, 2), None, None),
+    qmetric._NormalForm: (3, frozenset({1}), 0, 0, 0),
+    qmetric.IndexDensityReport: ("i0", Squares(), qmetric.DensityValue("exact", Fraction(0)),
+                                 ((10, 3),)),
+    qmetric.StatResult: ("true", ()),
+    representation.RoundtripReport: (True, (), ()),
+    continuity.AxiomViolation: ("identity", (0,)),
+    continuity.ContinuitySpace: (PointSpace(1), _SG, PositiveSet(_SG, (1,)), ((0,),)),
+    _tails.TailTypes: (1, 0, (0, 0, 0, 0), (True, False, True, False)),
+}
+
+
+def test_samples_cover_every_record_class():
+    """Every record shares one `__init__`, so that identifies the classes."""
+    modules = (core, topology, qmetric, representation, continuity, _tails)
+    found = {value for module in modules for value in vars(module).values()
+             if isinstance(value, type) and value.__init__ is PointSpace.__init__}
+    assert found == set(RECORD_SAMPLES)
+
+
+@pytest.mark.parametrize("cls", RECORD_SAMPLES, ids=lambda cls: cls.__name__)
+def test_record_equality_hash_and_repr(cls):
+    values = RECORD_SAMPLES[cls]
+    names = cls.__slots__
+    a, b = cls(*values), cls(**dict(zip(names, values)))
+    assert tuple(getattr(a, name) for name in names) == values
+    assert a == b and not a != b and hash(a) == hash(b) == hash(values)
+    assert a != values and a != object()
+    assert repr(a) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in zip(names, values)) + ")"
+
+
+def test_records_of_different_classes_are_unequal():
+    assert Squares() == Squares() and Squares() != PowersOfTwo()
+    assert FiniteSet((1,)) != Complement(FiniteSet((1,)))
+    assert len({Squares(), PowersOfTwo(), Squares()}) == 2
+
+
+def test_record_repr_matches_the_dataclass_format():
+    assert repr(PointSpace(3)) == "PointSpace(n=3, labels=None)"
+    assert repr(Complement(Squares())) == "Complement(of=Squares())"
+    assert repr(qmetric.DensityValue.unknown("why")) == \
+        "DensityValue(kind='unknown', value=None, bound=None, reason='why')"
+
+
+@pytest.mark.parametrize("cls", RECORD_SAMPLES, ids=lambda cls: cls.__name__)
+def test_records_are_frozen(cls):
+    record = cls(*RECORD_SAMPLES[cls])
+    for name in cls.__slots__ + ("unknown",):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert tuple(getattr(record, name) for name in cls.__slots__) == RECORD_SAMPLES[cls]
+
+
+@pytest.mark.parametrize("cls", RECORD_SAMPLES, ids=lambda cls: cls.__name__)
+def test_record_construction_errors(cls):
+    values, names = RECORD_SAMPLES[cls], cls.__slots__
+    with pytest.raises(TypeError, match="positional"):
+        cls(*values, 0)
+    with pytest.raises(TypeError, match="unexpected keyword argument 'unknown'"):
+        cls(*values, unknown=0)
+    if names:
+        with pytest.raises(TypeError, match=f"missing required arguments: '{names[0]}'"):
+            cls()
+        with pytest.raises(TypeError, match=f"multiple values for argument '{names[0]}'"):
+            cls(*values, **{names[0]: values[0]})
+
+
+def test_record_defaults_and_post_init():
+    assert PointSpace(3).labels is None
+    assert SequenceSpec(PointSpace(2), 0).rules == ()
+    assert qmetric.DensityValue("exact") == qmetric.DensityValue("exact", None, None, None)
+    assert FiniteSet((3, 1, 3)).members == (1, 3)
+    assert FiniteSet(members=(3, 1, 3)) == FiniteSet((1, 3))
+    assert ResidueClasses(5, (4, 1, 4)).residues == (1, 4)
+    assert PositiveSet(_SG, (1, 0, 1)).members == (0, 1)
+    with pytest.raises(InvariantViolation):
+        PointSpace(n=0)
+    with pytest.raises(InvariantViolation):
+        SequenceSpec(PointSpace(2), default=2)
+
+
+def test_no_module_imports_dataclasses():
+    """Records replace `dataclasses`, whose import and per-class code
+    generation would cost every CLI call its start-up time."""
+    sources = sorted(pathlib.Path(core.__file__).parent.glob("*.py"))
+    assert sources
+    importers = [path.name for path in sources
+                 if re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M)]
+    assert importers == []

@@ -151,6 +151,19 @@ def test_powers_of_two_square_interaction():
     assert 0 in _tails.recurrent_values(seq)
 
 
+def test_tail_types_cache_tells_field_free_rules_apart():
+    """`Squares()` and `PowersOfTwo()` have no fields and equal hashes, so
+    only their classes keep the cached tail types of the two apart."""
+    space = PointSpace(2)
+    squares = SequenceSpec(space, 0, ((Squares(), 1),))
+    powers = SequenceSpec(space, 0, ((PowersOfTwo(), 1),))
+    assert hash(squares) == hash(powers) and squares != powers
+    # values[4*r + 2*s + p] for the one residue r = 0
+    assert _tails.tail_types(squares).values == (0, 0, 1, 1)
+    assert _tails.tail_types(powers).values == (0, 1, 0, 1)
+    assert _tails.tail_types(squares).values == (0, 0, 1, 1)
+
+
 def test_modulus_cap_refuses():
     space = PointSpace(2)
     seq = SequenceSpec(space, 0, (
