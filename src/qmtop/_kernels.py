@@ -3,9 +3,14 @@ up-sets of preorders, and the family-subset scan kept as a second route.
 
 A preorder on n points is a tuple of row masks, rows[x] = {y : x below y}.
 Every finite topology is the set of up-sets of its specialization preorder,
-so enumerating preorders and walking their up-sets covers every topology.
-`closed_family_masks` instead filters all 2^(2^n) candidate families; it is
-exponentially slower and serves only as the cross-check of that route.
+so enumerating preorders with their up-sets covers every topology.
+`preorder_upsets` grows both at once, one point at a time: a child's
+up-sets are read off its parent's, so no enumerated preorder is walked.
+`upsets` walks the up-sets of one given preorder; it serves every space
+that does not come from the enumeration, and is the tests' oracle for the
+carried up-sets.  `closed_family_masks` instead filters all 2^(2^n)
+candidate families; it is exponentially slower and serves only as the
+cross-check of the enumeration.
 """
 
 from __future__ import annotations
@@ -57,30 +62,48 @@ def upsets(rows) -> list[int]:
     return out
 
 
-def preorder_rows(n: int) -> list[tuple[int, ...]]:
-    """Row masks of every preorder on n points, by one-point extension.
+def preorder_upsets(n: int):
+    """(rows, ascending up-sets) of every preorder on n points, by one-point
+    extension; the last level is generated lazily.
 
     A preorder on points 0..m extends one on 0..m-1 by a down-set D (the
     points below m) and an up-set U (the points above m) with every member
     of D below every member of U.  Each preorder on m+1 points arises from
-    exactly one such triple (Brinkmann & McKay 2005; OEIS A000798).
+    exactly one such triple (Brinkmann & McKay 2005; OEIS A000798).  The
+    old points keep their order, so the new up-sets are the old ones that
+    miss D, then the old ones that contain U with m added: every set of the
+    second group holds bit m, so the two together are still ascending.
     """
-    level: list[tuple[int, ...]] = [()]
+    level = iter([((), (0,))])
     for m in range(n):
-        bit, full = 1 << m, (1 << m) - 1
-        grown = []
-        for rows in level:
-            ups = upsets(rows)
-            for up in ups:
-                below = full & ~up
-                meet = full
-                for x in range(m):
-                    if below >> x & 1:
-                        meet &= rows[x]
-                old = tuple(r | bit if below >> x & 1 else r for x, r in enumerate(rows))
-                grown.extend(old + (u | bit,) for u in ups if u & ~meet == 0)
-        level = grown
+        level = _extend(list(level), m)
     return level
+
+
+def _extend(level, m: int):
+    """The children on points 0..m, with their ascending up-sets, of each
+    (rows, ascending up-sets) pair on points 0..m-1."""
+    bit, full = 1 << m, (1 << m) - 1
+    for rows, ups in level:
+        # Each candidate U with the old up-sets that contain it, m added.
+        above = [(u, u | bit, tuple([w | bit for w in ups if w & u == u])) for u in ups]
+        # The down-sets D are the complements of the up-sets.
+        for kept in ups:
+            below = full & ~kept
+            meet = full
+            for x in range(m):
+                if below >> x & 1:
+                    meet &= rows[x]
+            old = tuple(r | bit if below >> x & 1 else r for x, r in enumerate(rows))
+            missing = tuple([w for w in ups if w & below == 0])
+            for u, row, holding in above:
+                if u & meet == u:
+                    yield old + (row,), missing + holding
+
+
+def preorder_rows(n: int) -> list[tuple[int, ...]]:
+    """Row masks of every preorder on n points, in `preorder_upsets` order."""
+    return [rows for rows, _ in preorder_upsets(n)]
 
 
 def closed_family_masks(n: int) -> list[int]:

@@ -115,15 +115,17 @@ def cmd_roundtrip(args) -> int:
         if not 1 <= args.n <= 4:
             return _fail_input("roundtrip enumeration supports --n 1..4")
         checked = equal = 0
-        first_failure = None
+        failures = []
         space = PointSpace(args.n)
-        for text, opens in topology.topology_documents(args.n):
-            report = representation.roundtrip(Topology(space, opens))
+        for opens in topology.topology_opens(args.n):
+            t = Topology(space, opens)
             checked += 1
-            if report.equal:
+            if representation.roundtrip(t).equal:
                 equal += 1
-            elif first_failure is None:
-                first_failure = text
+            else:
+                failures.append(serialize(t))
+        # The first failure in canonical order: the least document.
+        first_failure = min(failures, default=None)
         emit("roundtrip", "pass" if checked == equal else "fail", witness=first_failure,
              detail={"n": args.n, "checked": checked, "equal": equal,
                      "message": f"{checked} topologies, {equal} equal"})
@@ -271,7 +273,7 @@ def cmd_enumerate(args) -> int:
         if args.count_only:
             print(topology.count_preorders(n))
         elif kind == "topologies":
-            print(*(text for text, _ in topology.topology_documents(n)), sep="\n")
+            print(*topology.topology_documents(n), sep="\n")
         else:
             print(*topology.preorder_documents(n), sep="\n")
     except ValueError as e:

@@ -6,10 +6,9 @@ convergence through natural density.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import chain
 from operator import and_, lshift
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
 from . import _tails
 from ._kernels import pack, transpose, upsets
@@ -31,6 +30,11 @@ from .core import (
     record,
 )
 from .topology import generate_from_subbase, separating_pairs
+
+if TYPE_CHECKING:
+    # Imported where a `Fraction` is built: `fractions` loads `decimal` and
+    # `numbers`, which only the statistical verdict needs.
+    from fractions import Fraction
 
 SEP_MODES = ("t0_unordered", "t1_amended", "literal_r3", "literal_r4", "literal_r5")
 # The modes that read a family's symmetric mask rather than its meet.
@@ -278,6 +282,7 @@ class DensityValue:
 
     @classmethod
     def zero_by_bound(cls, bound: str) -> "DensityValue":
+        from fractions import Fraction
         return cls("zero_by_bound", value=Fraction(0), bound=bound)
 
     @classmethod
@@ -362,6 +367,7 @@ def natural_density(ds: IndexSetDescriptor) -> DensityValue:
     periodic part's exactly; when the correction is the whole content the
     result is zero, certified by the summed counting bounds.
     """
+    from fractions import Fraction
     try:
         nf = _density_nf(ds)
     except _DensityUnknown as e:
@@ -394,6 +400,7 @@ class IndexDensityReport:
 
     @property
     def empirical_densities(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
         return tuple(Fraction(c, h) for h, c in self.empirical)
 
 

@@ -5,13 +5,12 @@ axiom disagree.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from itertools import combinations_with_replacement
 from operator import itemgetter
 
 from . import _kernels, qmetric
-from .core import PointSpace, QuasiFamily, Topology, members, record
+from .core import PointSpace, QuasiFamily, Topology, members, members_text, record
 from .topology import (  # noqa: F401  (enumerate_preorders: an import site perfbench patches)
     enumerate_preorders,
     separating_pairs,
@@ -29,7 +28,7 @@ def canonical_family(t: Topology) -> QuasiFamily:
     full = t.space.full_mask
     points = t.space.points()
     return QuasiFamily(t.space,
-                       tuple(json.dumps(members(u), separators=(",", ":")) for u in t.opens),
+                       tuple(map(members_text, t.opens)),
                        tuple(tuple(u if u >> x & 1 else full for x in points)
                              for u in t.opens))
 
@@ -192,7 +191,10 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
             a, b = (sym if table is None else table[meet] for table in held)
             return a != b
 
-        chosen = _first_hit(generators, bad, (1 << points * points) - 1, max_indices)
+        # Without sym, a family's state is its meet alone, a preorder, and
+        # every preorder is already a one-index state: one level is enough.
+        levels = max_indices if reads_sym else 1
+        chosen = _first_hit(generators, bad, (1 << points * points) - 1, levels)
         if chosen is not None:
             witness = QuasiFamily(space, tuple(f"i{k}" for k in range(len(chosen))),
                                   tuple(preorders[i] for i in chosen))

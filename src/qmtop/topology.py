@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import combinations
-from operator import itemgetter, or_
+from operator import or_
 
 from . import _kernels, _tails
 from ._kernels import pack, transpose
@@ -215,9 +215,13 @@ def converges_topologically(s: SequenceSpec, t: Topology, x: int,
 
 # --- exhaustive enumeration -------------------------------------------------
 
-def _enumerated_rows(n: int) -> list[tuple[int, ...]]:
+def _check_enumerable(n: int) -> None:
     if not 1 <= n <= ENUM_MAX_POINTS:
         raise ValueError(f"enumeration supports 1..{ENUM_MAX_POINTS} points, got {n}")
+
+
+def _enumerated_rows(n: int) -> list[tuple[int, ...]]:
+    _check_enumerable(n)
     return _kernels.preorder_rows(n)
 
 
@@ -247,28 +251,33 @@ def preorder_documents(n: int) -> list[str]:
     return [qmetric_text(prefix, (r,), text_of) for r in rows]
 
 
-def topology_documents(n: int) -> list[tuple[str, tuple[int, ...]]]:
-    """(document, ascending opens) of every labelled topology on n points,
-    sorted by document, which is the canonical order.
+def topology_opens(n: int):
+    """The ascending opens of every labelled topology on n points, one tuple
+    per topology, generated lazily in kernel order: the up-sets
+    `_kernels.preorder_upsets` carries with each preorder."""
+    _check_enumerable(n)
+    return (opens for _, opens in _kernels.preorder_upsets(n))
 
-    The opens are the up-sets of each enumerated preorder, and each
-    document is written once, from the members text of all 2^n masks.
-    """
-    rows = _enumerated_rows(n)
+
+def _topology_writer(n: int):
+    """The topology document of ascending opens on n points, written from the
+    members text of all 2^n masks."""
     prefix = topology_prefix(PointSpace(n))
     text_of = [members_text(m) for m in range(1 << n)].__getitem__
-    docs = []
-    for r in rows:
-        opens = tuple(sorted(_kernels.upsets(r)))
-        docs.append((topology_text(prefix, opens, text_of), opens))
-    docs.sort(key=itemgetter(0))
-    return docs
+    return lambda opens: topology_text(prefix, opens, text_of)
+
+
+def topology_documents(n: int) -> list[str]:
+    """The document of every labelled topology on n points, sorted, which is
+    the canonical order; only the text of each is kept."""
+    return sorted(map(_topology_writer(n), topology_opens(n)))
 
 
 def enumerate_topologies(n: int):
     """Every labelled topology on n points, in the order of
     `topology_documents`."""
-    docs = topology_documents(n)
+    write = _topology_writer(n)
+    docs = sorted((write(opens), opens) for opens in topology_opens(n))
     space = PointSpace(n)
     for _, opens in docs:
         yield Topology(space, opens)

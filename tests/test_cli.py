@@ -89,6 +89,24 @@ def test_roundtrip_command(files, capsys):
     assert run(capsys, "roundtrip", "--n", "5")[0] == 2
 
 
+def test_roundtrip_enumeration_witness_is_the_least_failing_document(monkeypatch, capsys):
+    """`roundtrip --n` checks spaces in kernel order; its witness is the
+    failing space that comes first in canonical order, the least document."""
+    real = representation.roundtrip
+
+    def failing(t):
+        report = real(t)
+        return representation.RoundtripReport(False, (), ()) if len(t.opens) == 4 else report
+
+    monkeypatch.setattr(representation, "roundtrip", failing)
+    failed = sorted(serialize(t) for t in topology.enumerate_topologies(3) if len(t.opens) == 4)
+    code, out = run(capsys, "roundtrip", "--n", "3")
+    report = json.loads(out)
+    assert code == 1 and report["verdict"] == "fail" and len(failed) > 1
+    assert report["detail"]["equal"] == 29 - len(failed)
+    assert json.dumps(report["witness"], separators=(",", ":")) == failed[0]
+
+
 def test_separation_methods(files, capsys):
     sier = files("sier.json", SIER)
     code, out = run(capsys, "separation", sier, "--method", "direct")
@@ -702,6 +720,15 @@ def test_module_entry_point():
          "--kind", "topologies", "--count-only"],
         env=_child_env(), capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout.strip() == "4"
+
+
+def test_start_up_loads_no_fraction_module():
+    """`fractions` loads `decimal` and `numbers`; only the statistical
+    verdict builds a `Fraction`, so importing the CLI loads neither."""
+    probe = "import sys, qmtop.cli; print(sorted({'fractions', 'decimal'} & sys.modules.keys()))"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
 
 
 # Refuses every import from outside the standard library and qmtop, then

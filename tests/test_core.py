@@ -27,6 +27,7 @@ from qmtop.core import (
     ValueSemigroup,
     parse_document,
     members,
+    members_text,
     serialize,
 )
 from qmtop import _tails, continuity, core, qmetric, representation, topology
@@ -413,3 +414,10 @@ def test_no_module_imports_dataclasses():
     importers = [path.name for path in sources
                  if re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(), re.M)]
     assert importers == []
+
+
+def test_members_text_is_the_compact_json_of_members():
+    """`canonical_family` labels its indices with `members_text`, which
+    must give the bytes of the compact JSON list of the open's points."""
+    for m in [*range(1 << 5), (1 << 16) - 1, 0b1010_0000_0000_0001]:
+        assert members_text(m) == json.dumps(members(m), separators=(",", ":"))

@@ -1,6 +1,8 @@
+import sys
 from itertools import product
 
 from qmtop import _kernels
+from qmtop.cli import main
 from qmtop.core import PointSpace
 from qmtop.topology import Preorder
 
@@ -83,3 +85,28 @@ def test_transpose_and_pack_read_every_relation_bit():
                 assert (columns[y] >> x & 1) == (rows[x] >> y & 1)
                 assert (packed >> x * n + y & 1) == (rows[x] >> y & 1)
         assert packed >> n * n == 0
+
+
+def test_carried_upsets_match_the_walk():
+    """The up-sets each preorder carries out of the one-point extension are
+    its walked up-sets, ascending, and the rows are `preorder_rows`'s."""
+    for n in (1, 2, 3, 4, 5):
+        pairs = list(_kernels.preorder_upsets(n))
+        assert [rows for rows, _ in pairs] == _kernels.preorder_rows(n)
+        for rows, ups in pairs:
+            assert ups == tuple(sorted(_kernels.upsets(rows)))
+
+
+def test_enumeration_walks_no_enumerated_space(monkeypatch, capsys):
+    """Neither the topology stream nor `roundtrip --n` walks the up-sets of
+    an enumerated space; what walks are left are the two routes of
+    `qmetric.to_topology`, once each per space."""
+    real, walked = _kernels.upsets, []
+    for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "qmtop"]:
+        if getattr(module, "upsets", None) is real:
+            monkeypatch.setattr(module, "upsets", lambda rows: walked.append(rows) or real(rows))
+    assert main(["enumerate", "--n", "4", "--kind", "topologies"]) == 0
+    assert capsys.readouterr().out.count("\n") == 355 and walked == []
+    assert main(["roundtrip", "--n", "3"]) == 0
+    capsys.readouterr()
+    assert len(walked) == 2 * 29

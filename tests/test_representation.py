@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from qmtop import qmetric
+from qmtop import qmetric, representation
 from qmtop.core import PointSpace, QuasiFamily, Topology, members, serialize
 from qmtop.qmetric import check_quasifamily, pack, separation_pair, to_topology
 from qmtop.representation import (
@@ -178,6 +178,21 @@ def test_packed_search_builds_topology_only_for_the_witness(monkeypatch):
     assert len(calls) <= 1
     assert find_discrepancy("literal_r5", "t2", 3, 1) is not None
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("pred_a, pred_b, levels", [
+    ("t1_amended", "t1", 1), ("t0", "literal_r3", 1), ("t2", "t1", 1),
+    ("literal_r5", "t2", 3), ("t1", "literal_r4", 3)])
+def test_state_scan_runs_one_level_unless_sym_is_read(monkeypatch, pred_a, pred_b, levels):
+    """Without sym a state is a meet of preorders, itself a preorder and so
+    a one-index state: the scan is asked for one level, and for every level
+    only when a predicate reads sym."""
+    asked = []
+    monkeypatch.setattr(representation, "_first_hit",
+                        lambda gens, bad, full, max_indices:
+                        asked.append(max_indices) or _first_hit(gens, bad, full, max_indices))
+    find_discrepancy(pred_a, pred_b, 3, 3)
+    assert asked and set(asked) == {levels}
 
 
 def test_packed_scan_visits_families_in_candidate_order():
