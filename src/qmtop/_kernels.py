@@ -6,7 +6,7 @@ Every finite topology is the set of up-sets of its specialization preorder,
 so enumerating preorders with their up-sets covers every topology.
 `preorder_upsets` grows both at once, one point at a time: a child's
 up-sets are read off its parent's, so no enumerated preorder is walked.
-`upsets` walks the up-sets of one given preorder; it serves every space
+`upsets` lists the up-sets of one given preorder; it serves every space
 that does not come from the enumeration, and is the tests' oracle for the
 carried up-sets.  `closed_family_masks` instead filters all 2^(2^n)
 candidate families; it is exponentially slower and serves only as the
@@ -27,16 +27,6 @@ def pack(rows) -> int:
     return sum(map(lshift, rows, range(0, n * n, n)))
 
 
-def _walk(rows, down, inside: int, outside: int, full: int, out: list) -> None:
-    undecided = full & ~(inside | outside)
-    if not undecided:
-        out.append(inside)
-        return
-    x = (undecided & -undecided).bit_length() - 1
-    _walk(rows, down, inside | rows[x], outside, full, out)
-    _walk(rows, down, inside, outside | down[x], full, out)
-
-
 def transpose(rows) -> list[int]:
     """Rows of the converse relation: row y masks {x : y in rows[x]}."""
     columns = [0] * len(rows)
@@ -50,16 +40,25 @@ def transpose(rows) -> list[int]:
 
 
 def upsets(rows) -> list[int]:
-    """Masks of every up-closed set of the preorder, in no particular order.
+    """Masks of every up-closed set of the preorder, ascending.
 
-    The walk decides the lowest undecided point x: either x is inside, and so
-    is its whole row, or x is outside, and so is everything below it.  Both
-    branches stay consistent, so every leaf is a distinct up-set and the
-    cost is linear in the number of up-sets.
+    The up-sets within a set D of points depend on D alone.  The highest
+    point x of D is either outside, and so is everything below it, or
+    inside, and so is its whole row; the first kind are the smaller masks.
+    Each D met is listed once, so the work is linear in the number of
+    up-sets, and far less when the two kinds share their D.
     """
-    out: list[int] = []
-    _walk(rows, transpose(rows), 0, 0, (1 << len(rows)) - 1, out)
-    return out
+    down, within = transpose(rows), {0: [0]}
+
+    def upsets_within(points: int) -> list[int]:
+        if points not in within:
+            x = points.bit_length() - 1
+            inside = rows[x] & points
+            within[points] = upsets_within(points & ~down[x]) + [
+                inside | s for s in upsets_within(points & ~rows[x])]
+        return within[points]
+
+    return upsets_within((1 << len(rows)) - 1)
 
 
 def preorder_upsets(n: int):
@@ -83,17 +82,11 @@ def preorder_upsets(n: int):
 def _extend(level, m: int):
     """The children on points 0..m, with their ascending up-sets, of each
     (rows, ascending up-sets) pair on points 0..m-1."""
-    bit, full = 1 << m, (1 << m) - 1
+    bit = 1 << m
     for rows, ups in level:
         # Each candidate U with the old up-sets that contain it, m added.
         above = [(u, u | bit, tuple([w | bit for w in ups if w & u == u])) for u in ups]
-        # The down-sets D are the complements of the up-sets.
-        for kept in ups:
-            below = full & ~kept
-            meet = full
-            for x in range(m):
-                if below >> x & 1:
-                    meet &= rows[x]
+        for below, meet in _down_sets(rows, ups, m):
             old = tuple(r | bit if below >> x & 1 else r for x, r in enumerate(rows))
             missing = tuple([w for w in ups if w & below == 0])
             for u, row, holding in above:
@@ -101,9 +94,30 @@ def _extend(level, m: int):
                     yield old + (row,), missing + holding
 
 
+def _down_sets(rows, ups, m: int):
+    """Each down-set D of a preorder on points 0..m-1, the complement of an
+    up-set, with the meet of its rows: the up-sets U that may lie above a
+    new point m placed over D are those inside that meet."""
+    full = (1 << m) - 1
+    for kept in ups:
+        below = full & ~kept
+        meet = full
+        for x in range(m):
+            if below >> x & 1:
+                meet &= rows[x]
+        yield below, meet
+
+
 def preorder_rows(n: int) -> list[tuple[int, ...]]:
     """Row masks of every preorder on n points, in `preorder_upsets` order."""
     return [rows for rows, _ in preorder_upsets(n)]
+
+
+def count_preorders(n: int) -> int:
+    """The number of preorders on n points: the (D, U) pairs of every
+    preorder on n - 1 points, counted without building the child each makes."""
+    return sum([u & meet == u for rows, ups in preorder_upsets(n - 1)
+                for _, meet in _down_sets(rows, ups, n - 1) for u in ups])
 
 
 def closed_family_masks(n: int) -> list[int]:

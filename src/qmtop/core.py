@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
+from functools import reduce
+from itertools import chain, repeat
+from operator import or_
 from typing import Union
 
 
@@ -218,25 +220,20 @@ class QuasiFamily:
         if len(self.rows) != len(self.indices):
             raise InvariantViolation("one tuple of rows per index required")
         n, full = self.space.n, self.space.full_mask
-        for label, rows in zip(self.indices, self.rows):
-            if len(rows) != n or min(rows) < 0 or max(rows) > full:
-                raise InvariantViolation(f"rows for index {label!r} are not {n} masks "
-                                         f"of {n} points")
+        # Checked over all indices at once; only a failure looks for its index.
+        entries = chain.from_iterable
+        if self.rows and not (set(map(len, self.rows)) == {n} and min(entries(self.rows)) >= 0
+                              and max(entries(self.rows)) <= full):
+            label = next(label for label, rows in zip(self.indices, self.rows)
+                         if len(rows) != n or min(rows) < 0 or max(rows) > full)
+            raise InvariantViolation(f"rows for index {label!r} are not {n} masks "
+                                     f"of {n} points")
 
     def index_rows(self, label: str) -> tuple[int, ...]:
         try:
             return self.rows[self.indices.index(label)]
         except ValueError:
             raise KeyError(f"unknown index {label!r}") from None
-
-    def canonical(self) -> "QuasiFamily":
-        """Indices sorted by label, rows permuted consistently."""
-        order = sorted(range(len(self.indices)), key=lambda k: self.indices[k])
-        return QuasiFamily(
-            self.space,
-            tuple(self.indices[k] for k in order),
-            tuple(self.rows[k] for k in order),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -482,8 +479,23 @@ def _int(v, what: str) -> int:
 def _int_list(v, what: str) -> list[int]:
     _require(isinstance(v, list), f"{what} must be a list")
     # JSON integers decode to exactly `int`; `bool` is the only subclass.
-    _require(set(map(type, v)) <= {int}, f"{what} must hold integers")
+    _require({int}.issuperset(map(type, v)), f"{what} must hold integers")
     return v
+
+
+def _open_masks(space: PointSpace, opens: list) -> list[int]:
+    """The mask of each open set of a topology document, one bit lookup per
+    point.  Each open must be a list of points of the space; that is checked
+    over all opens at once, and only a bad document is checked again open by
+    open, so that the first bad open is the one reported."""
+    bit = {p: 1 << p for p in space.points()}
+    if not ({list}.issuperset(map(type, opens))
+            and {int}.issuperset(map(type, chain.from_iterable(opens)))
+            and bit.keys() >= set(chain.from_iterable(opens))):
+        for points in opens:
+            space.subset(_int_list(points, "open set"))
+    # The OR of each open's bits, through maps alone: no Python frame per open.
+    return list(map(reduce, repeat(or_), map(map, repeat(bit.__getitem__), opens), repeat(0)))
 
 
 def _zero_rows(label: str, matrix: list, n: int, seen: dict) -> tuple[int, ...]:
@@ -562,10 +574,10 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
     if kind == "topology":
         space = _space_from(obj)
         _require(isinstance(obj.get("opens"), list), "topology needs a list of opens")
-        masks = [space.subset(_int_list(points, "open set")) for points in obj["opens"]]
+        masks = _open_masks(space, obj["opens"])
         if len(set(masks)) != len(masks):
             raise InvariantViolation("duplicate open sets")
-        value = Topology.from_masks(space, masks)
+        value = Topology(space, tuple(sorted(masks)))
         if validate:
             from . import topology as _topology
 
@@ -676,19 +688,31 @@ def _space_json(space: PointSpace, obj: dict) -> dict:
 # again, so a document stream can share one table across every document.
 
 
-_POINT_TEXTS = tuple(map(str, range(MAX_POINTS)))
+def _byte_texts(absent: str, presents) -> list[str]:
+    """The text of each byte value: for bits 0 to 7, `absent` where the bit
+    is clear and that bit's entry of `presents` where it is set."""
+    texts = [""]
+    for present in presents:
+        texts = [t + absent for t in texts] + [t + present for t in texts]
+    return texts
+
+
+# A mask of a space has at most 16 bits, so each text below is one lookup per
+# byte, and every entry of a byte's text ends in a comma.
+_LOW_MEMBERS = _byte_texts("", [f"{p}," for p in range(8)])
+_HIGH_MEMBERS = _byte_texts("", [f"{p}," for p in range(8, 16)])
+_DISTANCES = _byte_texts("1,", ["0,"] * 8)
 
 
 def members_text(mask: int) -> str:
     """The compact JSON text of `members(mask)` for a mask of a space."""
-    return "[" + ",".join([_POINT_TEXTS[p] for p in range(mask.bit_length())
-                           if mask >> p & 1]) + "]"
+    return "[" + (_LOW_MEMBERS[mask & 255] + _HIGH_MEMBERS[mask >> 8])[:-1] + "]"
 
 
 def distances_text(n: int, row: int) -> str:
     """The compact JSON text of the distance list of a zero row: 0 at its
     points, 1 elsewhere."""
-    return "[" + ",".join("0" if row >> y & 1 else "1" for y in range(n)) + "]"
+    return "[" + (_DISTANCES[row & 255] + _DISTANCES[row >> 8])[:2 * n - 1] + "]"
 
 
 def _open_prefix(obj: dict) -> str:
@@ -731,12 +755,14 @@ def serialize(value: Document) -> str:
         return topology_text(topology_prefix(value.space), sorted(value.opens))
 
     if isinstance(value, QuasiFamily):
-        canon = value.canonical()
-        n = canon.space.n
+        # Indices sorted by label, rows permuted consistently.
+        order = sorted(range(len(value.indices)), key=value.indices.__getitem__)
+        rows = list(map(value.rows.__getitem__, order))
+        n = value.space.n
         # One text per distinct zero row, shared by every matrix holding it.
-        distances = {z: distances_text(n, z) for z in set(chain.from_iterable(canon.rows))}
-        return qmetric_text(qmetric_prefix(canon.space, canon.indices), canon.rows,
-                            distances.__getitem__)
+        distances = {z: distances_text(n, z) for z in set(chain.from_iterable(rows))}
+        return qmetric_text(qmetric_prefix(value.space, map(value.indices.__getitem__, order)),
+                            rows, distances.__getitem__)
 
     if isinstance(value, SequenceSpec):
         obj = _space_json(value.space, {"kind": "sequence"})

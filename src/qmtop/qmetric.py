@@ -109,7 +109,7 @@ def to_topology(q: QuasiFamily) -> Topology:
     those intersections.  The result is also computed as the
     subbase-generated topology of all balls and the two must agree.
     """
-    direct = Topology.from_masks(q.space, upsets(ball_meet(q)))
+    direct = Topology(q.space, tuple(upsets(ball_meet(q))))
     generated = generate_from_subbase(q.space, set(chain.from_iterable(q.rows)))
     if direct.opens != generated.opens:
         raise AssertionError("ball-intersection opens differ from subbase closure")

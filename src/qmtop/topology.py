@@ -8,7 +8,7 @@ oracles.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import or_
 
 from . import _kernels, _tails
@@ -75,24 +75,29 @@ class TopologyViolation:
 def _neighborhood_rows(space: PointSpace, masks) -> list[int]:
     """rows[x] is the intersection of the given sets containing x (the full
     set if none does): the minimal neighbourhoods of the topology they
-    generate, which are always the rows of a preorder."""
-    rows = [space.full_mask] * space.n
-    for m in masks:
-        for x in range(space.n):
-            if m >> x & 1:
-                rows[x] &= m
-    return rows
+    generate, which are always the rows of a preorder.  Each set, cut to the
+    space, is 16 bits of one long integer, so column x, bit x of every set,
+    is one shift and one AND, and y is in rows[x] iff column x lies inside
+    column y."""
+    full = space.full_mask
+    words = b"".join(map(int.to_bytes, map(full.__and__, masks), repeat(2), repeat("little")))
+    packed = int.from_bytes(words, "little")
+    stride = int.from_bytes(b"\1\0" * (len(words) // 2), "little")
+    columns = [packed >> x & stride for x in space.points()]
+    return [sum([1 << y for y, column in enumerate(columns) if own & column == own])
+            for own in columns]
 
 
 def check_topology(space: PointSpace, masks) -> list[TopologyViolation]:
     """All closure failures of a candidate family of open sets, given as
-    masks; a mask with bits outside the space raises `InvariantViolation`.
+    ascending distinct masks, as `Topology.opens` holds them; a mask with
+    bits outside the space raises `InvariantViolation`.
 
     Every member is an up-set of the family's neighbourhood rows, so the
     family is a topology exactly when it has as many members as those rows
     have up-sets; only a failure pays for the scan over pairs.
     """
-    masks = Topology.from_masks(space, masks).opens
+    masks = Topology(space, tuple(masks)).opens
     if len(_kernels.upsets(_neighborhood_rows(space, masks))) == len(masks):
         return []
     return _pair_scan(space, masks)
@@ -123,7 +128,7 @@ def generate_from_subbase(space: PointSpace, masks) -> Topology:
     The empty intersection is the full set and the empty union is the empty
     set, so the result is a topology even for an empty subbase.
     """
-    return Topology.from_masks(space, _kernels.upsets(_neighborhood_rows(space, masks)))
+    return Topology(space, tuple(_kernels.upsets(_neighborhood_rows(space, masks))))
 
 
 def minimal_neighborhood(t: Topology, x: int) -> int:
@@ -140,7 +145,7 @@ def specialization_preorder(t: Topology) -> Preorder:
 
 def alexandrov_topology(p: Preorder) -> Topology:
     """Opens are the up-closed sets of the relation."""
-    return Topology.from_masks(p.space, _kernels.upsets(p.rows))
+    return Topology(p.space, tuple(_kernels.upsets(p.rows)))
 
 
 # --- separation axioms, read off the minimal neighbourhoods ---------------
@@ -227,7 +232,8 @@ def _enumerated_rows(n: int) -> list[tuple[int, ...]]:
 
 def count_preorders(n: int) -> int:
     """The number of preorders, and so of topologies, on n labelled points."""
-    return len(_enumerated_rows(n))
+    _check_enumerable(n)
+    return _kernels.count_preorders(n)
 
 
 def enumerate_preorders(n: int):

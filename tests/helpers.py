@@ -1,6 +1,7 @@
 """Shared builders and independent oracles for the test suite."""
 
 import io
+import json
 from contextlib import redirect_stdout
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
@@ -14,10 +15,16 @@ from qmtop.core import (
     ResidueClasses,
     SequenceSpec,
     Topology,
+    members,
     serialize,
 )
 from qmtop.qmetric import sep_metric, to_topology
-from qmtop.representation import _family_candidates, canonical_family, discrepancy_pairs
+from qmtop.representation import (
+    RoundtripReport,
+    _family_candidates,
+    canonical_family,
+    discrepancy_pairs,
+)
 from qmtop.topology import (
     Preorder,
     alexandrov_topology,
@@ -86,6 +93,43 @@ def distance_matrices(q: QuasiFamily) -> list[list[list[int]]]:
 def preorder_family(p: Preorder, label: str = "i0") -> QuasiFamily:
     """d(x, y) = 0 iff x is below y."""
     return QuasiFamily(p.space, (label,), (p.rows,))
+
+
+def label_sorted(q: QuasiFamily) -> QuasiFamily:
+    """The family with its indices sorted by label and its rows permuted
+    consistently: the order in which `serialize` writes them."""
+    order = sorted(range(len(q.indices)), key=lambda k: q.indices[k])
+    return QuasiFamily(q.space, tuple(q.indices[k] for k in order),
+                       tuple(q.rows[k] for k in order))
+
+
+def _object_canonical_family(t: Topology) -> QuasiFamily:
+    """The canonical family built as objects: each open labelled by the JSON
+    list of its points, with one zero-row tuple per open, point by point."""
+    full = t.space.full_mask
+    return QuasiFamily(t.space,
+                       tuple(json.dumps(members(u), separators=(",", ":")) for u in t.opens),
+                       tuple(tuple(u if u >> x & 1 else full for x in t.space.points())
+                             for u in t.opens))
+
+
+def object_route_canonical(t: Topology) -> str:
+    """Oracle: the document `canonical` prints, written from objects: the
+    labelled family sorted by label, then its distance matrices through
+    `json.dumps`."""
+    q = label_sorted(_object_canonical_family(t))
+    obj = {"kind": "qmetric", "n": q.space.n}
+    if q.space.labels is not None:
+        obj["labels"] = list(q.space.labels)
+    obj |= {"indices": list(q.indices), "matrices": distance_matrices(q)}
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def object_roundtrip(t: Topology) -> RoundtripReport:
+    """Oracle: `roundtrip` through the labelled object family."""
+    original, back = set(t.opens), set(to_topology(_object_canonical_family(t)).opens)
+    missing, extra = tuple(sorted(original - back)), tuple(sorted(back - original))
+    return RoundtripReport(not missing and not extra, missing, extra)
 
 
 def object_route_documents(n: int, kind: str) -> list[str]:

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import random
 import re
 import time
 from fractions import Fraction
@@ -13,6 +14,7 @@ from qmtop.core import (
     DocumentError,
     DocumentSyntaxError,
     FiniteSet,
+    MAX_POINTS,
     InvariantViolation,
     PointMap,
     PointSpace,
@@ -25,6 +27,7 @@ from qmtop.core import (
     Topology,
     UnionSet,
     ValueSemigroup,
+    distances_text,
     parse_document,
     members,
     members_text,
@@ -34,7 +37,7 @@ from qmtop import _tails, continuity, core, qmetric, representation, topology
 from qmtop.qmetric import check_quasifamily
 from qmtop.topology import enumerate_preorders, enumerate_topologies
 
-from helpers import matrix_family, preorder_family, sierpinski
+from helpers import label_sorted, matrix_family, preorder_family, sierpinski
 
 
 SIER_DOC = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
@@ -123,6 +126,56 @@ def test_family_parse_faults(case):
         assert type(info.value) is error and str(info.value) == message
 
 
+def _topology_doc(*opens, n=2):
+    return json.dumps({"kind": "topology", "n": n, "opens": list(opens)})
+
+
+# (document, exception class, message): the first bad open wins, and inside
+# one open every point's type is checked before any point's range.
+MALFORMED_TOPOLOGIES = {
+    "non-list open": (_topology_doc([], 5, [0, 1]),
+                      DocumentSyntaxError, "open set must be a list"),
+    "bool point": (_topology_doc([], [True], [0, 1]),
+                   DocumentSyntaxError, "open set must hold integers"),
+    "float point": (_topology_doc([], [1.0], [0, 1]),
+                    DocumentSyntaxError, "open set must hold integers"),
+    "negative point": (_topology_doc([], [-1], [0, 1]),
+                       InvariantViolation, "point -1 outside space of 2 points"),
+    "point out of range": (_topology_doc([], [0, 2], [0, 1]),
+                           InvariantViolation, "point 2 outside space of 2 points"),
+    "first point out of range wins": (_topology_doc([3, 2]),
+                                      InvariantViolation, "point 3 outside space of 2 points"),
+    "type before range in one open": (_topology_doc([2, True]),
+                                      DocumentSyntaxError, "open set must hold integers"),
+    "range, then a bool": (_topology_doc([], [2], [True]),
+                           InvariantViolation, "point 2 outside space of 2 points"),
+    "bool, then range": (_topology_doc([], [False], [2]),
+                         DocumentSyntaxError, "open set must hold integers"),
+    "range, then a non-list": (_topology_doc([-3], "01"),
+                               InvariantViolation, "point -3 outside space of 2 points"),
+    "duplicate open": (_topology_doc([], [0], [1], [0], [0, 1]),
+                       InvariantViolation, "duplicate open sets"),
+    "duplicate open, then range": (_topology_doc([0], [0], [5]),
+                                   InvariantViolation, "point 5 outside space of 2 points"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_TOPOLOGIES.values(), ids=MALFORMED_TOPOLOGIES.keys())
+def test_topology_parse_faults(case):
+    doc, error, message = case
+    for validate in (True, False):
+        with pytest.raises(DocumentError) as info:
+            parse_document(doc, validate=validate)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_repeated_point_inside_an_open_is_accepted():
+    t = parse_document(_topology_doc([1, 1], [0, 1, 0], []))
+    assert t.opens == (0b00, 0b10, 0b11)
+    with pytest.raises(InvariantViolation, match="duplicate open sets"):
+        parse_document(_topology_doc([], [1], [0, 1], [1, 0]))
+
+
 def test_family_stores_zero_rows():
     q = parse_document(_qmetric_doc(["b", "a"], [[0, 1], [1, 0]], [[0, 0], [1, 0]]))
     assert q.indices == ("b", "a") and q.rows == ((0b01, 0b10), (0b11, 0b10))
@@ -143,7 +196,7 @@ def test_serialize_reorders_indices():
     doc = json.loads(serialize(q))
     assert doc["indices"] == ["a", "b"]
     assert doc["matrices"] == [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]
-    assert parse_document(serialize(q)) == q.canonical()
+    assert parse_document(serialize(q)) == label_sorted(q)
 
 
 def test_roundtrip_enumerated_topologies():
@@ -271,8 +324,8 @@ def preorder_families(draw):
 
 @given(preorder_families())
 def test_family_documents_roundtrip(q):
-    assert parse_document(serialize(q)) == q.canonical()
-    assert serialize(q) == serialize(q.canonical())
+    assert parse_document(serialize(q)) == label_sorted(q)
+    assert serialize(q) == serialize(label_sorted(q))
 
 
 @given(st.integers(1, 3), st.data())
@@ -417,7 +470,14 @@ def test_no_module_imports_dataclasses():
 
 
 def test_members_text_is_the_compact_json_of_members():
-    """`canonical_family` labels its indices with `members_text`, which
-    must give the bytes of the compact JSON list of the open's points."""
-    for m in [*range(1 << 5), (1 << 16) - 1, 0b1010_0000_0000_0001]:
-        assert members_text(m) == json.dumps(members(m), separators=(",", ":"))
+    """`canonical_family` labels its indices with `members_text`, and
+    `serialize` writes each zero row with `distances_text`: both must give
+    the bytes of the compact JSON list, for every mask of every space."""
+    rng = random.Random(0)
+    for n in range(1, MAX_POINTS + 1):
+        full = (1 << n) - 1
+        masks = range(1 << n) if n <= 10 else [0, full, *rng.sample(range(full), 500)]
+        for m in masks:
+            assert members_text(m) == json.dumps(members(m), separators=(",", ":"))
+            distances = [0 if m >> y & 1 else 1 for y in range(n)]
+            assert distances_text(n, m) == json.dumps(distances, separators=(",", ":"))

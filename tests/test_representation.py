@@ -6,7 +6,8 @@ from itertools import combinations_with_replacement
 import pytest
 
 from qmtop import qmetric, representation
-from qmtop.core import PointSpace, QuasiFamily, Topology, members, serialize
+from qmtop.cli import main
+from qmtop.core import PointSpace, QuasiFamily, Topology, members, parse_document, serialize
 from qmtop.qmetric import check_quasifamily, pack, separation_pair, to_topology
 from qmtop.representation import (
     DIRECT_PREDICATES,
@@ -20,7 +21,15 @@ from qmtop.representation import (
 )
 from qmtop.topology import enumerate_topologies
 
-from helpers import d_U, object_find_discrepancy, p_U, sierpinski, zero_rows
+from helpers import (
+    d_U,
+    object_find_discrepancy,
+    object_roundtrip,
+    object_route_canonical,
+    p_U,
+    sierpinski,
+    zero_rows,
+)
 
 
 def test_canonical_family_examples():
@@ -85,6 +94,53 @@ def test_roundtrip_examples():
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
             assert roundtrip(t).equal
+
+
+def _seeded_topology_documents():
+    """Topology documents on 7 to 12 points: a few chains under a common top,
+    or no order at all, with the points relabelled at random and the opens,
+    found by testing every subset for up-closure, written shuffled."""
+    rng = random.Random(2017)
+    for k, n in enumerate((7, 8, 9, 10, 11, 12, 12)):
+        rows = [1 << x for x in range(n)]
+        if k < 6:
+            links = rng.randrange(1, n)
+            for x in range(links):  # x below x + 1, and everything below the top
+                rows[x] |= 1 << x + 1
+            rows = [r | 1 << n - 1 for r in rows]
+            for y in range(n):  # transitive closure through each y in turn
+                rows = [r | rows[y] if r >> y & 1 else r for r in rows]
+        perm = rng.sample(range(n), n)
+        relabelled = [0] * n
+        for x, r in enumerate(rows):
+            relabelled[perm[x]] = sum(1 << perm[y] for y in members(r))
+        opens = [s for s in range(1 << n)
+                 if all(relabelled[x] & ~s == 0 for x in members(s))]
+        rng.shuffle(opens)
+        yield json.dumps({"kind": "topology", "n": n, "opens": [members(u) for u in opens]})
+
+
+def test_canonical_and_roundtrip_match_the_object_routes(tmp_path, capsys):
+    """`canonical_family` with `serialize`, and `roundtrip`, give what the
+    object routes give: the same document bytes and the same report, on
+    every topology with n <= 4, on every one of those with an open dropped,
+    and on seeded larger documents through the CLI."""
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(n):
+            assert serialize(canonical_family(t)) == object_route_canonical(t)
+            assert roundtrip(t) == object_roundtrip(t)
+            for u in t.opens:
+                broken = Topology(t.space, tuple(w for w in t.opens if w != u))
+                assert roundtrip(broken) == object_roundtrip(broken)
+    for k, doc in enumerate(_seeded_topology_documents()):
+        t = parse_document(doc)
+        expected = object_route_canonical(t)
+        assert serialize(canonical_family(t)) == expected
+        assert roundtrip(t) == object_roundtrip(t)
+        path = tmp_path / f"doc{k}.json"
+        path.write_text(doc)
+        assert main(["canonical", str(path)]) == 0
+        assert capsys.readouterr().out == expected + "\n"
 
 
 def test_pruning_trivial_indices_preserves_topology():

@@ -99,6 +99,23 @@ def test_generate_from_subbase_matches_oracles_on_random_subbases():
         _subbase_agrees(space, masks, brute=n == 4)
 
 
+def test_neighborhood_rows_match_the_per_open_intersection():
+    """The rows read off the binary digits of all masks at once equal the
+    intersection, open by open, of the masks holding each point; a mask with
+    bits outside the space reads as its part inside it on both routes."""
+    rng = random.Random(7)
+    for _ in range(2000):
+        n = rng.choice((1, 2, 3, 5, 8, 12, 16))
+        space = PointSpace(n)
+        masks = [rng.randint(-(2 << n), 2 << n) for _ in range(rng.randint(0, 9))]
+        rows = [space.full_mask] * n
+        for m in masks:
+            for x in range(n):
+                if m >> x & 1:
+                    rows[x] &= m
+        assert topology._neighborhood_rows(space, masks) == rows
+
+
 def test_check_topology_shortcut_matches_pair_scan():
     for n in (1, 2, 3):
         space = PointSpace(n)
