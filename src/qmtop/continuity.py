@@ -15,7 +15,7 @@ from .core import (
     ValueSemigroup,
     record,
 )
-from .topology import check_topology
+from .topology import check_topology, generate_from_subbase
 
 SEMIGROUP_MAX_SIZE = 64
 LIFT_MAX_INDICES = 6
@@ -190,7 +190,8 @@ def ball_r(cs: ContinuitySpace, x: int, r: int) -> int:
 
 
 def to_topology_kopperman(cs: ContinuitySpace) -> Topology:
-    """Opens are the sets containing a positive-radius ball around each point."""
+    """Opens are the sets containing a positive-radius ball around each point;
+    they are closure-checked, and then generate the topology they are."""
     n = cs.space.n
     balls = {(x, r): ball_r(cs, x, r)
              for x in range(n) for r in cs.positives.members}
@@ -200,11 +201,10 @@ def to_topology_kopperman(cs: ContinuitySpace) -> Topology:
                or any(balls[x, r] & ~u == 0 for r in cs.positives.members)
                for x in range(n)):
             opens.append(u)
-    t = Topology.from_masks(cs.space, opens)
-    violations = check_topology(cs.space, t.opens)
+    violations = check_topology(cs.space, opens)
     if violations:
         raise AssertionError(f"generated opens fail closure: {violations[0]}")
-    return t
+    return generate_from_subbase(cs.space, opens)
 
 
 def lift_quasifamily(q: QuasiFamily) -> ContinuitySpace:

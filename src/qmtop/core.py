@@ -178,25 +178,31 @@ class PointSpace:
 
 @record
 class Topology:
-    """A family of open sets over a finite space, as masks sorted ascending.
+    """A finite topology as its specialization rows: rows[x] masks the least
+    open set containing x, {y : x below y}.  A set is open iff it is an
+    up-set of these rows (Alexandroff 1937), so the opens are listed only
+    where a document or the canonical family needs them.
 
-    Construction only checks that every mask lies inside the space; the
-    closure axioms are verified by `topology.check_topology`, which
-    `parse_document` runs by default.
+    Construction checks that the rows form a preorder, so every `Topology`
+    is a topology.
     """
 
     space: PointSpace
-    opens: tuple[int, ...]
+    rows: tuple[int, ...]
 
     def __post_init__(self):
-        full = self.space.full_mask
-        if self.opens and (min(self.opens) < 0 or max(self.opens) > full):
-            mask = next(m for m in self.opens if m & ~full)
-            raise InvariantViolation(f"mask {mask:#x} has bits outside the space")
-
-    @classmethod
-    def from_masks(cls, space: PointSpace, masks) -> "Topology":
-        return cls(space, tuple(sorted(set(masks))))
+        rows, full = self.rows, self.space.full_mask
+        if len(rows) != self.space.n:
+            raise InvariantViolation("one relation row per point required")
+        for x, row in enumerate(rows):
+            if row & ~full:
+                raise InvariantViolation("relation row has bits outside the space")
+            if not row >> x & 1:
+                raise InvariantViolation(f"relation not reflexive at {x}")
+        for x, row in enumerate(rows):
+            for y in members(row):
+                if rows[y] & ~row:
+                    raise InvariantViolation(f"relation not transitive through ({x},{y})")
 
 
 @record
@@ -557,10 +563,12 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
     """Decode a JSON document into its value.
 
     With `validate=True` (the default) the mathematical invariants the kind
-    promises are verified (topology closure, quasimetric axioms, semigroup
-    axioms) and an `InvariantViolation` is raised on failure.  Checker
-    front ends parse with `validate=False` so violations become reportable
-    data instead of parse errors.
+    promises are verified (quasimetric axioms, semigroup axioms) and an
+    `InvariantViolation` is raised on failure.  Checker front ends parse with
+    `validate=False` so violations become reportable data instead of parse
+    errors.  A topology document is closure-checked either way, because a
+    `Topology` holds only its rows; its violations ride on the
+    `InvariantViolation`.
     """
     try:
         obj = json.loads(text)
@@ -574,17 +582,16 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
     if kind == "topology":
         space = _space_from(obj)
         _require(isinstance(obj.get("opens"), list), "topology needs a list of opens")
-        masks = _open_masks(space, obj["opens"])
+        masks = sorted(_open_masks(space, obj["opens"]))
         if len(set(masks)) != len(masks):
             raise InvariantViolation("duplicate open sets")
-        value = Topology(space, tuple(sorted(masks)))
-        if validate:
-            from . import topology as _topology
+        from . import topology as _topology
 
-            violations = _topology.check_topology(space, value.opens)
-            if violations:
-                raise InvariantViolation(f"not a topology: {violations[0]}", tuple(violations))
-        return value
+        # Checked even unvalidated: a `Topology` exists only for a topology.
+        violations = _topology.check_topology(space, masks)
+        if violations:
+            raise InvariantViolation(f"not a topology: {violations[0]}", tuple(violations))
+        return Topology(space, tuple(_topology._neighborhood_rows(space, masks)))
 
     if kind == "qmetric":
         space = _space_from(obj)
@@ -747,12 +754,15 @@ def qmetric_text(prefix: str, rows, text_of) -> str:
 def serialize(value: Document) -> str:
     """Canonical document of a value; `parse_document` round-trips it.
 
-    Opens and members are emitted ascending by mask/point, quasimetric
-    indices are sorted by label with their matrices, d(x, y) = 0 exactly
-    where bit y of zero row x is set, permuted consistently.
+    Opens (the up-sets of a topology's rows) and members are emitted
+    ascending by mask/point, quasimetric indices are sorted by label with
+    their matrices, d(x, y) = 0 exactly where bit y of zero row x is set,
+    permuted consistently.
     """
     if isinstance(value, Topology):
-        return topology_text(topology_prefix(value.space), sorted(value.opens))
+        from ._kernels import upsets
+
+        return topology_text(topology_prefix(value.space), upsets(value.rows))
 
     if isinstance(value, QuasiFamily):
         # Indices sorted by label, rows permuted consistently.

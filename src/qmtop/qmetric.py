@@ -11,7 +11,7 @@ from operator import and_, lshift
 from typing import TYPE_CHECKING, Union
 
 from . import _tails
-from ._kernels import pack, transpose, upsets
+from ._kernels import pack, transpose
 from .core import (
     Complement,
     DirectedNet,
@@ -105,15 +105,16 @@ def to_topology(q: QuasiFamily) -> Topology:
 
     A set is open iff around each of its points the intersection of all
     balls stays inside it (with a finite index set, intersecting everything
-    is the weakest finite-subfamily test), so the opens are the up-sets of
-    those intersections.  The result is also computed as the
-    subbase-generated topology of all balls and the two must agree.
+    is the weakest finite-subfamily test), so its rows are those
+    intersections, `ball_meet`.  The rows are also computed as the subbase
+    closure of all balls, the intersection of every ball holding each point,
+    and the two must agree: by transitivity a ball at y that holds x holds
+    the ball at x.
     """
-    direct = Topology(q.space, tuple(upsets(ball_meet(q))))
     generated = generate_from_subbase(q.space, set(chain.from_iterable(q.rows)))
-    if direct.opens != generated.opens:
-        raise AssertionError("ball-intersection opens differ from subbase closure")
-    return direct
+    if list(generated.rows) != ball_meet(q):
+        raise AssertionError("ball-intersection rows differ from subbase closure")
+    return generated
 
 
 # ---------------------------------------------------------------------------

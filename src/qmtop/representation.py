@@ -14,7 +14,6 @@ from .core import PointSpace, QuasiFamily, Topology, members, members_text, reco
 from .topology import (  # noqa: F401  (enumerate_preorders: an import site perfbench patches)
     enumerate_preorders,
     separating_pairs,
-    specialization_preorder,
 )
 
 METRIC_PREDICATES = qmetric.SEP_MODES
@@ -31,10 +30,10 @@ def _canonical_rows(space: PointSpace, opens) -> tuple[tuple[int, ...], ...]:
 
 
 def canonical_family(t: Topology) -> QuasiFamily:
-    """The family indexed by the opens of a topology, each labelled by the
-    text of its members."""
-    return QuasiFamily(t.space, tuple(map(members_text, t.opens)),
-                       _canonical_rows(t.space, t.opens))
+    """The family indexed by the opens of a topology, the up-sets of its
+    rows, each labelled by the text of its members."""
+    opens = _kernels.upsets(t.rows)
+    return QuasiFamily(t.space, tuple(map(members_text, opens)), _canonical_rows(t.space, opens))
 
 
 @record
@@ -46,12 +45,16 @@ class RoundtripReport:
 
 def roundtrip(t: Topology) -> RoundtripReport:
     """Regenerate the topology from its canonical family and compare exactly;
-    nothing reads that family's labels, so the open masks index it."""
-    family = QuasiFamily(t.space, t.opens, _canonical_rows(t.space, t.opens))
-    regenerated = qmetric.to_topology(family)
-    original, back = set(t.opens), set(regenerated.opens)
-    missing, extra = tuple(sorted(original - back)), tuple(sorted(back - original))
-    return RoundtripReport(not missing and not extra, missing, extra)
+    nothing reads that family's labels, so the open masks index it.  Only a
+    failure lists the regenerated opens, for the opens missing or extra."""
+    opens = _kernels.upsets(t.rows)
+    back = qmetric.to_topology(QuasiFamily(t.space, tuple(opens),
+                                           _canonical_rows(t.space, opens))).rows
+    if back == t.rows:
+        return RoundtripReport(True, (), ())
+    original, regenerated = set(opens), set(_kernels.upsets(back))
+    return RoundtripReport(False, tuple(sorted(original - regenerated)),
+                           tuple(sorted(regenerated - original)))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +78,7 @@ def predicate_pairs(name: str, meet, sym: int, direct) -> int:
 def discrepancy_pairs(q: QuasiFamily, pred_a: str, pred_b: str) -> list[dict]:
     """Ordered pairs at which the two predicates disagree on this family."""
     meet, sym = qmetric.separation_pair(q.space.n, q.rows)
-    direct = specialization_preorder(qmetric.to_topology(q)).rows
+    direct = qmetric.to_topology(q).rows
     return disagreeing_pairs(meet, sym, direct, pred_a, pred_b)
 
 

@@ -26,35 +26,12 @@ from .core import (
     qmetric_prefix,
     qmetric_text,
     record,
-    serialize,  # noqa: F401  (an import site perfbench's tracer patches)
+    serialize,
     topology_prefix,
     topology_text,
 )
 
 ENUM_MAX_POINTS = 5
-
-
-@record
-class Preorder:
-    """A reflexive transitive relation; rows[x] masks {y : x below y}."""
-
-    space: PointSpace
-    rows: tuple[int, ...]
-
-    def __post_init__(self):
-        n = self.space.n
-        if len(self.rows) != n:
-            raise InvariantViolation("one relation row per point required")
-        full = self.space.full_mask
-        for x in range(n):
-            if self.rows[x] & ~full:
-                raise InvariantViolation("relation row has bits outside the space")
-            if not self.rows[x] >> x & 1:
-                raise InvariantViolation(f"relation not reflexive at {x}")
-        for x in range(n):
-            for y in range(n):
-                if self.rows[x] >> y & 1 and self.rows[y] & ~self.rows[x]:
-                    raise InvariantViolation(f"relation not transitive through ({x},{y})")
 
 
 @record
@@ -90,14 +67,17 @@ def _neighborhood_rows(space: PointSpace, masks) -> list[int]:
 
 def check_topology(space: PointSpace, masks) -> list[TopologyViolation]:
     """All closure failures of a candidate family of open sets, given as
-    ascending distinct masks, as `Topology.opens` holds them; a mask with
-    bits outside the space raises `InvariantViolation`.
+    ascending distinct masks; a mask with bits outside the space raises
+    `InvariantViolation`.
 
     Every member is an up-set of the family's neighbourhood rows, so the
     family is a topology exactly when it has as many members as those rows
     have up-sets; only a failure pays for the scan over pairs.
     """
-    masks = Topology(space, tuple(masks)).opens
+    full = space.full_mask
+    if masks and (min(masks) < 0 or max(masks) > full):
+        mask = next(m for m in masks if m & ~full)
+        raise InvariantViolation(f"mask {mask:#x} has bits outside the space")
     if len(_kernels.upsets(_neighborhood_rows(space, masks))) == len(masks):
         return []
     return _pair_scan(space, masks)
@@ -123,29 +103,24 @@ def _pair_scan(space: PointSpace, masks) -> list[TopologyViolation]:
 
 def generate_from_subbase(space: PointSpace, masks) -> Topology:
     """Smallest topology containing the subbase of the given masks: the
-    up-sets of the minimal neighbourhoods the subbase determines.
+    minimal neighbourhoods the subbase determines are its rows.
 
-    The empty intersection is the full set and the empty union is the empty
-    set, so the result is a topology even for an empty subbase.
+    The empty intersection is the full set, so the result is a topology
+    even for an empty subbase.
     """
-    return Topology(space, tuple(_kernels.upsets(_neighborhood_rows(space, masks))))
+    return Topology(space, tuple(_neighborhood_rows(space, masks)))
 
 
 def minimal_neighborhood(t: Topology, x: int) -> int:
     """Mask of the intersection of every open containing x; open itself on
     finite carriers."""
     t.space.check_point(x)
-    return _neighborhood_rows(t.space, t.opens)[x]
+    return t.rows[x]
 
 
-def specialization_preorder(t: Topology) -> Preorder:
-    """x below y iff every open containing x contains y."""
-    return Preorder(t.space, tuple(_neighborhood_rows(t.space, t.opens)))
-
-
-def alexandrov_topology(p: Preorder) -> Topology:
-    """Opens are the up-closed sets of the relation."""
-    return Topology(p.space, tuple(_kernels.upsets(p.rows)))
+def alexandrov_topology(space: PointSpace, rows) -> Topology:
+    """The topology whose opens are the up-sets of a preorder's rows."""
+    return Topology(space, tuple(rows))
 
 
 # --- separation axioms, read off the minimal neighbourhoods ---------------
@@ -181,25 +156,26 @@ def separated(rows, axiom: str) -> bool:
 
 
 def is_t0(t: Topology) -> bool:
-    return separated(_neighborhood_rows(t.space, t.opens), "t0")
+    return separated(t.rows, "t0")
 
 
 def is_t1(t: Topology) -> bool:
-    return separated(_neighborhood_rows(t.space, t.opens), "t1")
+    return separated(t.rows, "t1")
 
 
 def is_t2(t: Topology) -> bool:
-    return separated(_neighborhood_rows(t.space, t.opens), "t2")
+    return separated(t.rows, "t2")
 
 
 # --- continuity and convergence -------------------------------------------
 
 def is_continuous(f: PointMap, td: Topology, tc: Topology) -> bool:
-    """Preimage of every codomain open is open in the domain."""
+    """Whether f is monotone: x below y implies f(x) below f(y).  On finite
+    spaces that is continuity, as the least open around x must lie inside
+    the preimage of the least open around f(x)."""
     if not f.domain.compatible(td.space) or not f.codomain.compatible(tc.space):
         raise SpaceMismatchError("map spaces do not match the topologies")
-    domain_opens = set(td.opens)
-    return all(f.preimage_mask(m) in domain_opens for m in tc.opens)
+    return all(row & ~f.preimage_mask(tc.rows[f(x)]) == 0 for x, row in enumerate(td.rows))
 
 
 def converges_topologically(s: SequenceSpec, t: Topology, x: int,
@@ -211,7 +187,6 @@ def converges_topologically(s: SequenceSpec, t: Topology, x: int,
     """
     if not s.space.compatible(t.space):
         raise SpaceMismatchError("sequence and topology spaces differ")
-    t.space.check_point(x)
     good = minimal_neighborhood(t, x)
     decided = _tails.eventually_in(s, good)
     _tails.assert_tail_consistent(s, good, decided, horizon)
@@ -237,11 +212,12 @@ def count_preorders(n: int) -> int:
 
 
 def enumerate_preorders(n: int):
-    """Every preorder on n labelled points, ascending by relation rows."""
+    """The topology of every preorder on n labelled points, ascending by
+    relation rows."""
     rows = sorted(_enumerated_rows(n))
     space = PointSpace(n)
     for r in rows:
-        yield Preorder(space, r)
+        yield alexandrov_topology(space, r)
 
 
 def preorder_documents(n: int) -> list[str]:
@@ -249,7 +225,7 @@ def preorder_documents(n: int) -> list[str]:
     every preorder on n labelled points, ascending by relation rows.
 
     The rows come from `_kernels.preorder_rows`, which yields only
-    preorders, so no `Preorder` is built to check them again.
+    preorders, so no `Topology` is built to check them again.
     """
     rows = sorted(_enumerated_rows(n))
     prefix = qmetric_prefix(PointSpace(n), ("i0",))
@@ -257,33 +233,19 @@ def preorder_documents(n: int) -> list[str]:
     return [qmetric_text(prefix, (r,), text_of) for r in rows]
 
 
-def topology_opens(n: int):
-    """The ascending opens of every labelled topology on n points, one tuple
-    per topology, generated lazily in kernel order: the up-sets
-    `_kernels.preorder_upsets` carries with each preorder."""
-    _check_enumerable(n)
-    return (opens for _, opens in _kernels.preorder_upsets(n))
-
-
-def _topology_writer(n: int):
-    """The topology document of ascending opens on n points, written from the
-    members text of all 2^n masks."""
-    prefix = topology_prefix(PointSpace(n))
-    text_of = [members_text(m) for m in range(1 << n)].__getitem__
-    return lambda opens: topology_text(prefix, opens, text_of)
-
-
 def topology_documents(n: int) -> list[str]:
     """The document of every labelled topology on n points, sorted, which is
-    the canonical order; only the text of each is kept."""
-    return sorted(map(_topology_writer(n), topology_opens(n)))
+    the canonical order; only the text of each is kept.  Each is written from
+    the up-sets `_kernels.preorder_upsets` carries with its preorder and the
+    members text of all 2^n masks."""
+    _check_enumerable(n)
+    prefix = topology_prefix(PointSpace(n))
+    text_of = [members_text(m) for m in range(1 << n)].__getitem__
+    return sorted(topology_text(prefix, opens, text_of)
+                  for _, opens in _kernels.preorder_upsets(n))
 
 
 def enumerate_topologies(n: int):
     """Every labelled topology on n points, in the order of
     `topology_documents`."""
-    write = _topology_writer(n)
-    docs = sorted((write(opens), opens) for opens in topology_opens(n))
-    space = PointSpace(n)
-    for _, opens in docs:
-        yield Topology(space, opens)
+    return iter(sorted(enumerate_preorders(n), key=serialize))

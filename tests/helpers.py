@@ -10,6 +10,7 @@ from qmtop import _kernels
 from qmtop.cli import emit
 from qmtop.core import (
     FiniteSet,
+    PointMap,
     PointSpace,
     QuasiFamily,
     ResidueClasses,
@@ -25,17 +26,49 @@ from qmtop.representation import (
     canonical_family,
     discrepancy_pairs,
 )
-from qmtop.topology import (
-    Preorder,
-    alexandrov_topology,
-    enumerate_preorders,
-    separated,
-    specialization_preorder,
-)
+from qmtop.topology import enumerate_preorders, separated
+
+
+@lru_cache(maxsize=None)
+def opens_of(t: Topology) -> tuple[int, ...]:
+    """Oracle: the opens of a topology, ascending, found by testing every
+    subset for holding the row of each of its points."""
+    n = t.space.n
+    return tuple(u for u in range(1 << n)
+                 if all(t.rows[x] & ~u == 0 for x in range(n) if u >> x & 1))
+
+
+def least_open(t: Topology, x: int) -> int:
+    """Oracle: the intersection of every open containing x."""
+    out = t.space.full_mask
+    for u in opens_of(t):
+        if u >> x & 1:
+            out &= u
+    return out
+
+
+def from_opens(space: PointSpace, masks) -> Topology:
+    """The topology whose opens are the given masks, which must be closed:
+    row x is the intersection, open by open, of the masks containing x."""
+    masks = tuple(sorted(set(masks)))
+    rows = [space.full_mask] * space.n
+    for u in masks:
+        for x in range(space.n):
+            if u >> x & 1:
+                rows[x] &= u
+    t = Topology(space, tuple(rows))
+    assert opens_of(t) == masks, "the masks are not the opens of a topology"
+    return t
+
+
+def opens_continuous(f: PointMap, td: Topology, tc: Topology) -> bool:
+    """Oracle: the preimage of every codomain open is open in the domain."""
+    domain_opens = set(opens_of(td))
+    return all(f.preimage_mask(u) in domain_opens for u in opens_of(tc))
 
 
 def sierpinski() -> Topology:
-    return Topology.from_masks(PointSpace(2), [0b00, 0b10, 0b11])
+    return from_opens(PointSpace(2), [0b00, 0b10, 0b11])
 
 
 def d_U(t: Topology, u: int, x: int, y: int) -> int:
@@ -44,7 +77,7 @@ def d_U(t: Topology, u: int, x: int, y: int) -> int:
     For x inside the open, the zero-set of d_U(x, .) recovers the open
     exactly; that identity is asserted on every call.
     """
-    if u not in t.opens:
+    if u not in opens_of(t):
         raise ValueError("u must be an open set of the topology")
     t.space.check_point(x)
     t.space.check_point(y)
@@ -63,7 +96,7 @@ def p_U(t: Topology, u: int, x: int, y: int) -> int:
 
     Asserted pointwise equal to `d_U`, not merely equivalent.
     """
-    if u not in t.opens:
+    if u not in opens_of(t):
         raise ValueError("u must be an open set of the topology")
     value = (1 if u >> x & 1 else 0) * (1 if not u >> y & 1 else 0)
     if value != d_U(t, u, x, y):
@@ -90,9 +123,9 @@ def distance_matrices(q: QuasiFamily) -> list[list[list[int]]]:
     return [[[0 if r >> y & 1 else 1 for y in range(n)] for r in rows] for rows in q.rows]
 
 
-def preorder_family(p: Preorder, label: str = "i0") -> QuasiFamily:
-    """d(x, y) = 0 iff x is below y."""
-    return QuasiFamily(p.space, (label,), (p.rows,))
+def preorder_family(t: Topology, label: str = "i0") -> QuasiFamily:
+    """d(x, y) = 0 iff x is below y in the specialization order."""
+    return QuasiFamily(t.space, (label,), (t.rows,))
 
 
 def label_sorted(q: QuasiFamily) -> QuasiFamily:
@@ -103,14 +136,15 @@ def label_sorted(q: QuasiFamily) -> QuasiFamily:
                        tuple(q.rows[k] for k in order))
 
 
-def _object_canonical_family(t: Topology) -> QuasiFamily:
-    """The canonical family built as objects: each open labelled by the JSON
-    list of its points, with one zero-row tuple per open, point by point."""
-    full = t.space.full_mask
+def _object_canonical_family(t: Topology, opens=None) -> QuasiFamily:
+    """The canonical family built as objects: each open (each of `opens`,
+    if given) labelled by the JSON list of its points, with one zero-row
+    tuple per open, point by point."""
+    full, opens = t.space.full_mask, opens_of(t) if opens is None else opens
     return QuasiFamily(t.space,
-                       tuple(json.dumps(members(u), separators=(",", ":")) for u in t.opens),
+                       tuple(json.dumps(members(u), separators=(",", ":")) for u in opens),
                        tuple(tuple(u if u >> x & 1 else full for x in t.space.points())
-                             for u in t.opens))
+                             for u in opens))
 
 
 def object_route_canonical(t: Topology) -> str:
@@ -125,25 +159,27 @@ def object_route_canonical(t: Topology) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def object_roundtrip(t: Topology) -> RoundtripReport:
-    """Oracle: `roundtrip` through the labelled object family."""
-    original, back = set(t.opens), set(to_topology(_object_canonical_family(t)).opens)
+def object_roundtrip(t: Topology, opens=None) -> RoundtripReport:
+    """Oracle: `roundtrip` through the labelled object family of the opens
+    of `t`, or of the given ones in their place."""
+    family = _object_canonical_family(t, opens)
+    original, back = set(opens_of(t)), set(opens_of(to_topology(family)))
     missing, extra = tuple(sorted(original - back)), tuple(sorted(back - original))
     return RoundtripReport(not missing and not extra, missing, extra)
 
 
 def object_route_documents(n: int, kind: str) -> list[str]:
     """Oracle: the documents `enumerate --n N --kind KIND` streams, built as
-    objects: `serialize` of each preorder's Alexandrov topology, sorted by
-    document, or of each preorder's one-index family, in row order."""
+    objects: `serialize` of each preorder's topology, sorted by document, or
+    of each preorder's one-index family, in row order."""
     if kind == "topologies":
-        return sorted(serialize(alexandrov_topology(p)) for p in enumerate_preorders(n))
-    return [serialize(preorder_family(p)) for p in enumerate_preorders(n)]
+        return sorted(map(serialize, enumerate_preorders(n)))
+    return [serialize(preorder_family(t)) for t in enumerate_preorders(n)]
 
 
 def small_index_families(n: int, max_indices: int = 2):
     """Every family of one or two independent preorder coordinates on n points."""
-    preorders = [p.rows for p in enumerate_preorders(n)]
+    preorders = [t.rows for t in enumerate_preorders(n)]
     space = PointSpace(n)
     for count in range(1, max_indices + 1):
         for chosen in combinations_with_replacement(range(len(preorders)), count):
@@ -183,18 +219,18 @@ def matrix_sep_pair(matrices, mode: str, x: int, y: int) -> bool:
 
 def pair_separated_t0(t: Topology, x: int, y: int) -> bool:
     """Oracle: some open contains exactly one of x, y."""
-    return any((s >> x & 1) != (s >> y & 1) for s in t.opens)
+    return any((s >> x & 1) != (s >> y & 1) for s in opens_of(t))
 
 
 def pair_separated_t1(t: Topology, x: int, y: int) -> bool:
     """Oracle: some open contains x and not y."""
-    return any(s >> x & 1 and not s >> y & 1 for s in t.opens)
+    return any(s >> x & 1 and not s >> y & 1 for s in opens_of(t))
 
 
 def pair_separated_t2(t: Topology, x: int, y: int) -> bool:
     """Oracle: x and y have disjoint open neighbourhoods."""
-    return any(u >> x & 1 and v >> y & 1 and u & v == 0
-               for u in t.opens for v in t.opens)
+    opens = opens_of(t)
+    return any(u >> x & 1 and v >> y & 1 and u & v == 0 for u in opens for v in opens)
 
 
 OPENS_ORACLES = {"t0": pair_separated_t0, "t1": pair_separated_t1, "t2": pair_separated_t2}
@@ -225,7 +261,7 @@ def canonical_route_separation(t: Topology, method: str) -> tuple[int, str]:
     `sep_metric`, the literal ones by `discrepancy_pairs`, and the direct
     axioms on the topology the family generates."""
     q = canonical_family(t)
-    rows = specialization_preorder(to_topology(q)).rows
+    rows = to_topology(q).rows
     direct = {axiom: separated(rows, axiom) for axiom in ("t0", "t1", "t2")}
     if method == "metric":
         metric = {"t0": sep_metric(q, "t0_unordered"), "t1": sep_metric(q, "t1_amended"),
@@ -266,7 +302,7 @@ def family_route_separation(q: QuasiFamily, method: str) -> tuple[int, str]:
     n = q.space.n
     mats = distance_matrices(q)
     balls = [sum(1 << y for y in range(n) if m[x][y] == 0) for m in mats for x in range(n)]
-    t = Topology.from_masks(q.space, subbase_closure(q.space, balls))
+    t = from_opens(q.space, subbase_closure(q.space, balls))
     pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
     direct = {axiom: all(oracle(t, x, y) for x, y in pairs)
               for axiom, oracle in OPENS_ORACLES.items()}
@@ -344,7 +380,7 @@ def family_route_topologies(n: int) -> list[Topology]:
     all 2^(2^n) families of subsets, in `enumerate_topologies` order."""
     assert 1 <= n <= 4, "the family route holds 2^(2^n) candidates in memory"
     space = PointSpace(n)
-    tops = [Topology.from_masks(space, [u for u in range(1 << n) if fam >> u & 1])
+    tops = [from_opens(space, [u for u in range(1 << n) if fam >> u & 1])
             for fam in _kernels.closed_family_masks(n)]
     tops.sort(key=serialize)
     return tops
@@ -352,7 +388,7 @@ def family_route_topologies(n: int) -> list[Topology]:
 
 @lru_cache(maxsize=None)
 def _family_route_opens(n: int) -> tuple[frozenset, ...]:
-    return tuple(frozenset(t.opens) for t in family_route_topologies(n))
+    return tuple(frozenset(opens_of(t)) for t in family_route_topologies(n))
 
 
 def brute_minimal_topology(space: PointSpace, subbase_masks) -> frozenset:

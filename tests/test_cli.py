@@ -10,7 +10,7 @@ import pytest
 
 from qmtop import cli, core, qmetric, representation, topology
 from qmtop.cli import main
-from qmtop.core import MAX_SET_DEPTH, parse_document, serialize
+from qmtop.core import MAX_SET_DEPTH, PointSpace, members, parse_document, serialize
 from qmtop.qmetric import check_quasifamily, mode_pairs, separation_pair, to_topology
 from qmtop.topology import is_t2
 
@@ -18,6 +18,7 @@ from helpers import (
     canonical_route_separation,
     family_route_separation,
     object_route_documents,
+    opens_of,
     sierpinski,
     small_index_families,
 )
@@ -96,10 +97,11 @@ def test_roundtrip_enumeration_witness_is_the_least_failing_document(monkeypatch
 
     def failing(t):
         report = real(t)
-        return representation.RoundtripReport(False, (), ()) if len(t.opens) == 4 else report
+        return representation.RoundtripReport(False, (), ()) if len(opens_of(t)) == 4 else report
 
     monkeypatch.setattr(representation, "roundtrip", failing)
-    failed = sorted(serialize(t) for t in topology.enumerate_topologies(3) if len(t.opens) == 4)
+    failed = sorted(serialize(t) for t in topology.enumerate_topologies(3)
+                    if len(opens_of(t)) == 4)
     code, out = run(capsys, "roundtrip", "--n", "3")
     report = json.loads(out)
     assert code == 1 and report["verdict"] == "fail" and len(failed) > 1
@@ -467,14 +469,14 @@ def test_enumerate_command(files, capsys):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The name of each `alexandrov_topology`, `Preorder` or `serialize` call
+    """The name of each `alexandrov_topology`, `Topology` or `serialize` call
     made, in order."""
     calls = []
 
     def counted(name, real):
         return lambda *args: calls.append(name) or real(*args)
 
-    for name in ("alexandrov_topology", "Preorder"):
+    for name in ("alexandrov_topology", "Topology"):
         monkeypatch.setattr(topology, name, counted(name, getattr(topology, name)))
     for module in (core, cli, topology):
         monkeypatch.setattr(module, "serialize", counted("serialize", serialize))
@@ -563,6 +565,25 @@ def test_topology_violation_report_bytes(files, capsys):
         "opens": [[], [0], [1], [2, 3], [0, 2], [1, 2, 3]]}))
     assert _stdout_sha256(capsys, "check", doc, "--kind", "topology") == \
         (1, "8e4215754306767daa21111390897392858384ac7ea120b01cdefca1c4056338")
+
+
+def test_check_topology_command_matches_the_pair_scan(files, capsys):
+    """On every family of subsets of at most three points, `check --kind
+    topology` prints the report of the pair scan's violations, and exits 1
+    exactly when there are any."""
+    for n in (1, 2, 3):
+        for fam in range(1 << (1 << n)):
+            masks = members(fam)
+            violations = topology._pair_scan(PointSpace(n), masks)
+            detail = {"violations": [v.to_json() for v in violations]}
+            expected = ({"op": "check", "verdict": "fail", "reason": str(violations[0]),
+                         "detail": detail} if violations else
+                        {"op": "check", "verdict": "pass"})
+            doc = files("t.json", json.dumps({"kind": "topology", "n": n,
+                                              "opens": list(map(members, masks))}))
+            code, out = run(capsys, "check", doc, "--kind", "topology")
+            assert (code, out) == (int(bool(violations)),
+                                   json.dumps(expected, separators=(",", ":")) + "\n")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

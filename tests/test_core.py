@@ -37,7 +37,7 @@ from qmtop import _tails, continuity, core, qmetric, representation, topology
 from qmtop.qmetric import check_quasifamily
 from qmtop.topology import enumerate_preorders, enumerate_topologies
 
-from helpers import label_sorted, matrix_family, preorder_family, sierpinski
+from helpers import label_sorted, matrix_family, opens_of, preorder_family, sierpinski
 
 
 SIER_DOC = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
@@ -46,7 +46,7 @@ SIER_DOC = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
 def test_parse_topology_sierpinski():
     t = parse_document(SIER_DOC)
     assert isinstance(t, Topology)
-    assert t.opens == (0b00, 0b10, 0b11)
+    assert t.rows == (0b11, 0b10) and opens_of(t) == (0b00, 0b10, 0b11)
 
 
 def test_parse_qmetric_document():
@@ -171,7 +171,7 @@ def test_topology_parse_faults(case):
 
 def test_repeated_point_inside_an_open_is_accepted():
     t = parse_document(_topology_doc([1, 1], [0, 1, 0], []))
-    assert t.opens == (0b00, 0b10, 0b11)
+    assert t == sierpinski()
     with pytest.raises(InvariantViolation, match="duplicate open sets"):
         parse_document(_topology_doc([], [1], [0, 1], [1, 0]))
 
@@ -286,8 +286,40 @@ def test_point_space_bounds():
         PointSpace(17)
     with pytest.raises(InvariantViolation):
         PointSpace(2, ("a", "a"))
-    with pytest.raises(InvariantViolation, match="mask 0x4 has bits outside the space"):
-        Topology.from_masks(PointSpace(2), [0b00, 0b100])
+
+
+# (points, rows, message): each fault a `Topology` refuses; per point, bits
+# outside the space before reflexivity, then the first non-transitive pair.
+BAD_ROWS = {
+    "too few rows": (2, (0b1,), "one relation row per point required"),
+    "too many rows": (2, (0b01, 0b10, 0b100), "one relation row per point required"),
+    "bits outside": (2, (0b01, 0b110), "relation row has bits outside the space"),
+    "negative row": (2, (-1, 0b10), "relation row has bits outside the space"),
+    "outside, then not reflexive": (2, (0b101, 0b00), "relation row has bits outside the space"),
+    "not reflexive, then outside": (2, (0b00, 0b110), "relation not reflexive at 0"),
+    "not transitive": (3, (0b001, 0b110, 0b101), r"relation not transitive through \(1,2\)"),
+    "first pair wins": (3, (0b011, 0b110, 0b101), r"relation not transitive through \(0,1\)"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_ROWS.values(), ids=BAD_ROWS.keys())
+def test_topology_rejects_rows_that_are_no_preorder(case):
+    n, rows, message = case
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        Topology(PointSpace(n), rows)
+
+
+def test_non_closed_document_is_refused_even_unvalidated():
+    """A `Topology` is always a topology, so the lenient parse checks the
+    closure too, and raises with every violation `check_topology` lists."""
+    doc = _topology_doc([], [0], [1])
+    expected = topology.check_topology(PointSpace(2), [0b00, 0b01, 0b10])
+    assert [v.kind for v in expected] == ["no-full-set", "union-escape"]
+    for validate in (True, False):
+        with pytest.raises(InvariantViolation) as info:
+            parse_document(doc, validate=validate)
+        assert str(info.value) == "not a topology: no-full-set"
+        assert info.value.violations == tuple(expected)
 
 
 def test_labels_are_presentation_only():
@@ -346,8 +378,8 @@ def test_triangle_iff_transitive_zero_relation(n, data):
 
 
 def test_preorder_family_helper_is_valid():
-    for p in enumerate_preorders(3):
-        assert not check_quasifamily(preorder_family(p))
+    for t in enumerate_preorders(3):
+        assert not check_quasifamily(preorder_family(t))
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +391,7 @@ _SG = ValueSemigroup(("0", "1"), ((0, 1), (1, 1)), 0, 1)
 # Field values of one instance of every record class, in field order.
 RECORD_SAMPLES = {
     PointSpace: (2, ("a", "b")),
-    Topology: (PointSpace(2), (0, 2, 3)),
+    Topology: (PointSpace(2), (3, 2)),
     QuasiFamily: (PointSpace(2), ("i0",), ((1, 3),)),
     FiniteSet: ((1, 3),),
     ResidueClasses: (4, (1, 3)),
@@ -372,7 +404,6 @@ RECORD_SAMPLES = {
     PointMap: (PointSpace(2), PointSpace(1), (0, 0)),
     ValueSemigroup: (("0", "1"), ((0, 1), (1, 1)), 0, 1),
     PositiveSet: (_SG, (0, 1)),
-    topology.Preorder: (PointSpace(2), (1, 3)),
     topology.TopologyViolation: ("union", ((0,), (1,))),
     qmetric.QuasiViolation: ("triangle", "i0", (0, 1, 2)),
     qmetric.DensityValue: ("exact", Fraction(1, 2), None, None),

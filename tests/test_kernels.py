@@ -3,8 +3,7 @@ from itertools import product
 
 from qmtop import _kernels
 from qmtop.cli import main
-from qmtop.core import PointSpace
-from qmtop.topology import Preorder
+from qmtop.core import PointSpace, Topology
 
 
 def _brute_preorder_rows(n):
@@ -53,11 +52,11 @@ def test_known_counts():
 
 def test_every_kernel_preorder_passes_validation():
     """The enumeration streams trust these rows without building a
-    `Preorder`: each is in range, reflexive and transitive."""
+    `Topology`: each is in range, reflexive and transitive."""
     for n in (1, 2, 3, 4, 5):
         space = PointSpace(n)
         for rows in _kernels.preorder_rows(n):
-            assert Preorder(space, rows).rows == rows
+            assert Topology(space, rows).rows == rows
 
 
 def test_upsets_against_brute_force():
@@ -65,7 +64,7 @@ def test_upsets_against_brute_force():
         for rows in _brute_preorder_rows(n):
             expected = [u for u in range(1 << n)
                         if all(not u >> x & 1 or rows[x] & ~u == 0 for x in range(n))]
-            # Ascending, so a `Topology` takes them as its opens unsorted.
+            # Ascending, so documents list them unsorted.
             assert _kernels.upsets(rows) == expected
 
 
@@ -100,9 +99,9 @@ def test_carried_upsets_match_the_walk():
 
 
 def test_enumeration_walks_no_enumerated_space(monkeypatch, capsys):
-    """Neither the topology stream nor `roundtrip --n` walks the up-sets of
-    an enumerated space; what walks are left are the two routes of
-    `qmetric.to_topology`, once each per space."""
+    """The topology stream walks the up-sets of no enumerated space, and
+    `roundtrip --n` walks them once per space, to list the opens that index
+    its canonical family; `qmetric.to_topology` walks none."""
     real, walked = _kernels.upsets, []
     for module in [m for name, m in sys.modules.items() if name.partition(".")[0] == "qmtop"]:
         if getattr(module, "upsets", None) is real:
@@ -111,4 +110,4 @@ def test_enumeration_walks_no_enumerated_space(monkeypatch, capsys):
     assert capsys.readouterr().out.count("\n") == 355 and walked == []
     assert main(["roundtrip", "--n", "3"]) == 0
     capsys.readouterr()
-    assert len(walked) == 2 * 29
+    assert sorted(walked) == sorted(_kernels.preorder_rows(3))

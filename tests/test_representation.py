@@ -7,7 +7,7 @@ import pytest
 
 from qmtop import qmetric, representation
 from qmtop.cli import main
-from qmtop.core import PointSpace, QuasiFamily, Topology, members, parse_document, serialize
+from qmtop.core import PointSpace, QuasiFamily, members, parse_document, serialize
 from qmtop.qmetric import check_quasifamily, pack, separation_pair, to_topology
 from qmtop.representation import (
     DIRECT_PREDICATES,
@@ -23,9 +23,11 @@ from qmtop.topology import enumerate_topologies
 
 from helpers import (
     d_U,
+    from_opens,
     object_find_discrepancy,
     object_roundtrip,
     object_route_canonical,
+    opens_of,
     p_U,
     sierpinski,
     zero_rows,
@@ -40,10 +42,10 @@ def test_canonical_family_examples():
     assert cf.rows == ((0b11, 0b11), (0b11, 0b10), (0b11, 0b11))
     assert cf.index_rows("[1]") == (0b11, 0b10)
 
-    indiscrete = Topology.from_masks(PointSpace(3), [0, 0b111])
+    indiscrete = from_opens(PointSpace(3), [0, 0b111])
     assert canonical_family(indiscrete).rows == ((0b111,) * 3,) * 2
 
-    discrete = Topology.from_masks(PointSpace(2), range(4))
+    discrete = from_opens(PointSpace(2), range(4))
     dcf = canonical_family(discrete)
     assert len(dcf.indices) == 4
     assert dcf.index_rows("[0]") == (0b01, 0b11)
@@ -68,7 +70,7 @@ def test_d_U_examples():
 def test_d_U_zero_set_recovers_open():
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
-            for u in t.opens:
+            for u in opens_of(t):
                 for x in members(u):
                     zero_set = sum(1 << y for y in range(n) if d_U(t, u, x, y) == 0)
                     assert zero_set == u
@@ -82,7 +84,7 @@ def test_p_U_equals_d_U():
     assert all(p_U(t, full, x, y) == 0 for x in range(2) for y in range(2))
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
-            for u in t.opens:
+            for u in opens_of(t):
                 for x in range(n):
                     for y in range(n):
                         assert p_U(t, u, x, y) == d_U(t, u, x, y)
@@ -90,7 +92,7 @@ def test_p_U_equals_d_U():
 
 def test_roundtrip_examples():
     assert roundtrip(sierpinski()).equal
-    assert roundtrip(Topology.from_masks(PointSpace(3), [0, 0b111])).equal
+    assert roundtrip(from_opens(PointSpace(3), [0, 0b111])).equal
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
             assert roundtrip(t).equal
@@ -120,18 +122,34 @@ def _seeded_topology_documents():
         yield json.dumps({"kind": "topology", "n": n, "opens": [members(u) for u in opens]})
 
 
-def test_canonical_and_roundtrip_match_the_object_routes(tmp_path, capsys):
+def _drop_from_family(monkeypatch, u):
+    """Break `roundtrip`'s canonical family: the index of the open u gets the
+    zero rows of the empty set, which constrain nothing, as if u were not
+    there."""
+    real = representation._canonical_rows
+    monkeypatch.setattr(representation, "_canonical_rows",
+                        lambda space, opens: real(space, [0 if w == u else w for w in opens]))
+
+
+def test_canonical_and_roundtrip_match_the_object_routes(tmp_path, capsys, monkeypatch):
     """`canonical_family` with `serialize`, and `roundtrip`, give what the
     object routes give: the same document bytes and the same report, on
-    every topology with n <= 4, on every one of those with an open dropped,
-    and on seeded larger documents through the CLI."""
+    every topology with n <= 4, with each open in turn dropped from the
+    family `roundtrip` builds, and on seeded larger documents through the
+    CLI."""
+    failures = 0
     for n in (1, 2, 3, 4):
         for t in enumerate_topologies(n):
             assert serialize(canonical_family(t)) == object_route_canonical(t)
             assert roundtrip(t) == object_roundtrip(t)
-            for u in t.opens:
-                broken = Topology(t.space, tuple(w for w in t.opens if w != u))
-                assert roundtrip(broken) == object_roundtrip(broken)
+            opens = opens_of(t)
+            for u in opens:
+                with monkeypatch.context() as patch:
+                    _drop_from_family(patch, u)
+                    report = roundtrip(t)
+                assert report == object_roundtrip(t, [w for w in opens if w != u])
+                failures += not report.equal
+    assert failures > 0
     for k, doc in enumerate(_seeded_topology_documents()):
         t = parse_document(doc)
         expected = object_route_canonical(t)
@@ -143,16 +161,28 @@ def test_canonical_and_roundtrip_match_the_object_routes(tmp_path, capsys):
         assert capsys.readouterr().out == expected + "\n"
 
 
+def test_roundtrip_file_reports_the_missing_opens(monkeypatch, tmp_path, capsys):
+    """With the open {1} of the Sierpinski space dropped from its family, the
+    family generates the indiscrete space: `roundtrip FILE` lists {1} as
+    missing and exits 1."""
+    path = tmp_path / "sier.json"
+    path.write_text(serialize(sierpinski()))
+    _drop_from_family(monkeypatch, 0b10)
+    assert main(["roundtrip", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "op": "roundtrip", "verdict": "fail", "detail": {"missing": [[1]], "extra": []}}
+
+
 def test_pruning_trivial_indices_preserves_topology():
     for t in enumerate_topologies(3):
         cf = canonical_family(t)
-        keep = [k for k, u in enumerate(t.opens)
+        keep = [k for k, u in enumerate(opens_of(t))
                 if u not in (0, t.space.full_mask)]
         if not keep:
             continue
         pruned = QuasiFamily(cf.space, tuple(cf.indices[k] for k in keep),
                              tuple(cf.rows[k] for k in keep))
-        assert to_topology(pruned).opens == t.opens
+        assert to_topology(pruned) == t
 
 
 def test_find_discrepancy_documented_witness():
@@ -173,7 +203,7 @@ def test_find_discrepancy_literal_r3_vs_t0():
     w = find_discrepancy("literal_r3", "t0", 2, 1)
     assert w is not None
     assert w.rows == (zero_rows([[0, 0], [1, 0]]),)
-    assert to_topology(w).opens == sierpinski().opens
+    assert to_topology(w) == sierpinski()
 
 
 def test_find_discrepancy_argument_validation():

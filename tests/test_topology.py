@@ -1,8 +1,9 @@
 import random
+from itertools import product
 
 import pytest
 
-from qmtop import topology
+from qmtop import _kernels, topology
 
 from qmtop.core import (
     InvariantViolation,
@@ -17,7 +18,6 @@ from qmtop.core import (
     serialize,
 )
 from qmtop.topology import (
-    alexandrov_topology,
     check_topology,
     converges_topologically,
     enumerate_preorders,
@@ -29,7 +29,6 @@ from qmtop.topology import (
     is_t2,
     minimal_neighborhood,
     separating_pairs,
-    specialization_preorder,
     topology_documents,
 )
 
@@ -37,46 +36,52 @@ from helpers import (
     OPENS_ORACLES,
     brute_minimal_topology,
     family_route_topologies,
+    from_opens,
+    least_open,
+    opens_continuous,
+    opens_of,
     sierpinski,
     subbase_closure,
 )
 
 
 def _discrete(n):
-    return Topology.from_masks(PointSpace(n), range(1 << n))
+    return from_opens(PointSpace(n), range(1 << n))
 
 
 def _indiscrete(n):
     space = PointSpace(n)
-    return Topology.from_masks(space, [0, space.full_mask])
+    return from_opens(space, [0, space.full_mask])
 
 
 def test_check_topology_examples():
     space = PointSpace(2)
-    assert check_topology(space, sierpinski().opens) == []
+    assert check_topology(space, opens_of(sierpinski())) == []
     bad = [space.subset([]), space.subset([0]), space.subset([1])]
     kinds = {v.kind for v in check_topology(space, bad)}
     assert kinds == {"no-full-set", "union-escape"}
-    assert check_topology(PointSpace(3), _discrete(3).opens) == []
+    assert check_topology(PointSpace(3), opens_of(_discrete(3))) == []
     with pytest.raises(InvariantViolation, match="mask 0x7 has bits outside the space"):
         check_topology(space, [0b00, 0b01, 0b11, 0b111])
+    with pytest.raises(InvariantViolation, match="mask -0x1 has bits outside the space"):
+        check_topology(space, [-1, 0b00, 0b11])
 
 
 def test_generate_from_subbase_examples():
     space = PointSpace(3)
     sub = [space.subset([0, 2]), space.subset([1, 2])]
     t = generate_from_subbase(space, sub)
-    assert set(t.opens) == {0b000, 0b100, 0b101, 0b110, 0b111}
-    assert set(t.opens) == brute_minimal_topology(space, sub)
+    assert set(opens_of(t)) == {0b000, 0b100, 0b101, 0b110, 0b111}
+    assert set(opens_of(t)) == brute_minimal_topology(space, sub)
 
-    assert generate_from_subbase(space, []).opens == (0, 0b111)
+    assert generate_from_subbase(space, []) == _indiscrete(3)
     singletons = [space.subset([p]) for p in range(3)]
-    assert generate_from_subbase(space, singletons).opens == _discrete(3).opens
+    assert generate_from_subbase(space, singletons) == _discrete(3)
 
 
 def _subbase_agrees(space, masks, brute=False):
-    got = frozenset(generate_from_subbase(space, [space.subset(
-        [p for p in space.points() if m >> p & 1]) for m in masks]).opens)
+    got = frozenset(opens_of(generate_from_subbase(space, [space.subset(
+        [p for p in space.points() if m >> p & 1]) for m in masks])))
     assert got == subbase_closure(space, masks), (space.n, masks)
     if brute:
         assert got == brute_minimal_topology(space, masks), (space.n, masks)
@@ -129,7 +134,7 @@ def test_check_topology_shortcut_matches_pair_scan():
 def test_generate_from_subbase_idempotent_on_topologies():
     for n in (1, 2, 3):
         for t in enumerate_topologies(n):
-            assert generate_from_subbase(t.space, t.opens).opens == t.opens
+            assert generate_from_subbase(t.space, opens_of(t)) == t
 
 
 def test_minimal_neighborhood_examples():
@@ -140,21 +145,26 @@ def test_minimal_neighborhood_examples():
 
 
 def test_minimal_neighborhood_is_least_open():
-    for t in enumerate_topologies(3):
-        opens = set(t.opens)
-        for x in range(3):
-            m = minimal_neighborhood(t, x)
-            assert m in opens and m >> x & 1
-            for s in t.opens:
-                if s >> x & 1:
-                    assert m & ~s == 0
+    """The row of x is the intersection of the opens holding x, an open
+    itself, and the rows list the oracle's opens as their up-sets, on every
+    topology with at most four points."""
+    for n in (1, 2, 3, 4):
+        for t in enumerate_topologies(n):
+            opens = opens_of(t)
+            assert tuple(_kernels.upsets(t.rows)) == opens
+            for x in range(n):
+                m = minimal_neighborhood(t, x)
+                assert m == least_open(t, x) and m in opens and m >> x & 1
+    with pytest.raises(InvariantViolation):
+        minimal_neighborhood(sierpinski(), 2)
 
 
 def test_specialization_preorder_examples():
-    rel = specialization_preorder(sierpinski())
-    assert rel.rows == (0b11, 0b10)
-    assert specialization_preorder(_discrete(2)).rows == (0b01, 0b10)
-    assert specialization_preorder(_indiscrete(2)).rows == (0b11, 0b11)
+    """A topology is its specialization rows: x is below y iff every open
+    holding x holds y."""
+    assert sierpinski().rows == (0b11, 0b10)
+    assert _discrete(2).rows == (0b01, 0b10)
+    assert _indiscrete(2).rows == (0b11, 0b11)
 
 
 def test_separation_examples():
@@ -169,12 +179,12 @@ def test_separation_examples():
 
 def test_separation_chain_and_finite_t1_is_discrete():
     for n in (1, 2, 3, 4):
-        discrete_masks = _discrete(n).opens
+        discrete = _discrete(n)
         for t in enumerate_topologies(n):
             t0, t1, t2 = is_t0(t), is_t1(t), is_t2(t)
             assert not t1 or t0
             assert not t2 or t1
-            assert t1 == t2 == (t.opens == discrete_masks)
+            assert t1 == t2 == (t == discrete)
 
 
 def test_separating_pairs_match_opens_oracles():
@@ -184,7 +194,7 @@ def test_separating_pairs_match_opens_oracles():
     pairs = 0
     for n in range(1, 6):
         for t in enumerate_topologies(n):
-            rows = specialization_preorder(t).rows
+            rows = t.rows
             packed = {axiom: separating_pairs(rows, axiom) for axiom in OPENS_ORACLES}
             verdicts = {axiom: True for axiom in OPENS_ORACLES}
             for axiom in OPENS_ORACLES:
@@ -197,7 +207,7 @@ def test_separating_pairs_match_opens_oracles():
                     pairs += 1
                     for axiom, oracle in OPENS_ORACLES.items():
                         got = bool(packed[axiom] >> x * n + y & 1)
-                        assert got == oracle(t, x, y), (t.opens, axiom, x, y)
+                        assert got == oracle(t, x, y), (t.rows, axiom, x, y)
                         verdicts[axiom] &= got
             assert (is_t0(t), is_t1(t), is_t2(t)) == \
                 (verdicts["t0"], verdicts["t1"], verdicts["t2"])
@@ -234,6 +244,36 @@ def test_continuity_identity_and_composition_two_points():
                             assert is_continuous(gf, ta, tc)
 
 
+def test_is_continuous_matches_the_preimage_definition():
+    """Monotonicity of the rows equals "the preimage of every open is open"
+    for every map between every pair of topologies on at most three points,
+    and on a seeded sample on four and five points."""
+    by_size = {n: list(enumerate_topologies(n)) for n in (1, 2, 3)}
+    checked = 0
+    for nd, nc in product((1, 2, 3), repeat=2):
+        dom, cod = PointSpace(nd), PointSpace(nc)
+        maps = [PointMap(dom, cod, values) for values in product(range(nc), repeat=nd)]
+        for td in by_size[nd]:
+            for tc in by_size[nc]:
+                for f in maps:
+                    checked += 1
+                    assert is_continuous(f, td, tc) == opens_continuous(f, td, tc)
+    assert checked == sum((len(by_size[a]) * len(by_size[b]) * b ** a)
+                          for a in (1, 2, 3) for b in (1, 2, 3))
+    rng = random.Random(15)
+    larger = {n: list(enumerate_topologies(n)) for n in (4, 5)}
+    verdicts = set()
+    for _ in range(3000):
+        nd, nc = rng.choice((4, 5)), rng.choice((4, 5))
+        td, tc = rng.choice(larger[nd]), rng.choice(larger[nc])
+        f = PointMap(PointSpace(nd), PointSpace(nc),
+                     tuple(rng.randrange(nc) for _ in range(nd)))
+        verdict = is_continuous(f, td, tc)
+        assert verdict == opens_continuous(f, td, tc)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_converges_topologically_examples():
     t = sierpinski()
     space = t.space
@@ -267,24 +307,28 @@ def test_enumeration_counts_and_bounds():
 
 def test_enumeration_methods_agree():
     for n in (1, 2, 3):
-        a = [t.opens for t in family_route_topologies(n)]
-        b = [t.opens for t in enumerate_topologies(n)]
-        assert a == b
+        assert family_route_topologies(n) == list(enumerate_topologies(n))
 
 
 def test_enumerated_objects_carry_their_documents():
     for n in (1, 2, 3, 4):
         topologies = list(enumerate_topologies(n))
         assert [serialize(t) for t in topologies] == topology_documents(n)
-        assert all(list(t.opens) == sorted(set(t.opens)) for t in topologies)
+        assert all(serialize(t) == serialize(from_opens(t.space, opens_of(t)))
+                   for t in topologies)
 
 
 def test_alexandrov_and_specialization_are_inverse():
+    """The up-sets of a preorder's rows are opens whose least neighbourhoods
+    are those rows again, and the opens of every topology are the up-sets of
+    its rows."""
     for n in (1, 2, 3):
-        for p in enumerate_preorders(n):
-            assert specialization_preorder(alexandrov_topology(p)) == p
-        for t in enumerate_topologies(n):
-            assert alexandrov_topology(specialization_preorder(t)).opens == t.opens
+        preorders = list(enumerate_preorders(n))
+        assert [t.rows for t in preorders] == sorted(_kernels.preorder_rows(n))
+        for t in preorders:
+            assert from_opens(t.space, _kernels.upsets(t.rows)) == t
+        for t in family_route_topologies(n):
+            assert tuple(_kernels.upsets(t.rows)) == opens_of(t)
 
 
 def test_five_point_enumeration_count():
