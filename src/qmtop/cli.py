@@ -168,6 +168,11 @@ def _as_topology(value) -> Topology:
     raise DocumentError("need a topology or qmetric document")
 
 
+# `separation`: metric criteria read the axiom they are offered for, literal ones do not.
+_METRIC = {ax: name for name, (reads, ax) in qmetric.PREDICATES.items() if name != ax == reads}
+_LITERAL = [name for name, (reads, ax) in qmetric.PREDICATES.items() if reads != ax]
+
+
 def cmd_separation(args) -> int:
     value = parse_document(_read(args.file))
     rows = _as_topology(value).rows
@@ -175,21 +180,16 @@ def cmd_separation(args) -> int:
     if args.method == "direct":
         emit("separation", "pass", detail={"method": "direct", **direct})
         return EXIT_PASS
-    # The balls of a family meet in the minimal neighbourhoods of the topology
-    # it generates, so `rows` is its meet.  Only the literal R4 and R5 read
-    # the symmetric mask, which is empty for a topology document: no d_U of
-    # its canonical family is 1 in both directions.
-    sym = 0
-    if isinstance(value, QuasiFamily) and args.method in qmetric.SYM_MODES:
-        sym = qmetric.separation_pair(value.space.n, value.rows)[1]
     n = len(rows)
 
-    def held(mode: str) -> bool:
-        return qmetric.mode_pairs(rows, sym, mode).bit_count() == n * (n - 1)
+    # The balls of a family meet in the minimal neighbourhoods of the topology
+    # it generates, so `rows` is its meet.
+    def held(name: str, sym: int) -> bool:
+        return qmetric.predicate_pairs(name, rows, sym).bit_count() == n * (n - 1)
 
     if args.method == "metric":
-        metric = {"t0": held("t0_unordered"), "t1": held("t1_amended"), "t2": direct["t2"]}
-        mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
+        metric = {axiom: held(name, 0) for axiom, name in _METRIC.items()} | {"t2": direct["t2"]}
+        mismatches = [axiom for axiom in _METRIC if metric[axiom] != direct[axiom]]
         emit("separation", "fail" if mismatches else "pass",
              reason=f"metric and direct verdicts disagree on {mismatches}"
              if mismatches else None,
@@ -198,13 +198,18 @@ def cmd_separation(args) -> int:
                              "metric criterion is available",
                      "direct": direct, "disagreements": mismatches})
         return EXIT_FAIL if mismatches else EXIT_PASS
-    axiom = {"literal_r3": "t0", "literal_r4": "t1", "literal_r5": "t2"}[args.method]
-    pairs = representation.disagreeing_pairs(rows, sym, rows, args.method, axiom)
+    reads, axiom = qmetric.PREDICATES[args.method]
+    # The symmetric mask is empty for a topology document: no d_U of its
+    # canonical family is 1 in both directions.
+    sym = 0
+    if isinstance(value, QuasiFamily) and reads == "sym":
+        sym = qmetric.separation_pair(value.space.n, value.rows)[1]
+    pairs = representation.disagreeing_pairs(rows, sym, args.method, axiom)
     emit("separation", "fail" if pairs else "pass",
          reason=f"literal condition disagrees with direct {axiom} at some pair"
          if pairs else None,
          detail={"method": args.method, "axiom": axiom,
-                 "condition": held(args.method),
+                 "condition": held(args.method, sym),
                  "direct": direct[axiom],
                  "disagreeing_pairs": pairs})
     return EXIT_FAIL if pairs else EXIT_PASS
@@ -281,11 +286,12 @@ def cmd_enumerate(args) -> int:
     n, kind = args.n, args.kind
     try:
         if args.count_only:
-            print(topology.count_preorders(n))
+            docs = [str(topology.count_preorders(n))]
         elif kind == "topologies":
-            print(*topology.topology_documents(n), sep="\n")
+            docs = topology.topology_documents(n)
         else:
-            print(*topology.preorder_documents(n), sep="\n")
+            docs = topology.preorder_documents(n)
+        sys.stdout.write("\n".join(docs) + "\n")
     except ValueError as e:
         return _fail_input(str(e))
     return EXIT_PASS
@@ -294,7 +300,7 @@ def cmd_enumerate(args) -> int:
 def cmd_discrepancy(args) -> int:
     def normalize(name: str) -> str:
         bare = name.removeprefix("direct-")
-        return bare if bare in representation.DIRECT_PREDICATES else name
+        return bare if qmetric.PREDICATES.get(bare) == (bare, bare) else name
 
     left, right = normalize(args.left), normalize(args.right)
     try:
@@ -345,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("separation", help="separation verdicts for a space")
     p.add_argument("file")
     p.add_argument("--method", required=True,
-                   choices=["direct", "metric", "literal_r3", "literal_r4", "literal_r5"])
+                   choices=["direct", "metric", *_LITERAL])
     p.set_defaults(handler=cmd_separation)
 
     p = sub.add_parser("converge", help="convergence verdict for a sequence or net")

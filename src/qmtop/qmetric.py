@@ -36,9 +36,6 @@ if TYPE_CHECKING:
     # `numbers`, which only the statistical verdict needs.
     from fractions import Fraction
 
-SEP_MODES = ("t0_unordered", "t1_amended", "literal_r3", "literal_r4", "literal_r5")
-# The modes that read a family's symmetric mask rather than its meet.
-SYM_MODES = ("literal_r4", "literal_r5")
 EMPIRICAL_HORIZONS = (10**3, 10**4, 10**5, 10**6)
 DENSITY_MODULUS_CAP = 10**6
 
@@ -209,11 +206,11 @@ def metric_continuous_at(f: PointMap, q: QuasiFamily, p: QuasiFamily, x: int) ->
 
 
 def separation_pair(n: int, indices) -> tuple[list[int], int]:
-    """The two relations every separation mode reads, from the zero rows of
-    each index of a family on n points: the rows meet[x] = {y : d_k(x, y) =
-    0 for every k} (`ball_meet`), and sym = {(x, y) : d_k(x, y) = d_k(y, x)
-    = 1 for some k}, packed as `pack` does: the pairs that no index's packed
-    zero pairs, or their transpose, cover."""
+    """The two relations every separation predicate reads, from the zero
+    rows of each index of a family on n points: the rows meet[x] = {y :
+    d_k(x, y) = 0 for every k} (`ball_meet`), and sym = {(x, y) : d_k(x, y)
+    = d_k(y, x) = 1 for some k}, packed as `pack` does: the pairs that no
+    index's packed zero pairs, or their transpose, cover."""
     square = (1 << n * n) - 1
     # column[r] moves bit y of a row mask r to bit y*n: n-1 zeros go
     # between the binary digits of r.
@@ -226,35 +223,45 @@ def separation_pair(n: int, indices) -> tuple[list[int], int]:
     return meet, ~covered & square
 
 
-# The direct axiom each one-direction mode is, read off the meet rows.
-_MEET_AXIOM = {"t0_unordered": "t0", "t1_amended": "t1", "literal_r3": "t1"}
+# Every separation predicate: (the relation it reads, the direct axiom it is
+# offered for).  The relation is a direct axiom on the meet rows of
+# `separation_pair`, or "sym".  Some index separates x from y iff y is
+# outside meet[x] (T1); t0_unordered asks that either way round (T0); R5
+# with j = i is R4 (sym).  Names that read one relation are one function.
+PREDICATES = {
+    "t0": ("t0", "t0"),
+    "t1": ("t1", "t1"),
+    "t2": ("t2", "t2"),
+    "t0_unordered": ("t0", "t0"),
+    "t1_amended": ("t1", "t1"),
+    "literal_r3": ("t1", "t0"),
+    "literal_r4": ("sym", "t1"),
+    "literal_r5": ("sym", "t2"),
+}
 
 
-def mode_pairs(meet, sym: int, mode: str) -> int:
+def predicate(name: str) -> tuple[str, str]:
+    """A separation predicate's `PREDICATES` entry."""
+    if name not in PREDICATES:
+        raise ValueError(f"unknown predicate {name!r}")
+    return PREDICATES[name]
+
+
+def predicate_pairs(name: str, meet, sym: int) -> int:
     """The packed ordered pairs of distinct points at which a separation
-    mode holds, read off `separation_pair`.
-
-    Some index separates x from y (t1_amended, literal_r3) iff y is outside
-    meet[x], and t0_unordered asks that of one direction: these are the
-    direct axioms on the meet rows.  R5 asks for indices i and j both
-    separating the pair in both directions; taking j = i shows it is exactly
-    R4, which is sym.
-    """
-    if mode in SYM_MODES:
-        return sym
-    if mode in _MEET_AXIOM:
-        return separating_pairs(meet, _MEET_AXIOM[mode])
-    raise ValueError(f"unknown separation mode {mode!r}")
+    predicate holds, read off a family's `separation_pair`."""
+    reads = predicate(name)[0]
+    return sym if reads == "sym" else separating_pairs(meet, reads)
 
 
 def sep_metric(q: QuasiFamily, mode: str) -> bool:
-    """A separation condition at every ordered pair of distinct points
+    """A separation predicate at every ordered pair of distinct points
     (t0_unordered is symmetric, so this is every unordered pair).  The
-    `literal_*` modes keep the shared-index, both-directions form
+    `literal_*` predicates keep the shared-index, both-directions form
     unchanged, which is what the discrepancy search audits.
     """
     n = q.space.n
-    return mode_pairs(*separation_pair(n, q.rows), mode).bit_count() == n * (n - 1)
+    return predicate_pairs(mode, *separation_pair(n, q.rows)).bit_count() == n * (n - 1)
 
 
 # ---------------------------------------------------------------------------

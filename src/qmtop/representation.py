@@ -16,9 +16,6 @@ from .topology import (  # noqa: F401  (enumerate_preorders: an import site perf
     separating_pairs,
 )
 
-METRIC_PREDICATES = qmetric.SEP_MODES
-DIRECT_PREDICATES = ("t0", "t1", "t2")
-
 
 def _canonical_rows(space: PointSpace, opens) -> tuple[tuple[int, ...], ...]:
     """The zero rows of d_U for each open U: d_U(x, y) is 0 iff x in U
@@ -61,35 +58,20 @@ def roundtrip(t: Topology) -> RoundtripReport:
 # Discrepancy search
 
 
-def _check_predicate(name: str) -> None:
-    if name not in METRIC_PREDICATES and name not in DIRECT_PREDICATES:
-        raise ValueError(f"unknown predicate {name!r}")
-
-
-def predicate_pairs(name: str, meet, sym: int, direct) -> int:
-    """Packed ordered pairs of distinct points where a predicate holds: a
-    metric mode on a family's `qmetric.separation_pair`, or a direct axiom
-    on the minimal neighbourhood rows of the topology it generates."""
-    if name in DIRECT_PREDICATES:
-        return separating_pairs(direct, name)
-    return qmetric.mode_pairs(meet, sym, name)
-
-
 def discrepancy_pairs(q: QuasiFamily, pred_a: str, pred_b: str) -> list[dict]:
-    """Ordered pairs at which the two predicates disagree on this family."""
+    """Ordered pairs at which the two predicates disagree on this family.
+    The topology it generates, a second route, must have its meet as rows."""
     meet, sym = qmetric.separation_pair(q.space.n, q.rows)
-    direct = qmetric.to_topology(q).rows
-    return disagreeing_pairs(meet, sym, direct, pred_a, pred_b)
+    if list(qmetric.to_topology(q).rows) != meet:
+        raise AssertionError("generated topology's rows differ from the family's meet")
+    return disagreeing_pairs(meet, sym, pred_a, pred_b)
 
 
-def disagreeing_pairs(meet, sym: int, direct, pred_a: str, pred_b: str) -> list[dict]:
+def disagreeing_pairs(meet, sym: int, pred_a: str, pred_b: str) -> list[dict]:
     """Ordered pairs, ascending, at which the two predicates disagree, read
-    off a family's `qmetric.separation_pair` and the minimal neighbourhood
-    rows of its generated topology."""
-    _check_predicate(pred_a)
-    _check_predicate(pred_b)
+    off a family's `qmetric.separation_pair`."""
     n = len(meet)
-    a, b = (predicate_pairs(name, meet, sym, direct) for name in (pred_a, pred_b))
+    a, b = (qmetric.predicate_pairs(name, meet, sym) for name in (pred_a, pred_b))
     return [{"pair": [p // n, p % n], pred_a: bool(a >> p & 1), pred_b: bool(b >> p & 1)}
             for p in members(a ^ b)]
 
@@ -172,29 +154,29 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
 
     Each preorder's `qmetric.separation_pair` is packed into two ints; a
     family's state is the AND of its indices' packed meets and the OR of
-    their packed symmetric masks (left 0 unless `literal_r4`/`literal_r5`
-    reads it).  Both predicates are read off that state, so no candidate is
-    built as a `QuasiFamily`; the witness is re-checked on the object path.
+    their packed symmetric masks (left 0 unless a predicate reads them).
+    Both predicates are read off that state, so no candidate is built as a
+    `QuasiFamily`; the witness is re-checked on the object path.  Predicates
+    that read one relation (`qmetric.PREDICATES`) never disagree.
     """
-    _check_predicate(pred_a)
-    _check_predicate(pred_b)
+    reads = [qmetric.predicate(name)[0] for name in (pred_a, pred_b)]
     if not 1 <= n <= 4:
         raise ValueError("discrepancy search supports 1..4 points")
     if not 1 <= max_indices <= 3:
         raise ValueError("discrepancy search supports 1..3 indices")
-    reads_sym = pred_a in qmetric.SYM_MODES or pred_b in qmetric.SYM_MODES
+    if reads[0] == reads[1]:
+        return None
+    reads_sym = "sym" in reads
     for points in range(1, n + 1):
-        space = PointSpace(points)
         preorders = _preorders_by_distance(points)
         pairs = [qmetric.separation_pair(points, (rows,)) for rows in preorders]
         generators = [(_kernels.pack(meet), sym if reads_sym else 0) for meet, sym in pairs]
         # Each meet of preorders is itself a preorder, and the topology a
         # family generates is the Alexandrov topology of its meet, so these
         # tables hold every reachable meet and read the direct axioms off it.
-        held = [None if name in qmetric.SYM_MODES
-                else {_kernels.pack(rows): predicate_pairs(name, rows, 0, rows)
-                      for rows in preorders}
-                for name in (pred_a, pred_b)]
+        held = [None if relation == "sym"
+                else {_kernels.pack(rows): separating_pairs(rows, relation) for rows in preorders}
+                for relation in reads]
 
         def bad(meet: int, sym: int) -> bool:
             a, b = (sym if table is None else table[meet] for table in held)
@@ -205,7 +187,7 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
         levels = max_indices if reads_sym else 1
         chosen = _first_hit(generators, bad, (1 << points * points) - 1, levels)
         if chosen is not None:
-            witness = QuasiFamily(space, tuple(f"i{k}" for k in range(len(chosen))),
+            witness = QuasiFamily(PointSpace(points), tuple(f"i{k}" for k in range(len(chosen))),
                                   tuple(preorders[i] for i in chosen))
             if not discrepancy_pairs(witness, pred_a, pred_b):
                 raise AssertionError("state search returned a family on which "

@@ -13,7 +13,7 @@ from operator import or_
 
 from . import _kernels, _tails
 from ._kernels import pack, transpose
-from .core import (
+from .core import (  # noqa: F401  (serialize: an import site perfbench patches)
     InvariantViolation,
     PointMap,
     PointSpace,
@@ -233,19 +233,23 @@ def preorder_documents(n: int) -> list[str]:
     return [qmetric_text(prefix, (r,), text_of) for r in rows]
 
 
-def topology_documents(n: int) -> list[str]:
-    """The document of every labelled topology on n points, sorted, which is
-    the canonical order; only the text of each is kept.  Each is written from
-    the up-sets `_kernels.preorder_upsets` carries with its preorder and the
-    members text of all 2^n masks."""
+def _written_topologies(n: int):
+    """(document, rows) of every labelled topology on n points, each document
+    written from the up-sets `_kernels.preorder_upsets` carries."""
     _check_enumerable(n)
     prefix = topology_prefix(PointSpace(n))
     text_of = [members_text(m) for m in range(1 << n)].__getitem__
-    return sorted(topology_text(prefix, opens, text_of)
-                  for _, opens in _kernels.preorder_upsets(n))
+    for rows, opens in _kernels.preorder_upsets(n):
+        yield topology_text(prefix, opens, text_of), rows
+
+
+def topology_documents(n: int) -> list[str]:
+    """The document of every labelled topology on n points, in canonical order."""
+    return sorted(text for text, _ in _written_topologies(n))
 
 
 def enumerate_topologies(n: int):
     """Every labelled topology on n points, in the order of
     `topology_documents`."""
-    return iter(sorted(enumerate_preorders(n), key=serialize))
+    space = PointSpace(n)
+    return iter([alexandrov_topology(space, rows) for _, rows in sorted(_written_topologies(n))])

@@ -11,7 +11,7 @@ import pytest
 from qmtop import cli, core, qmetric, representation, topology
 from qmtop.cli import main
 from qmtop.core import MAX_SET_DEPTH, PointSpace, members, parse_document, serialize
-from qmtop.qmetric import check_quasifamily, mode_pairs, separation_pair, to_topology
+from qmtop.qmetric import check_quasifamily, predicate_pairs, separation_pair, to_topology
 from qmtop.topology import is_t2
 
 from helpers import (
@@ -631,7 +631,7 @@ def test_discrepancy_command(capsys):
     witness = parse_document(json.dumps(report["witness"]))
     assert check_quasifamily(witness) == []
     # bit 0*3 + 1 is the pair (0, 1)
-    assert mode_pairs(*separation_pair(3, witness.rows), "literal_r5") >> 1 & 1
+    assert predicate_pairs("literal_r5", *separation_pair(3, witness.rows)) >> 1 & 1
     assert not is_t2(to_topology(witness))
 
     code, out = run(capsys, "discrepancy", "--left", "t0_unordered",

@@ -16,7 +16,7 @@ from qmtop.core import (
     parse_document,
 )
 from qmtop.qmetric import (
-    SEP_MODES,
+    PREDICATES,
     ball,
     check_quasifamily,
     is_right_cauchy,
@@ -24,8 +24,8 @@ from qmtop.qmetric import (
     metric_continuous_at,
     natural_density,
     product_converges,
+    predicate_pairs,
     right_converges,
-    mode_pairs,
     sep_metric,
     separation_pair,
     stat_converges,
@@ -40,6 +40,7 @@ from qmtop.topology import (
 )
 
 from helpers import (
+    OPENS_ORACLES,
     all_eventually_periodic,
     distance_matrices,
     eventually_periodic,
@@ -100,21 +101,26 @@ def _canonical_matrices(t):
 
 
 def test_separation_rows_match_matrix_scan():
-    """Every mode at every ordered pair reads the same off (meet, sym) as
-    the per-pair scan over the matrices: all families of one or two
-    preorder indices on up to three points, and the canonical family of
-    every topology on up to four points."""
+    """Every predicate of the table at every ordered pair reads the same off
+    (meet, sym) as the per-pair scan: over the matrices for a metric one,
+    over the opens of the generated topology for a direct axiom.  All
+    families of one or two preorder indices on up to three points, and the
+    canonical family of every topology on up to four points."""
     cases = [(q, distance_matrices(q)) for n in (1, 2, 3) for q in small_index_families(n, 2)]
     cases += [(canonical_family(t), _canonical_matrices(t))
               for n in (1, 2, 3, 4) for t in enumerate_topologies(n)]
     for q, mats in cases:
         n = q.space.n
+        t = to_topology(q)
         pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
-        for mode in SEP_MODES:
-            expected = [matrix_sep_pair(mats, mode, x, y) for x, y in pairs]
+        for name in PREDICATES:
+            if name in OPENS_ORACLES:
+                expected = [OPENS_ORACLES[name](t, x, y) for x, y in pairs]
+            else:
+                expected = [matrix_sep_pair(mats, name, x, y) for x, y in pairs]
             packed = sum(1 << x * n + y for (x, y), e in zip(pairs, expected) if e)
-            assert mode_pairs(*separation_pair(n, q.rows), mode) == packed
-            assert sep_metric(q, mode) == all(expected)
+            assert predicate_pairs(name, *separation_pair(n, q.rows)) == packed
+            assert sep_metric(q, name) == all(expected)
 
 
 def test_ball_examples():
@@ -259,7 +265,7 @@ def test_metric_continuity_examples():
 
 def _holds(q, mode, x, y):
     """Whether a separation mode holds at one ordered pair of a family."""
-    return bool(mode_pairs(*separation_pair(q.space.n, q.rows), mode) >> x * q.space.n + y & 1)
+    return bool(predicate_pairs(mode, *separation_pair(q.space.n, q.rows)) >> x * q.space.n + y & 1)
 
 
 def test_sep_metric_examples():

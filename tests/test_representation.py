@@ -8,10 +8,8 @@ import pytest
 from qmtop import qmetric, representation
 from qmtop.cli import main
 from qmtop.core import PointSpace, QuasiFamily, members, parse_document, serialize
-from qmtop.qmetric import check_quasifamily, pack, separation_pair, to_topology
+from qmtop.qmetric import PREDICATES, check_quasifamily, pack, separation_pair, to_topology
 from qmtop.representation import (
-    DIRECT_PREDICATES,
-    METRIC_PREDICATES,
     _first_hit,
     _preorders_by_distance,
     canonical_family,
@@ -219,7 +217,7 @@ def test_find_discrepancy_argument_validation():
 
 @pytest.mark.parametrize("n, max_indices", [(3, 2), (2, 3)])
 def test_packed_search_matches_object_search(n, max_indices):
-    names = METRIC_PREDICATES + DIRECT_PREDICATES
+    names = list(PREDICATES)
     for a in names:
         for b in names:
             fast = find_discrepancy(a, b, n, max_indices)
@@ -232,10 +230,29 @@ def test_first_witnesses_at_four_points_and_three_indices():
     object oracle cannot reach, against pinned serialized witnesses."""
     path = pathlib.Path(__file__).parent / "data" / "discrepancy_witnesses_n4_i3.json"
     pinned = json.loads(path.read_text())
-    names = METRIC_PREDICATES + DIRECT_PREDICATES
+    names = list(PREDICATES)
     found = {a: {b: (lambda w: w and serialize(w))(find_discrepancy(a, b, 4, 3))
                  for b in names} for a in names}
     assert found == pinned
+
+
+def test_predicates_reading_one_relation_need_no_scan(monkeypatch):
+    """The 18 `none` pairs of the pinned four-point, three-index table are
+    exactly the pairs of predicates that read one relation; the search
+    answers None for them without a state scan, after its bound checks."""
+    path = pathlib.Path(__file__).parent / "data" / "discrepancy_witnesses_n4_i3.json"
+    pinned = json.loads(path.read_text())
+    none = {(a, b) for a in pinned for b in pinned[a] if pinned[a][b] is None}
+    assert len(none) == 18
+    assert none == {(a, b) for a in PREDICATES for b in PREDICATES
+                    if PREDICATES[a][0] == PREDICATES[b][0]}
+    monkeypatch.setattr(representation, "_first_hit",
+                        lambda *args: pytest.fail("the state scan ran"))
+    for a, b in none:
+        assert find_discrepancy(a, b, 4, 3) is None
+        for n, max_indices in ((5, 3), (4, 4)):
+            with pytest.raises(ValueError):
+                find_discrepancy(a, b, n, max_indices)
 
 
 def _states_by_index_count(n, max_indices):
@@ -267,7 +284,7 @@ def test_packed_search_builds_topology_only_for_the_witness(monkeypatch):
 
 
 @pytest.mark.parametrize("pred_a, pred_b, levels", [
-    ("t1_amended", "t1", 1), ("t0", "literal_r3", 1), ("t2", "t1", 1),
+    ("t1_amended", "t0", 1), ("t0", "literal_r3", 1), ("t2", "t1", 1),
     ("literal_r5", "t2", 3), ("t1", "literal_r4", 3)])
 def test_state_scan_runs_one_level_unless_sym_is_read(monkeypatch, pred_a, pred_b, levels):
     """Without sym a state is a meet of preorders, itself a preorder and so
