@@ -14,8 +14,10 @@ finite list, and both facts are decided exactly:
   hit infinitely often iff it appears in the orbit's cycle, and the finitely
   many pre-cycle hits are listed explicitly.
 
-This turns "the sequence is eventually inside S" into a finite scan over
-types, with an explicit settle bound past which the typed behaviour governs.
+One finite scan over the types gives the mask of values that some
+unboundedly realised type takes, which turns "the sequence is eventually
+inside S" into one AND against S, with an explicit settle bound past which
+the typed behaviour governs.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .core import (
     SequenceSpec,
     Squares,
     UnionSet,
+    members,
     record,
 )
 
@@ -47,12 +50,10 @@ class TailAnalysisError(ValueError):
 class TailTypes:
     modulus: int
     settle: int
-    # flat tuples indexed by 4*r + 2*s + p
+    # flat tuple indexed by 4*r + 2*s + p
     values: tuple[int, ...]
-    unbounded: tuple[bool, ...]
-
-    def recurrent_values(self) -> frozenset[int]:
-        return frozenset(v for v, u in zip(self.values, self.unbounded) if u)
+    # mask of the values some unboundedly realised type takes
+    recurrent: int
 
 
 def _walk(ds: IndexSetDescriptor, moduli: list[int], finite_max: list[int]) -> None:
@@ -130,7 +131,7 @@ def tail_types(seq: SequenceSpec) -> TailTypes:
         settle = max(settle, 1 << (2 * e))
 
     values: list[int] = []
-    unbounded: list[bool] = []
+    recurrent = 0
     for r in range(modulus):
         for s in (0, 1):
             for p in (0, 1):
@@ -148,21 +149,20 @@ def tail_types(seq: SequenceSpec) -> TailTypes:
                 else:
                     vast = True
                 values.append(value)
-                unbounded.append(vast)
+                if vast:
+                    recurrent |= 1 << value
 
-    return TailTypes(modulus, settle, tuple(values), tuple(unbounded))
+    return TailTypes(modulus, settle, tuple(values), recurrent)
 
 
 def eventually_in(seq: SequenceSpec, good_mask: int) -> bool:
     """Whether all but finitely many positions take a value inside the mask."""
-    tt = tail_types(seq)
-    return not any(
-        u and not good_mask >> v & 1 for v, u in zip(tt.values, tt.unbounded))
+    return not tail_types(seq).recurrent & ~good_mask
 
 
 def recurrent_values(seq: SequenceSpec) -> frozenset[int]:
     """Values taken at unboundedly many positions."""
-    return tail_types(seq).recurrent_values()
+    return frozenset(members(tail_types(seq).recurrent))
 
 
 def settle_bound(seq: SequenceSpec) -> int:

@@ -169,7 +169,7 @@ def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
                            for a in later[a0] for b in later[a])
                        for a0 in range(len(later)))
                    for rows in q.rows)
-    recur = sum(1 << v for v in _tails.recurrent_values(s))
+    recur = _tails.tail_types(s).recurrent
     return all(rows[a] & recur == recur for rows in q.rows for a in members(recur))
 
 

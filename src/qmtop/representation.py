@@ -5,16 +5,11 @@ axiom disagree.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from itertools import combinations_with_replacement
-from operator import itemgetter
 
 from . import _kernels, qmetric
 from .core import PointSpace, QuasiFamily, Topology, members, members_text, record
-from .topology import (  # noqa: F401  (enumerate_preorders: an import site perfbench patches)
-    enumerate_preorders,
-    separating_pairs,
-)
+from .topology import enumerate_preorders  # noqa: F401  (an import site perfbench patches)
 
 
 def _canonical_rows(space: PointSpace, opens) -> tuple[tuple[int, ...], ...]:
@@ -99,65 +94,17 @@ def _family_candidates(n: int, max_indices: int):
             yield QuasiFamily(space, labels, chosen)
 
 
-def _first_hit(generators, bad, full: int, max_indices: int) -> list[int] | None:
-    """Generator positions of the first multiset, by size and then in
-    `combinations_with_replacement` order, whose (meet, sym) state, the AND
-    of its generators' meets and the OR of their syms, satisfies `bad`.
-
-    Level j maps each state some j-multiset reaches to the largest first
-    position of such a multiset (level 0: the empty family, labelled with
-    the generator count), so the k-multisets starting at i are generator i
-    combined with the states of level k - 1 labelled i or more; `bad` sees
-    each state once.
-    """
-    levels = [([(full, 0)], [len(generators)])]
-    tested = set()
-    for _ in range(max_indices):
-        states, labels = levels[-1]
-        level = {}
-        for i, (gm, gs) in enumerate(generators):
-            for m, s in states[bisect_left(labels, i):]:
-                state = (m & gm, s | gs)
-                if state not in tested:
-                    tested.add(state)
-                    if bad(*state):
-                        return _recover(generators, levels, i, bad)
-                level[state] = i
-        ordered = sorted(level.items(), key=itemgetter(1))
-        levels.append(([state for state, _ in ordered], [label for _, label in ordered]))
-    return None
-
-
-def _recover(generators, levels, first: int, bad) -> list[int]:
-    """The first bad multiset starting at `first`, one level down at a time:
-    the smallest position, not below the last one, that combined with some
-    state labelled at least as high lands in the targets; those states
-    become the next targets."""
-    chosen, hit = [], bad
-    for states, labels in reversed(levels):
-        for i in range(chosen[-1] if chosen else first, len(generators)):
-            gm, gs = generators[i]
-            targets = {(m, s) for m, s in states[bisect_left(labels, i):]
-                       if hit(m & gm, s | gs)}
-            if targets:
-                break
-        chosen.append(i)
-        hit = lambda m, s, targets=targets: (m, s) in targets
-    return chosen
-
-
 def find_discrepancy(pred_a: str, pred_b: str, n: int,
                      max_indices: int) -> QuasiFamily | None:
     """First family (smallest point count, fewest indices, smallest distance
     rows) where the two predicates disagree at some ordered pair of distinct
-    points.
+    points: the first of `_family_candidates` on which they do.
 
-    Each preorder's `qmetric.separation_pair` is packed into two ints; a
-    family's state is the AND of its indices' packed meets and the OR of
-    their packed symmetric masks (left 0 unless a predicate reads them).
-    Both predicates are read off that state, so no candidate is built as a
-    `QuasiFamily`; the witness is re-checked on the object path.  Predicates
-    that read one relation (`qmetric.PREDICATES`) never disagree.
+    Predicates that read one relation (`qmetric.PREDICATES`) never disagree;
+    every other pair does on some one-index family of at most 3 points, so
+    the scan stops within a few candidates.  Each candidate is read off its
+    `qmetric.separation_pair`, and only the witness is re-checked against
+    the topology it generates.
     """
     reads = [qmetric.predicate(name)[0] for name in (pred_a, pred_b)]
     if not 1 <= n <= 4:
@@ -166,31 +113,11 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
         raise ValueError("discrepancy search supports 1..3 indices")
     if reads[0] == reads[1]:
         return None
-    reads_sym = "sym" in reads
     for points in range(1, n + 1):
-        preorders = _preorders_by_distance(points)
-        pairs = [qmetric.separation_pair(points, (rows,)) for rows in preorders]
-        generators = [(_kernels.pack(meet), sym if reads_sym else 0) for meet, sym in pairs]
-        # Each meet of preorders is itself a preorder, and the topology a
-        # family generates is the Alexandrov topology of its meet, so these
-        # tables hold every reachable meet and read the direct axioms off it.
-        held = [None if relation == "sym"
-                else {_kernels.pack(rows): separating_pairs(rows, relation) for rows in preorders}
-                for relation in reads]
-
-        def bad(meet: int, sym: int) -> bool:
-            a, b = (sym if table is None else table[meet] for table in held)
-            return a != b
-
-        # Without sym, a family's state is its meet alone, a preorder, and
-        # every preorder is already a one-index state: one level is enough.
-        levels = max_indices if reads_sym else 1
-        chosen = _first_hit(generators, bad, (1 << points * points) - 1, levels)
-        if chosen is not None:
-            witness = QuasiFamily(PointSpace(points), tuple(f"i{k}" for k in range(len(chosen))),
-                                  tuple(preorders[i] for i in chosen))
-            if not discrepancy_pairs(witness, pred_a, pred_b):
-                raise AssertionError("state search returned a family on which "
-                                     f"{pred_a} and {pred_b} agree")
-            return witness
+        for q in _family_candidates(points, max_indices):
+            if disagreeing_pairs(*qmetric.separation_pair(points, q.rows), pred_a, pred_b):
+                if not discrepancy_pairs(q, pred_a, pred_b):
+                    raise AssertionError("candidate scan returned a family on which "
+                                         f"{pred_a} and {pred_b} agree")
+                return q
     return None

@@ -383,6 +383,26 @@ def test_separation_on_sixteen_points_with_a_top(files, capsys):
     assert time.perf_counter() - start < 60
 
 
+def test_converge_on_twelve_points_reads_the_tail_once(files, capsys):
+    """Right and product convergence on the 12-point discrete space, whose
+    canonical family has 4,096 indices, of a sequence that is eventually 5
+    but whose rule moduli have lcm 9,240: one mask of recurrent values per
+    sequence, not a scan over 36,960 tail types per index."""
+    opens = [[p for p in range(12) if u >> p & 1] for u in range(4096)]
+    disc = files("disc12.json", json.dumps({"kind": "topology", "n": 12, "opens": opens}))
+    rules = [{"set": {"type": "finite", "members": [1, 4]}, "point": 3}]
+    rules += [{"set": {"type": "residues", "mod": m, "residues": [1]}, "point": 5}
+              for m in (8, 3, 5, 7, 11)]
+    seq = files("seq.json", json.dumps({"kind": "sequence", "n": 12, "default": 5,
+                                        "rules": rules}))
+    start = time.perf_counter()
+    for mode in ("right", "product"):
+        for point, code in ((5, 0), (3, 1)):
+            assert run(capsys, "converge", seq, disc, "--point", str(point),
+                       "--mode", mode)[0] == code
+    assert time.perf_counter() - start < 4
+
+
 def _break_witness_recheck(monkeypatch, files):
     monkeypatch.setattr(representation, "discrepancy_pairs", lambda q, a, b: [])
     return ["discrepancy", "--left", "literal_r5", "--right", "t2", "--n", "3"]

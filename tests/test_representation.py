@@ -1,7 +1,6 @@
 import json
 import pathlib
 import random
-from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,7 +9,7 @@ from qmtop.cli import main
 from qmtop.core import PointSpace, QuasiFamily, members, parse_document, serialize
 from qmtop.qmetric import PREDICATES, check_quasifamily, pack, separation_pair, to_topology
 from qmtop.representation import (
-    _first_hit,
+    _family_candidates,
     _preorders_by_distance,
     canonical_family,
     discrepancy_pairs,
@@ -239,15 +238,15 @@ def test_first_witnesses_at_four_points_and_three_indices():
 def test_predicates_reading_one_relation_need_no_scan(monkeypatch):
     """The 18 `none` pairs of the pinned four-point, three-index table are
     exactly the pairs of predicates that read one relation; the search
-    answers None for them without a state scan, after its bound checks."""
+    answers None for them without a candidate scan, after its bound checks."""
     path = pathlib.Path(__file__).parent / "data" / "discrepancy_witnesses_n4_i3.json"
     pinned = json.loads(path.read_text())
     none = {(a, b) for a in pinned for b in pinned[a] if pinned[a][b] is None}
     assert len(none) == 18
     assert none == {(a, b) for a in PREDICATES for b in PREDICATES
                     if PREDICATES[a][0] == PREDICATES[b][0]}
-    monkeypatch.setattr(representation, "_first_hit",
-                        lambda *args: pytest.fail("the state scan ran"))
+    monkeypatch.setattr(representation, "_family_candidates",
+                        lambda *args: pytest.fail("the candidate scan ran"))
     for a, b in none:
         assert find_discrepancy(a, b, 4, 3) is None
         for n, max_indices in ((5, 3), (4, 4)):
@@ -283,70 +282,34 @@ def test_packed_search_builds_topology_only_for_the_witness(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("pred_a, pred_b, levels", [
-    ("t1_amended", "t0", 1), ("t0", "literal_r3", 1), ("t2", "t1", 1),
-    ("literal_r5", "t2", 3), ("t1", "literal_r4", 3)])
-def test_state_scan_runs_one_level_unless_sym_is_read(monkeypatch, pred_a, pred_b, levels):
-    """Without sym a state is a meet of preorders, itself a preorder and so
-    a one-index state: the scan is asked for one level, and for every level
-    only when a predicate reads sym."""
-    asked = []
-    monkeypatch.setattr(representation, "_first_hit",
-                        lambda gens, bad, full, max_indices:
-                        asked.append(max_indices) or _first_hit(gens, bad, full, max_indices))
-    find_discrepancy(pred_a, pred_b, 3, 3)
-    assert asked and set(asked) == {levels}
+def test_predicates_reading_different_relations_disagree_on_three_points():
+    """Every pair of predicates that read different relations has a
+    one-index witness on at most 3 points: the fact that bounds the scan."""
+    pairs = [(a, b) for a in PREDICATES for b in PREDICATES
+             if PREDICATES[a][0] != PREDICATES[b][0]]
+    assert len(pairs) == 46
+    for a, b in pairs:
+        w = find_discrepancy(a, b, 3, 1)
+        assert w is not None and discrepancy_pairs(w, a, b), (a, b)
 
 
-def test_packed_scan_visits_families_in_candidate_order():
-    """The first hit is the first multiset, by size and then in
-    combinations_with_replacement order, whose meet and symmetric mask
-    match a random target family's."""
-    rng = random.Random(0)
-    sizes = set()
-    for _ in range(300):
-        count = rng.randint(1, 8)
-        zeros = [rng.randrange(64) for _ in range(count)]
-        syms = [rng.randrange(64) for _ in range(count)]
+def test_candidate_scan_visits_at_most_fifteen_families(monkeypatch):
+    """Over every accepted call, the scan stops within 15 candidates."""
+    visits = []
 
-        def masks(chosen):
-            meet, sym = 63, 0
-            for i in chosen:
-                meet, sym = meet & zeros[i], sym | syms[i]
-            return meet, sym
+    def counted(points, max_indices):
+        for q in _family_candidates(points, max_indices):
+            visits[-1] += 1
+            yield q
 
-        target = masks(rng.choices(range(count), k=rng.randint(1, 3)))
-        expected = next(list(c) for size in (1, 2, 3)
-                        for c in combinations_with_replacement(range(count), size)
-                        if masks(c) == target)
-        found = _first_hit(list(zip(zeros, syms)), lambda m, s: (m, s) == target, 63, 3)
-        assert found == expected
-        sizes.add(len(found))
-    assert sizes == {1, 2, 3}
-
-
-def test_state_scan_takes_the_first_of_several_bad_families():
-    """With several bad states, the first hit is still the first multiset
-    in candidate order reaching any of them, or None when none is reached."""
-    rng = random.Random(1)
-    outcomes = set()
-    for _ in range(300):
-        count = rng.randint(1, 8)
-        generators = [(rng.randrange(64), rng.randrange(64)) for _ in range(count)]
-
-        def state(chosen):
-            meet, sym = 63, 0
-            for i in chosen:
-                meet, sym = meet & generators[i][0], sym | generators[i][1]
-            return meet, sym
-
-        targets = {state(rng.choices(range(count), k=rng.randint(1, 3)))
-                   for _ in range(rng.randint(0, 3))}
-        targets |= {(rng.randrange(64), rng.randrange(64)) for _ in range(2)}
-        expected = next((list(c) for size in (1, 2, 3)
-                         for c in combinations_with_replacement(range(count), size)
-                         if state(c) in targets), None)
-        found = _first_hit(generators, lambda m, s: (m, s) in targets, 63, 3)
-        assert found == expected
-        outcomes.add(None if found is None else len(found))
-    assert outcomes == {None, 1, 2, 3}
+    monkeypatch.setattr(representation, "_family_candidates", counted)
+    calls = 0
+    for a in PREDICATES:
+        for b in PREDICATES:
+            for n in range(1, 5):
+                for max_indices in range(1, 4):
+                    visits.append(0)
+                    find_discrepancy(a, b, n, max_indices)
+                    calls += 1
+    assert calls == 768
+    assert 0 < max(visits) <= 15
