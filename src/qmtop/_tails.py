@@ -14,16 +14,19 @@ finite list, and both facts are decided exactly:
   hit infinitely often iff it appears in the orbit's cycle, and the finitely
   many pre-cycle hits are listed explicitly.
 
-One finite scan over the types gives the mask of values that some
-unboundedly realised type takes, which turns "the sequence is eventually
-inside S" into one AND against S, with an explicit settle bound past which
-the typed behaviour governs.
+Each rule's index set is one mask over the 4M types (`_type_bits`), built
+the way `_member_bits` builds a mask over positions, and the first matching
+rule takes the types no earlier rule took.  That gives the mask of values
+that some unboundedly realised type takes, which turns "the sequence is
+eventually inside S" into one AND against S, with an explicit settle bound
+past which the typed behaviour governs.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import chain
 
 from .core import (
     Complement,
@@ -34,7 +37,6 @@ from .core import (
     SequenceSpec,
     Squares,
     UnionSet,
-    members,
     record,
 )
 
@@ -50,39 +52,18 @@ class TailAnalysisError(ValueError):
 class TailTypes:
     modulus: int
     settle: int
-    # flat tuple indexed by 4*r + 2*s + p
-    values: tuple[int, ...]
     # mask of the values some unboundedly realised type takes
     recurrent: int
 
 
-def _walk(ds: IndexSetDescriptor, moduli: list[int], finite_max: list[int]) -> None:
-    if isinstance(ds, FiniteSet):
-        if ds.members:
-            finite_max[0] = max(finite_max[0], ds.members[-1])
-    elif isinstance(ds, ResidueClasses):
-        moduli.append(ds.modulus)
-    elif isinstance(ds, Complement):
-        _walk(ds.of, moduli, finite_max)
-    elif isinstance(ds, UnionSet):
-        for p in ds.parts:
-            _walk(p, moduli, finite_max)
-
-
-def _contains_type(ds: IndexSetDescriptor, r: int, s: int, p: int) -> bool:
-    if isinstance(ds, FiniteSet):
-        return False
-    if isinstance(ds, ResidueClasses):
-        return r % ds.modulus in ds.residues
-    if isinstance(ds, Squares):
-        return s == 1
-    if isinstance(ds, PowersOfTwo):
-        return p == 1
+def _parts(ds: IndexSetDescriptor):
+    """ds and every descriptor nested inside it."""
+    yield ds
     if isinstance(ds, Complement):
-        return not _contains_type(ds.of, r, s, p)
-    if isinstance(ds, UnionSet):
-        return any(_contains_type(q, r, s, p) for q in ds.parts)
-    raise TypeError(f"not a descriptor: {ds!r}")
+        yield from _parts(ds.of)
+    elif isinstance(ds, UnionSet):
+        for part in ds.parts:
+            yield from _parts(part)
 
 
 def _pow_orbit(base: int, modulus: int, with_parity: bool):
@@ -90,79 +71,54 @@ def _pow_orbit(base: int, modulus: int, with_parity: bool):
 
     States are residues, or (e mod 2, residue) pairs when parity matters.
     """
-    seen: dict = {}
-    seq = []
-    r = 1 % modulus
-    e = 0
-    while True:
-        state = ((e & 1, r) if with_parity else r)
-        if state in seen:
-            start = seen[state]
-            return start, set(seq[start:])
+    seen: dict = {}  # state -> first exponent, in exponent order
+    r, e = 1 % modulus, 0
+    while (state := (e & 1, r) if with_parity else r) not in seen:
         seen[state] = e
-        seq.append(state)
-        r = r * base % modulus
-        e += 1
+        r, e = r * base % modulus, e + 1
+    return seen[state], set(list(seen)[seen[state]:])
 
 
 @lru_cache(maxsize=4096)
 def tail_types(seq: SequenceSpec) -> TailTypes:
-    moduli: list[int] = []
-    finite_max = [0]
-    for ds, _ in seq.rules:
-        _walk(ds, moduli, finite_max)
-
+    parts = [part for ds, _ in seq.rules for part in _parts(ds)]
     modulus = 1
-    for m in moduli:
-        modulus = math.lcm(modulus, m)
-        if modulus > MODULUS_CAP:
-            raise TailAnalysisError(
-                f"lcm of rule moduli exceeds {MODULUS_CAP}; exact tail analysis refused")
+    for part in parts:
+        if isinstance(part, ResidueClasses):
+            modulus = math.lcm(modulus, part.modulus)
+            if modulus > MODULUS_CAP:
+                raise TailAnalysisError(
+                    f"lcm of rule moduli exceeds {MODULUS_CAP}; exact tail analysis refused")
 
     square_residues = {j * j % modulus for j in range(modulus)}
     pre2, cycle2 = _pow_orbit(2, modulus, with_parity=True)
     pre4, cycle4 = _pow_orbit(4, modulus, with_parity=False)
+    settle = max([0, *(part.members[-1] for part in parts
+                       if isinstance(part, FiniteSet) and part.members),
+                  *(1 << e for e in range(1, pre2, 2)), *(1 << 2 * e for e in range(pre4))])
 
-    settle = finite_max[0]
-    for e in range(pre2):
-        if e & 1:
-            settle = max(settle, 1 << e)
-    for e in range(pre4):
-        settle = max(settle, 1 << (2 * e))
-
-    values: list[int] = []
-    recurrent = 0
-    for r in range(modulus):
-        for s in (0, 1):
-            for p in (0, 1):
-                value = seq.default
-                for ds, point in seq.rules:
-                    if _contains_type(ds, r, s, p):
-                        value = point
-                        break
-                if s and p:
-                    vast = r in cycle4
-                elif s:
-                    vast = r in square_residues
-                elif p:
-                    vast = (1, r) in cycle2
-                else:
-                    vast = True
-                values.append(value)
-                if vast:
-                    recurrent |= 1 << value
-
-    return TailTypes(modulus, settle, tuple(values), recurrent)
+    # The types realised at unboundedly many positions: every residue off
+    # the squares and powers of two, the square residues at squares that
+    # are not powers of two, the cycle of odd powers of two, and the cycle
+    # of powers of four.
+    vast = _tile(0b0001, 4, 4 * modulus) | _position_bits(chain(
+        (4 * r + 2 for r in square_residues),
+        (4 * r + 1 for odd, r in cycle2 if odd),
+        (4 * r + 3 for r in cycle4)), 4 * modulus - 1)
+    rest, recurrent = _tile(0b1111, 4, 4 * modulus), 0
+    for ds, point in seq.rules:
+        hit = _type_bits(ds, modulus) & rest
+        if hit & vast:
+            recurrent |= 1 << point
+        rest ^= hit
+    if rest & vast:
+        recurrent |= 1 << seq.default
+    return TailTypes(modulus, settle, recurrent)
 
 
 def eventually_in(seq: SequenceSpec, good_mask: int) -> bool:
     """Whether all but finitely many positions take a value inside the mask."""
     return not tail_types(seq).recurrent & ~good_mask
-
-
-def recurrent_values(seq: SequenceSpec) -> frozenset[int]:
-    """Values taken at unboundedly many positions."""
-    return frozenset(members(tail_types(seq).recurrent))
 
 
 def settle_bound(seq: SequenceSpec) -> int:
@@ -199,12 +155,7 @@ def _member_bits(ds: IndexSetDescriptor, top: int) -> int:
     if isinstance(ds, ResidueClasses):
         if ds.modulus > top:
             return _position_bits((r for r in ds.residues if r <= top), top)
-        # One period, doubled by shifts until it covers 0..top.
-        bits, span = _position_bits(ds.residues, ds.modulus - 1), ds.modulus
-        while span <= top:
-            bits |= bits << span
-            span *= 2
-        return bits & ((2 << top) - 1)
+        return _tile(_position_bits(ds.residues, ds.modulus - 1), ds.modulus, top + 1)
     if isinstance(ds, Squares):
         return _position_bits((j * j for j in range(math.isqrt(top) + 1)), top)
     if isinstance(ds, PowersOfTwo):
@@ -215,6 +166,39 @@ def _member_bits(ds: IndexSetDescriptor, top: int) -> int:
         bits = 0
         for part in ds.parts:
             bits |= _member_bits(part, top)
+        return bits
+    raise TypeError(f"not a descriptor: {ds!r}")
+
+
+def _tile(pattern: int, width: int, total: int) -> int:
+    """A pattern of `width` bits repeated over the low `total` bits, doubled
+    by shifts."""
+    while width < total:
+        pattern |= pattern << width
+        width *= 2
+    return pattern & ((1 << total) - 1)
+
+
+def _type_bits(ds: IndexSetDescriptor, modulus: int) -> int:
+    """Mask of the tail types that ds contains, type (r, s, p) at bit
+    4r + 2s + p: r the residue mod modulus (which every rule modulus
+    divides), s set at a square and p at a power of two.  A finite set
+    holds no type: it ends before the settle bound."""
+    if isinstance(ds, FiniteSet):
+        return 0
+    if isinstance(ds, ResidueClasses):
+        period = _position_bits((4 * r for r in ds.residues), 4 * ds.modulus - 1) * 0b1111
+        return _tile(period, 4 * ds.modulus, 4 * modulus)
+    if isinstance(ds, Squares):
+        return _tile(0b1100, 4, 4 * modulus)
+    if isinstance(ds, PowersOfTwo):
+        return _tile(0b1010, 4, 4 * modulus)
+    if isinstance(ds, Complement):
+        return _type_bits(ds.of, modulus) ^ _tile(0b1111, 4, 4 * modulus)
+    if isinstance(ds, UnionSet):
+        bits = 0
+        for part in ds.parts:
+            bits |= _type_bits(part, modulus)
         return bits
     raise TypeError(f"not a descriptor: {ds!r}")
 

@@ -6,8 +6,9 @@ convergence through natural density.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import and_, lshift
+from functools import reduce
+from itertools import chain, compress
+from operator import and_, lshift, or_
 from typing import TYPE_CHECKING, Union
 
 from . import _tails
@@ -125,34 +126,37 @@ def _check_space(s: Carrier, q: QuasiFamily) -> None:
         raise SpaceMismatchError("sequence/net space differs from the family's")
 
 
-def _net_eventually(net: DirectedNet, predicate) -> bool:
-    m = len(net.elements)
-    return any(all(predicate(net.assignment[b])
-                   for b in range(m) if net.order[a][b])
-               for a in range(m))
+def _eventually_in(s: Carrier, mask: int) -> bool:
+    """Whether the sequence or net is eventually inside the mask.  A net's
+    tail at element a is the mask of the points it takes at or after a, and
+    the net is eventually inside the mask iff some tail is."""
+    if isinstance(s, DirectedNet):
+        return any(not tail & ~mask for tail in _net_tails(s))
+    return _tails.eventually_in(s, mask)
+
+
+def _net_tails(net: DirectedNet) -> list[int]:
+    """For each element, the mask of the points the net takes at or after it."""
+    points = [1 << v for v in net.assignment]
+    return [reduce(or_, compress(points, row)) for row in net.order]
 
 
 def right_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     """For every index, d_i(x, s_k) vanishes from some position on."""
     _check_space(s, q)
     q.space.check_point(x)
-    if isinstance(s, DirectedNet):
-        return all(_net_eventually(s, lambda v, row=rows[x]: row >> v & 1)
-                   for rows in q.rows)
-    return all(_tails.eventually_in(s, rows[x]) for rows in q.rows)
+    return all(_eventually_in(s, rows[x]) for rows in q.rows)
 
 
 def left_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     """For every index, d_i(s_k, x) vanishes from some position on."""
     _check_space(s, q)
     q.space.check_point(x)
-    if isinstance(s, DirectedNet):
-        return all(_net_eventually(s, lambda v, rows=rows: rows[v] >> x & 1)
-                   for rows in q.rows)
-    # The left ball at x is the column {y : x in row y}.  A sequence is
-    # eventually inside each of finitely many sets iff it is eventually
-    # inside their intersection, the column of the meet.
-    return _tails.eventually_in(s, transpose(ball_meet(q))[x])
+    # The left ball at x is the column {y : x in row y}.  A sequence, or a
+    # net (any two elements have an upper bound), is eventually inside each
+    # of finitely many sets iff it is eventually inside their intersection,
+    # the column of the meet.
+    return _eventually_in(s, transpose(ball_meet(q))[x])
 
 
 def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
@@ -160,14 +164,16 @@ def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
 
     For a described sequence this holds iff d_i is zero on every ordered pair
     of values that recur unboundedly often: each such pair occurs at
-    arbitrarily late positions in either order.
+    arbitrarily late positions in either order.  For a net it holds iff some
+    element a0 has, at every element a after it, the tail at a inside the
+    zero row of the point taken at a.
     """
     _check_space(s, q)
     if isinstance(s, DirectedNet):
-        later = [[b for b, e in enumerate(row) if e] for row in s.order]
-        return all(any(all(rows[s.assignment[a]] >> s.assignment[b] & 1
-                           for a in later[a0] for b in later[a])
-                       for a0 in range(len(later)))
+        tails = _net_tails(s)
+        return all(any(all(not tails[a] & ~rows[s.assignment[a]]
+                           for a, later in enumerate(after) if later)
+                       for after in s.order)
                    for rows in q.rows)
     recur = _tails.tail_types(s).recurrent
     return all(rows[a] & recur == recur for rows in q.rows for a in members(recur))

@@ -79,32 +79,31 @@ def _preorders_by_distance(n: int) -> list[tuple[int, ...]]:
 
 
 def _family_candidates(n: int, max_indices: int):
-    """Families of independent preorder-induced distances in canonical order.
+    """The zero rows of families of independent preorder-induced distances,
+    one tuple of rows per index, in canonical order.
 
     A {0,1} distance is a quasimetric iff its zero relation is a preorder,
     so enumerating per-index preorders covers exactly the valid families.
     Preorders are ordered as in `_preorders_by_distance`, and families are
     ordered by index count then lexicographically over their sorted keys.
     """
-    space = PointSpace(n)
     preorders = _preorders_by_distance(n)
     for count in range(1, max_indices + 1):
-        for chosen in combinations_with_replacement(preorders, count):
-            labels = tuple(f"i{k}" for k in range(count))
-            yield QuasiFamily(space, labels, chosen)
+        yield from combinations_with_replacement(preorders, count)
 
 
 def find_discrepancy(pred_a: str, pred_b: str, n: int,
                      max_indices: int) -> QuasiFamily | None:
     """First family (smallest point count, fewest indices, smallest distance
     rows) where the two predicates disagree at some ordered pair of distinct
-    points: the first of `_family_candidates` on which they do.
+    points: the first of `_family_candidates` on which they do, indexed
+    i0, i1, ...
 
     Predicates that read one relation (`qmetric.PREDICATES`) never disagree;
     every other pair does on some one-index family of at most 3 points, so
     the scan stops within a few candidates.  Each candidate is read off its
-    `qmetric.separation_pair`, and only the witness is re-checked against
-    the topology it generates.
+    `qmetric.separation_pair`, and only the witness is made a family and
+    re-checked against the topology it generates.
     """
     reads = [qmetric.predicate(name)[0] for name in (pred_a, pred_b)]
     if not 1 <= n <= 4:
@@ -114,8 +113,10 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
     if reads[0] == reads[1]:
         return None
     for points in range(1, n + 1):
-        for q in _family_candidates(points, max_indices):
-            if disagreeing_pairs(*qmetric.separation_pair(points, q.rows), pred_a, pred_b):
+        for rows in _family_candidates(points, max_indices):
+            if disagreeing_pairs(*qmetric.separation_pair(points, rows), pred_a, pred_b):
+                q = QuasiFamily(PointSpace(points), tuple(f"i{k}" for k in range(len(rows))),
+                                rows)
                 if not discrepancy_pairs(q, pred_a, pred_b):
                     raise AssertionError("candidate scan returned a family on which "
                                          f"{pred_a} and {pred_b} agree")

@@ -2,20 +2,26 @@
 
 import io
 import json
+import math
 from contextlib import redirect_stdout
 from functools import lru_cache, partial
 from itertools import combinations_with_replacement
 
-from qmtop import _kernels
+from qmtop import _kernels, _tails
 from qmtop.cli import emit
 from qmtop.core import (
+    Complement,
+    DirectedNet,
     FiniteSet,
     PointMap,
     PointSpace,
+    PowersOfTwo,
     QuasiFamily,
     ResidueClasses,
     SequenceSpec,
+    Squares,
     Topology,
+    UnionSet,
     members,
     serialize,
 )
@@ -247,7 +253,8 @@ def object_find_discrepancy(pred_a: str, pred_b: str, n: int, max_indices: int):
         return matrix_sep_pair(mats, name, x, y)
 
     for points in range(1, n + 1):
-        for q in _family_candidates(points, max_indices):
+        for rows in _family_candidates(points, max_indices):
+            q = QuasiFamily(PointSpace(points), tuple(f"i{k}" for k in range(len(rows))), rows)
             t, mats = to_topology(q), distance_matrices(q)
             if any(holds(pred_a, mats, t, x, y) != holds(pred_b, mats, t, x, y)
                    for x in range(points) for y in range(points) if x != y):
@@ -424,3 +431,109 @@ def subbase_closure(space: PointSpace, subbase_masks) -> frozenset:
     base = close_under(set(subbase_masks) | {space.full_mask}, lambda a, b: a & b)
     return frozenset(close_under(base | {0}, lambda a, b: a | b))
 
+
+
+def _descriptor_parts(ds):
+    """ds and every descriptor nested inside it."""
+    yield ds
+    if isinstance(ds, Complement):
+        yield from _descriptor_parts(ds.of)
+    elif isinstance(ds, UnionSet):
+        for part in ds.parts:
+            yield from _descriptor_parts(part)
+
+
+def _contains_type(ds, r: int, s: int, p: int) -> bool:
+    """Whether ds holds the positions of residue r (mod a multiple of each
+    rule modulus), squares when s is set and powers of two when p is."""
+    if isinstance(ds, FiniteSet):
+        return False
+    if isinstance(ds, ResidueClasses):
+        return r % ds.modulus in ds.residues
+    if isinstance(ds, Squares):
+        return s == 1
+    if isinstance(ds, PowersOfTwo):
+        return p == 1
+    if isinstance(ds, Complement):
+        return not _contains_type(ds.of, r, s, p)
+    if isinstance(ds, UnionSet):
+        return any(_contains_type(q, r, s, p) for q in ds.parts)
+    raise TypeError(f"not a descriptor: {ds!r}")
+
+
+def tail_types_by_type(seq: SequenceSpec) -> tuple[int, int, int]:
+    """Oracle: the `(modulus, settle, recurrent)` of `_tails.tail_types`,
+    with the value of each tail type (r, s, p) found by testing the rules
+    in order, one membership test per (type, rule)."""
+    parts = [d for ds, _ in seq.rules for d in _descriptor_parts(ds)]
+    modulus = math.lcm(1, *(d.modulus for d in parts if isinstance(d, ResidueClasses)))
+    square_residues = {j * j % modulus for j in range(modulus)}
+    pre2, cycle2 = _tails._pow_orbit(2, modulus, with_parity=True)
+    pre4, cycle4 = _tails._pow_orbit(4, modulus, with_parity=False)
+    settle = max([0, *(d.members[-1] for d in parts if isinstance(d, FiniteSet) and d.members),
+                  *(1 << e for e in range(pre2) if e & 1), *(1 << 2 * e for e in range(pre4))])
+    recurrent = 0
+    for r in range(modulus):
+        for s in (0, 1):
+            for p in (0, 1):
+                value = next((point for ds, point in seq.rules if _contains_type(ds, r, s, p)),
+                             seq.default)
+                if s and p:
+                    vast = r in cycle4
+                elif s:
+                    vast = r in square_residues
+                elif p:
+                    vast = (1, r) in cycle2
+                else:
+                    vast = True
+                if vast:
+                    recurrent |= 1 << value
+    return modulus, settle, recurrent
+
+
+def net_eventually(net: DirectedNet, predicate) -> bool:
+    """Oracle: some element a has every element at or after a take a point
+    that satisfies the predicate."""
+    m = len(net.elements)
+    return any(all(predicate(net.assignment[b])
+                   for b in range(m) if net.order[a][b])
+               for a in range(m))
+
+
+def net_right_converges(net: DirectedNet, q: QuasiFamily, x: int) -> bool:
+    """Oracle: for every index, d_i(x, net) is eventually 0."""
+    return all(net_eventually(net, lambda v, row=rows[x]: row >> v & 1) for rows in q.rows)
+
+
+def net_left_converges(net: DirectedNet, q: QuasiFamily, x: int) -> bool:
+    """Oracle: for every index, d_i(net, x) is eventually 0."""
+    return all(net_eventually(net, lambda v, rows=rows: rows[v] >> x & 1) for rows in q.rows)
+
+
+def net_is_right_cauchy(net: DirectedNet, q: QuasiFamily) -> bool:
+    """Oracle: for every index, some a0 has d_i(net_a, net_b) = 0 for every
+    a after a0 and every b after a."""
+    later = [[b for b, e in enumerate(row) if e] for row in net.order]
+    return all(any(all(rows[net.assignment[a]] >> net.assignment[b] & 1
+                       for a in later[a0] for b in later[a])
+                   for a0 in range(len(later)))
+               for rows in q.rows)
+
+
+def directed_nets(n: int, max_elements: int = 3, up_to_renaming: bool = False):
+    """Every net on n points over a directed preorder of at most
+    `max_elements` elements, with every assignment, or with one assignment
+    per renaming of the points (each new point the least unused one)."""
+    for m in range(1, max_elements + 1):
+        directed = [rows for rows in _kernels.preorder_rows(m)
+                    if all(rows[a] & rows[b] for a in range(m) for b in range(m))]
+        assignments = [tuple(k // n ** a % n for a in range(m)) for k in range(n ** m)]
+        if up_to_renaming:
+            assignments = [a for a in assignments
+                           if all(v <= max(a[:i], default=-1) + 1 for i, v in enumerate(a))]
+        for rows in directed:
+            # order[a][b] = 1 iff b is at or after a, i.e. b is in row a.
+            order = tuple(tuple(rows[a] >> b & 1 for b in range(m)) for a in range(m))
+            for assignment in assignments:
+                yield DirectedNet(PointSpace(n), tuple(f"e{a}" for a in range(m)),
+                                  order, assignment)

@@ -414,7 +414,7 @@ RECORD_SAMPLES = {
     representation.RoundtripReport: (True, (), ()),
     continuity.AxiomViolation: ("identity", (0,)),
     continuity.ContinuitySpace: (PointSpace(1), _SG, PositiveSet(_SG, (1,)), ((0,),)),
-    _tails.TailTypes: (1, 0, (0, 0, 0, 0), 0b1),
+    _tails.TailTypes: (1, 0, 0b1),
 }
 
 

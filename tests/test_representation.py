@@ -298,9 +298,9 @@ def test_candidate_scan_visits_at_most_fifteen_families(monkeypatch):
     visits = []
 
     def counted(points, max_indices):
-        for q in _family_candidates(points, max_indices):
+        for rows in _family_candidates(points, max_indices):
             visits[-1] += 1
-            yield q
+            yield rows
 
     monkeypatch.setattr(representation, "_family_candidates", counted)
     calls = 0

@@ -22,7 +22,10 @@ from qmtop.core import (
     SequenceSpec,
     Squares,
     UnionSet,
+    members,
 )
+
+from helpers import tail_types_by_type
 
 HORIZON = 100_000
 
@@ -69,6 +72,11 @@ def values(seq, kmax) -> bytes:
     return decoded.to_bytes(kmax + 1, "little")
 
 
+def recurrent_values(seq) -> set[int]:
+    """Values taken at unboundedly many positions."""
+    return set(members(_tails.tail_types(seq).recurrent))
+
+
 @st.composite
 def specs(draw):
     space = PointSpace(3)
@@ -94,7 +102,7 @@ def test_eventually_in_matches_brute_force(seq, good_mask):
 def test_recurrent_values_match_window(seq):
     settle = _tails.settle_bound(seq)
     window = frozenset(values(seq, HORIZON)[settle + 1:])
-    assert window == _tails.recurrent_values(seq)
+    assert window == recurrent_values(seq)
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,7 +139,7 @@ def test_squares_deviation_is_not_eventual():
     seq = SequenceSpec(space, 1, ((Squares(), 0),))
     assert not _tails.eventually_in(seq, 0b10)
     assert _tails.eventually_in(seq, 0b11)
-    assert _tails.recurrent_values(seq) == {0, 1}
+    assert recurrent_values(seq) == {0, 1}
 
 
 def test_finite_deviation_is_eventual():
@@ -139,7 +147,7 @@ def test_finite_deviation_is_eventual():
     seq = SequenceSpec(space, 1, ((FiniteSet((2, 9, 31)), 0),))
     assert _tails.eventually_in(seq, 0b10)
     assert _tails.settle_bound(seq) >= 31
-    assert _tails.recurrent_values(seq) == {1}
+    assert recurrent_values(seq) == {1}
 
 
 def test_powers_of_two_square_interaction():
@@ -148,20 +156,69 @@ def test_powers_of_two_square_interaction():
     space = PointSpace(2)
     seq = SequenceSpec(space, 1, ((Complement(Squares()), 1), (PowersOfTwo(), 0)))
     assert not _tails.eventually_in(seq, 0b10)
-    assert 0 in _tails.recurrent_values(seq)
+    assert 0 in recurrent_values(seq)
+
+
+def _intersection(a, b):
+    return Complement(UnionSet((Complement(a), Complement(b))))
 
 
 def test_tail_types_cache_tells_field_free_rules_apart():
     """`Squares()` and `PowersOfTwo()` have no fields and equal hashes, so
-    only their classes keep the cached tail types of the two apart."""
+    only their classes keep the cached tail types of the two apart.  No
+    square is 2 mod 3, but every odd power of two is, so the rule fires
+    unboundedly often only in the second sequence."""
     space = PointSpace(2)
-    squares = SequenceSpec(space, 0, ((Squares(), 1),))
-    powers = SequenceSpec(space, 0, ((PowersOfTwo(), 1),))
+    two_mod_three = ResidueClasses(3, (2,))
+    squares = SequenceSpec(space, 0, ((_intersection(two_mod_three, Squares()), 1),))
+    powers = SequenceSpec(space, 0, ((_intersection(two_mod_three, PowersOfTwo()), 1),))
     assert hash(squares) == hash(powers) and squares != powers
-    # values[4*r + 2*s + p] for the one residue r = 0
-    assert _tails.tail_types(squares).values == (0, 0, 1, 1)
-    assert _tails.tail_types(powers).values == (0, 1, 0, 1)
-    assert _tails.tail_types(squares).values == (0, 0, 1, 1)
+    assert _tails.tail_types(squares).recurrent == 0b01
+    assert _tails.tail_types(powers).recurrent == 0b11
+    assert _tails.tail_types(squares).recurrent == 0b01
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs())
+def test_tail_types_match_the_per_type_oracle(seq):
+    t = _tails.tail_types(seq)
+    assert (t.modulus, t.settle, t.recurrent) == tail_types_by_type(seq)
+
+
+# Moduli dividing 720, so the per-type oracle's 4 * lcm types stay few.
+_nested = st.recursive(
+    _simple | st.sampled_from([9, 10, 15, 16]).flatmap(
+        lambda m: st.builds(ResidueClasses, st.just(m), _residues(m))),
+    lambda inner: st.builds(Complement, inner) | st.builds(
+        UnionSet, st.lists(inner, min_size=1, max_size=3).map(tuple)),
+    max_leaves=6)
+
+
+@st.composite
+def nested_specs(draw):
+    n = draw(st.integers(1, 5))
+    rules = tuple((draw(_nested), draw(st.integers(0, n - 1)))
+                  for _ in range(draw(st.integers(0, 3))))
+    return SequenceSpec(PointSpace(n), draw(st.integers(0, n - 1)), rules)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nested_specs())
+def test_tail_types_of_nested_complements_and_unions_match_the_oracle(seq):
+    t = _tails.tail_types(seq)
+    assert (t.modulus, t.settle, t.recurrent) == tail_types_by_type(seq)
+
+
+def test_tail_types_of_intersections_match_the_oracle():
+    """Each pair of the four kinds of set intersected, and the intersection
+    complemented, as a rule ahead of a residue-class rule."""
+    kinds = [FiniteSet((3, 16)), ResidueClasses(5, (1, 4)), Squares(), PowersOfTwo()]
+    for a in kinds:
+        for b in kinds:
+            for ds in (_intersection(a, b), Complement(_intersection(a, b))):
+                seq = SequenceSpec(PointSpace(3), 0, ((ds, 1), (ResidueClasses(6, (4,)), 2)))
+                t = _tails.tail_types(seq)
+                assert (t.modulus, t.settle, t.recurrent) == tail_types_by_type(seq), ds
 
 
 def test_modulus_cap_refuses():
