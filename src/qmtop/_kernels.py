@@ -1,5 +1,6 @@
-"""The row-mask spine: relations as row masks, packed or transposed, the
-up-sets of preorders, and the family-subset scan kept as a second route.
+"""The row-mask spine: relations as row masks, packed or transposed, their
+transitivity witnesses, the up-sets of preorders, and the family-subset
+scan kept as a second route.
 
 A preorder on n points is a tuple of row masks, rows[x] = {y : x below y}.
 Every finite topology is the set of up-sets of its specialization preorder,
@@ -17,7 +18,26 @@ from __future__ import annotations
 
 from operator import lshift
 
-from .core import members
+
+def members(mask: int) -> list[int]:
+    """The points of a mask, ascending."""
+    return [p for p in range(mask.bit_length()) if mask >> p & 1]
+
+
+def triangles(rows):
+    """Every (x, y, z), ascending, with y in rows[x] and z in rows[y] but
+    not in rows[x]: the witnesses that the relation is not transitive.
+
+    Each distinct row is tested once; only a relation that fails pays for
+    the listing, and the witnesses are yielded as they are found, so a
+    caller that needs the first stops there.
+    """
+    if all(all(rows[y] & ~row == 0 for y in members(row)) for row in set(rows)):
+        return
+    for x, row in enumerate(rows):
+        for y in members(row):
+            for z in members(rows[y] & ~row):
+                yield x, y, z
 
 
 def pack(rows) -> int:

@@ -59,6 +59,22 @@ def _fail_input(message: str) -> int:
     return EXIT_INPUT
 
 
+def _load(path: str, kinds, message: str):
+    """The document at a path, refused with `message` unless it is one of
+    `kinds`."""
+    value = parse_document(_read(path))
+    if not isinstance(value, kinds):
+        raise DocumentError(message)
+    return value
+
+
+def _verdict(op: str, ok: bool, reason: str | None, **report) -> int:
+    """Report a pass, or a failure for the reason given, and return its exit
+    code."""
+    emit(op, "pass" if ok else "fail", reason=None if ok else reason, **report)
+    return EXIT_PASS if ok else EXIT_FAIL
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -97,25 +113,19 @@ def cmd_check(args) -> int:
 def _report(violations) -> int:
     """Report a check: a failure naming the first violation, or a pass."""
     if violations:
-        emit("check", "fail", reason=str(violations[0]),
-             detail={"violations": [v.to_json() for v in violations]})
-        return EXIT_FAIL
-    emit("check", "pass")
-    return EXIT_PASS
+        return _verdict("check", False, str(violations[0]),
+                        detail={"violations": [v.to_json() for v in violations]})
+    return _verdict("check", True, None)
 
 
 def cmd_canonical(args) -> int:
-    t = parse_document(_read(args.file))
-    if not isinstance(t, Topology):
-        return _fail_input("canonical expects a topology document")
+    t = _load(args.file, Topology, "canonical expects a topology document")
     print(serialize(representation.canonical_family(t)))
     return EXIT_PASS
 
 
 def cmd_topology(args) -> int:
-    q = parse_document(_read(args.file))
-    if not isinstance(q, QuasiFamily):
-        return _fail_input("topology expects a qmetric document")
+    q = _load(args.file, QuasiFamily, "topology expects a qmetric document")
     print(serialize(qmetric.to_topology(q)))
     return EXIT_PASS
 
@@ -136,20 +146,16 @@ def cmd_roundtrip(args) -> int:
                 failures.append(serialize(t))
         # The first failure in canonical order: the least document.
         first_failure = min(failures, default=None)
-        emit("roundtrip", "pass" if checked == equal else "fail", witness=first_failure,
-             detail={"n": args.n, "checked": checked, "equal": equal,
-                     "message": f"{checked} topologies, {equal} equal"})
-        return EXIT_PASS if checked == equal else EXIT_FAIL
+        return _verdict("roundtrip", checked == equal, None, witness=first_failure,
+                        detail={"n": args.n, "checked": checked, "equal": equal,
+                                "message": f"{checked} topologies, {equal} equal"})
     if args.file is None:
         return _fail_input("roundtrip needs a topology file or --n")
-    t = parse_document(_read(args.file))
-    if not isinstance(t, Topology):
-        return _fail_input("roundtrip expects a topology document")
+    t = _load(args.file, Topology, "roundtrip expects a topology document")
     report = representation.roundtrip(t)
-    emit("roundtrip", "pass" if report.equal else "fail",
-         detail={"missing": list(map(members, report.missing)),
-                 "extra": list(map(members, report.extra))})
-    return EXIT_PASS if report.equal else EXIT_FAIL
+    return _verdict("roundtrip", report.equal, None,
+                    detail={"missing": list(map(members, report.missing)),
+                            "extra": list(map(members, report.extra))})
 
 
 def _as_family(value) -> QuasiFamily:
@@ -178,18 +184,16 @@ def cmd_separation(args) -> int:
     rows = _as_topology(value).rows
     direct = {axiom: topology.separated(rows, axiom) for axiom in ("t0", "t1", "t2")}
     if args.method == "direct":
-        emit("separation", "pass", detail={"method": "direct", **direct})
-        return EXIT_PASS
+        return _verdict("separation", True, None, detail={"method": "direct", **direct})
     if args.method == "metric":
         # The metric T0 and T1 criteria, `t0_unordered` and `t1_amended`,
         # read the very axioms they are offered for (`qmetric.PREDICATES`),
         # so their verdicts are the direct ones.
-        emit("separation", "pass",
-             detail={"method": "metric", **direct,
-                     "note": "t2 from the generated topology; no sound "
-                             "metric criterion is available",
-                     "direct": direct, "disagreements": []})
-        return EXIT_PASS
+        return _verdict("separation", True, None,
+                        detail={"method": "metric", **direct,
+                                "note": "t2 from the generated topology; no sound "
+                                        "metric criterion is available",
+                                "direct": direct, "disagreements": []})
     reads, axiom = qmetric.PREDICATES[args.method]
     # The symmetric mask is empty for a topology document: no d_U of its
     # canonical family is 1 in both directions.
@@ -201,95 +205,81 @@ def cmd_separation(args) -> int:
     pairs = representation.disagreeing_pairs(rows, sym, args.method, axiom)
     n = len(rows)
     condition = qmetric.predicate_pairs(args.method, rows, sym).bit_count() == n * (n - 1)
-    emit("separation", "fail" if pairs else "pass",
-         reason=f"literal condition disagrees with direct {axiom} at some pair"
-         if pairs else None,
-         detail={"method": args.method, "axiom": axiom,
-                 "condition": condition,
-                 "direct": direct[axiom],
-                 "disagreeing_pairs": pairs})
-    return EXIT_FAIL if pairs else EXIT_PASS
+    return _verdict("separation", not pairs,
+                    f"literal condition disagrees with direct {axiom} at some pair",
+                    detail={"method": args.method, "axiom": axiom,
+                            "condition": condition,
+                            "direct": direct[axiom],
+                            "disagreeing_pairs": pairs})
+
+
+# Each convergence mode: the carriers it accepts, and its reason for a fail.
+_CONVERGE = {
+    "right": ((SequenceSpec, DirectedNet), "right condition fails at some index"),
+    "left": ((SequenceSpec, DirectedNet), "left condition fails at some index"),
+    "cauchy": ((SequenceSpec, DirectedNet), "cauchy condition fails at some index"),
+    "topological": (SequenceSpec, "sequence leaves the minimal neighbourhood "
+                                  "unboundedly often"),
+    "product": (SequenceSpec, "some coordinate never settles"),
+    "statistical": (SequenceSpec, "some index has positive deviation density"),
+}
 
 
 def cmd_converge(args) -> int:
+    mode, x = args.mode, args.point
     # The cross-check evaluates every position up to the horizon; the
     # statistical scan stops at the same top horizon.
     horizon_cap = max(qmetric.EMPIRICAL_HORIZONS)
-    if args.mode == "topological":
+    if mode == "topological":
         if args.horizon > horizon_cap:
             return _fail_input(f"--horizon must be at most {horizon_cap}")
         if args.horizon < 1:
             return _fail_input("--horizon must be at least 1")
     seq = parse_document(_read(args.sequence))
-    space_doc = parse_document(_read(args.space))
-    x = args.point
-    mode = args.mode
+    space = parse_document(_read(args.space))
+    carriers, reason = _CONVERGE[mode]
+    # The topological mode checks the carrier before it reads the space; the
+    # others read the space as a family first.
+    q = None if mode == "topological" else _as_family(space)
+    if not isinstance(seq, carriers):
+        noun = "sequence" if carriers is SequenceSpec else "sequence or net"
+        raise DocumentError(f"{mode} mode needs a {noun} document")
+    detail = {"mode": mode, "point": x}
     if mode == "topological":
-        if not isinstance(seq, SequenceSpec):
-            return _fail_input("topological mode needs a sequence document")
-        t = _as_topology(space_doc)
-        ok = topology.converges_topologically(seq, t, x, horizon=args.horizon)
-        emit("converge", "pass" if ok else "fail",
-             reason=None if ok else "sequence leaves the minimal neighbourhood "
-                                    "unboundedly often",
-             detail={"mode": mode, "point": x})
-        return EXIT_PASS if ok else EXIT_FAIL
-    q = _as_family(space_doc)
-    if mode in ("right", "left", "cauchy"):
-        if not isinstance(seq, (SequenceSpec, DirectedNet)):
-            return _fail_input(f"{mode} mode needs a sequence or net document")
-        if mode == "right":
-            ok = qmetric.right_converges(seq, q, x)
-        elif mode == "left":
-            ok = qmetric.left_converges(seq, q, x)
-        else:
-            ok = qmetric.is_right_cauchy(seq, q)
-        emit("converge", "pass" if ok else "fail",
-             reason=None if ok else f"{mode} condition fails at some index",
-             detail={"mode": mode, "point": x})
-        return EXIT_PASS if ok else EXIT_FAIL
-    if not isinstance(seq, SequenceSpec):
-        return _fail_input(f"{mode} mode needs a sequence document")
-    if mode == "product":
+        ok = topology.converges_topologically(seq, _as_topology(space), x,
+                                              horizon=args.horizon)
+    elif mode == "right":
+        ok = qmetric.right_converges(seq, q, x)
+    elif mode == "left":
+        ok = qmetric.left_converges(seq, q, x)
+    elif mode == "cauchy":
+        ok = qmetric.is_right_cauchy(seq, q)
+    elif mode == "product":
         ok = qmetric.product_converges(seq, q, x)
-        emit("converge", "pass" if ok else "fail",
-             reason=None if ok else "some coordinate never settles",
-             detail={"mode": mode, "point": x})
-        return EXIT_PASS if ok else EXIT_FAIL
-    result = qmetric.stat_converges(seq, q, x)
-    per_index = []
-    for rep in result.per_index:
-        per_index.append({
-            "index": rep.index,
-            "density": rep.density.to_json(),
-            "empirical": [{"horizon": h, "count": c,
-                           "density": c / h} for h, c in rep.empirical],
-        })
-    verdict = {"true": "pass", "false": "fail", "undecided": "undecided"}[result.verdict]
-    emit("converge", verdict,
-         reason=None if verdict == "pass" else
-         "some index has positive deviation density" if verdict == "fail"
-         else "some deviation density is unknown",
-         detail={"mode": mode, "point": x, "per_index": per_index})
-    if verdict == "fail":
-        return EXIT_FAIL
-    if verdict == "undecided" and args.strict:
-        return EXIT_FAIL
-    return EXIT_PASS
+    else:
+        result = qmetric.stat_converges(seq, q, x)
+        detail["per_index"] = [
+            {"index": rep.index, "density": rep.density.to_json(),
+             "empirical": [{"horizon": h, "count": c, "density": c / h}
+                           for h, c in rep.empirical]}
+            for rep in result.per_index]
+        if result.verdict == "undecided":
+            emit("converge", "undecided", reason="some deviation density is unknown",
+                 detail=detail)
+            return EXIT_FAIL if args.strict else EXIT_PASS
+        ok = result.verdict == "true"
+    return _verdict("converge", ok, reason, detail=detail)
 
 
 def cmd_enumerate(args) -> int:
     n, kind = args.n, args.kind
-    try:
-        if args.count_only:
-            docs = [str(topology.count_preorders(n))]
-        elif kind == "topologies":
-            docs = topology.topology_documents(n)
-        else:
-            docs = topology.preorder_documents(n)
-        sys.stdout.write("\n".join(docs) + "\n")
-    except ValueError as e:
-        return _fail_input(str(e))
+    if args.count_only:
+        docs = [str(topology.count_preorders(n))]
+    elif kind == "topologies":
+        docs = topology.topology_documents(n)
+    else:
+        docs = topology.preorder_documents(n)
+    sys.stdout.write("\n".join(docs) + "\n")
     return EXIT_PASS
 
 
@@ -299,10 +289,7 @@ def cmd_discrepancy(args) -> int:
         return bare if qmetric.PREDICATES.get(bare) == (bare, bare) else name
 
     left, right = normalize(args.left), normalize(args.right)
-    try:
-        witness = representation.find_discrepancy(left, right, args.n, args.indices)
-    except ValueError as e:
-        return _fail_input(str(e))
+    witness = representation.find_discrepancy(left, right, args.n, args.indices)
     if witness is None:
         emit("discrepancy", "none",
              detail={"left": left, "right": right, "n": args.n,

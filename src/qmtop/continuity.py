@@ -34,9 +34,8 @@ class AxiomViolation:
 
 
 def _leq_table(sg: ValueSemigroup) -> list[list[bool]]:
-    m = sg.size
-    return [[any(sg.add[a][x] == b for x in range(m)) for b in range(m)]
-            for a in range(m)]
+    """leq[a][b] is `sg.leq(a, b)`, the derived order."""
+    return [[sg.leq(a, b) for b in range(sg.size)] for a in range(sg.size)]
 
 
 def _meet_of(sg: ValueSemigroup, leq, a: int, b: int) -> int | None:

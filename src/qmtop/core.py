@@ -15,6 +15,8 @@ from itertools import chain, repeat
 from operator import or_
 from typing import Union
 
+from ._kernels import members, triangles, upsets  # noqa: F401  (members: re-exported)
+
 
 MAX_POINTS = 16
 # Index-set descriptors are walked recursively, so their nesting is bounded
@@ -132,11 +134,6 @@ def record(cls: type) -> type:
 # Spaces, point sets, topologies, quasimetric families
 
 
-def members(mask: int) -> list[int]:
-    """The points of a mask, ascending."""
-    return [p for p in range(mask.bit_length()) if mask >> p & 1]
-
-
 @record
 class PointSpace:
     """A finite carrier of n points, optionally labelled for presentation."""
@@ -199,10 +196,8 @@ class Topology:
                 raise InvariantViolation("relation row has bits outside the space")
             if not row >> x & 1:
                 raise InvariantViolation(f"relation not reflexive at {x}")
-        for x, row in enumerate(rows):
-            for y in members(row):
-                if rows[y] & ~row:
-                    raise InvariantViolation(f"relation not transitive through ({x},{y})")
+        for x, y, _ in triangles(rows):
+            raise InvariantViolation(f"relation not transitive through ({x},{y})")
 
 
 @record
@@ -361,12 +356,8 @@ class DirectedNet:
                 raise InvariantViolation(f"net order not reflexive at element {a}")
         # rows[a] masks the successors of a; any nonzero entry relates.
         rows = [int("".join("1" if e else "0" for e in reversed(r)), 2) for r in self.order]
-        for a in range(m):
-            for b in range(m):
-                escape = rows[b] & ~rows[a]
-                if self.order[a][b] and escape:
-                    c = (escape & -escape).bit_length() - 1
-                    raise InvariantViolation(f"net order not transitive at ({a},{b},{c})")
+        for a, b, c in triangles(rows):
+            raise InvariantViolation(f"net order not transitive at ({a},{b},{c})")
         for a in range(m):
             for b in range(m):
                 if not rows[a] & rows[b]:
@@ -760,8 +751,6 @@ def serialize(value: Document) -> str:
     permuted consistently.
     """
     if isinstance(value, Topology):
-        from ._kernels import upsets
-
         return topology_text(topology_prefix(value.space), upsets(value.rows))
 
     if isinstance(value, QuasiFamily):

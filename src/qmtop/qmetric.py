@@ -6,13 +6,13 @@ convergence through natural density.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, compress
-from operator import and_, lshift, or_
+from operator import and_, or_
 from typing import TYPE_CHECKING, Union
 
 from . import _tails
-from ._kernels import pack, transpose
+from ._kernels import pack, transpose, triangles
 from .core import (
     Complement,
     DirectedNet,
@@ -64,20 +64,14 @@ def check_quasifamily(q: QuasiFamily) -> list[QuasiViolation]:
     An entry pattern d(x,z)=1, d(x,y)=d(y,z)=0 is the only way a {0,1}
     distance can break the triangle inequality, and it says exactly that
     the zero relation fails to be transitive: z is in row y but not in row
-    x for some y in row x.  Each distinct row is tested once; only an index
-    that fails pays for listing its witnesses.
+    x for some y in row x (`_kernels.triangles`).
     """
     out = []
     for label, rows in zip(q.indices, q.rows):
         for x, row in enumerate(rows):
             if not row >> x & 1:
                 out.append(QuasiViolation("nonzero-self-distance", label, (x,)))
-        if all(all(rows[y] & ~row == 0 for y in members(row)) for row in set(rows)):
-            continue
-        for x, row in enumerate(rows):
-            for y in members(row):
-                for z in members(rows[y] & ~row):
-                    out.append(QuasiViolation("triangle", label, (x, y, z)))
+        out += [QuasiViolation("triangle", label, points) for points in triangles(rows)]
     return out
 
 
@@ -135,10 +129,11 @@ def _eventually_in(s: Carrier, mask: int) -> bool:
     return _tails.eventually_in(s, mask)
 
 
-def _net_tails(net: DirectedNet) -> list[int]:
+@lru_cache(maxsize=4096)
+def _net_tails(net: DirectedNet) -> tuple[int, ...]:
     """For each element, the mask of the points the net takes at or after it."""
     points = [1 << v for v in net.assignment]
-    return [reduce(or_, compress(points, row)) for row in net.order]
+    return tuple([reduce(or_, compress(points, row)) for row in net.order])
 
 
 def right_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
@@ -156,7 +151,8 @@ def left_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     # net (any two elements have an upper bound), is eventually inside each
     # of finitely many sets iff it is eventually inside their intersection,
     # the column of the meet.
-    return _eventually_in(s, transpose(ball_meet(q))[x])
+    meet = ball_meet(q)
+    return _eventually_in(s, q.space.subset(y for y in q.space.points() if meet[y] >> x & 1))
 
 
 def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
@@ -218,14 +214,10 @@ def separation_pair(n: int, indices) -> tuple[list[int], int]:
     = d_k(y, x) = 1 for some k}, packed as `pack` does: the pairs that no
     index's packed zero pairs, or their transpose, cover."""
     square = (1 << n * n) - 1
-    # column[r] moves bit y of a row mask r to bit y*n: n-1 zeros go
-    # between the binary digits of r.
-    gap, digits = "0" * (n - 1), f"0{n}b"
-    column = {r: int(gap.join(format(r, digits)), 2) for r in set(chain.from_iterable(indices))}
     meet, covered = [(1 << n) - 1] * n, square
     for rows in indices:
         meet = list(map(and_, meet, rows))
-        covered &= pack(rows) | sum(map(lshift, map(column.__getitem__, rows), range(n)))
+        covered &= pack(rows) | pack(transpose(rows))
     return meet, ~covered & square
 
 

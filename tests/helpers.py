@@ -193,6 +193,14 @@ def small_index_families(n: int, max_indices: int = 2):
                               tuple(preorders[i] for i in chosen))
 
 
+def triangles(rows) -> list[tuple[int, int, int]]:
+    """Oracle for `_kernels.triangles`: the loop over each x, each y in row
+    x and each z in row y outside row x, with no test of distinct rows
+    first."""
+    return [(x, y, z) for x, row in enumerate(rows) for y in members(row)
+            for z in members(rows[y] & ~row)]
+
+
 def matrix_check_quasifamily(labels, matrices) -> list[tuple]:
     """Oracle: every reflexivity and triangle failure as (kind, index,
     points), found by the x/y/z loop over the distance matrices."""

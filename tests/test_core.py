@@ -253,6 +253,9 @@ def test_net_order_witnesses():
         _net([[1, 0, 0], [0, 1, 1], [1, 0, 1]])
     with pytest.raises(InvariantViolation, match="not reflexive at element 1"):
         _net([[1, 1], [0, 0]])
+    # Reflexivity is checked at every element before transitivity.
+    with pytest.raises(InvariantViolation, match="not reflexive at element 2"):
+        _net([[1, 1, 0], [0, 1, 1], [0, 0, 0]])
     with pytest.raises(InvariantViolation, match="elements 0,1 have no upper bound"):
         _net([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
     assert _net([[1, 2, 0], [0, 1, 0], [0, 7, -1]]).order[2][1] == 7
@@ -299,6 +302,7 @@ BAD_ROWS = {
     "not reflexive, then outside": (2, (0b00, 0b110), "relation not reflexive at 0"),
     "not transitive": (3, (0b001, 0b110, 0b101), r"relation not transitive through \(1,2\)"),
     "first pair wins": (3, (0b011, 0b110, 0b101), r"relation not transitive through \(0,1\)"),
+    "not transitive, then not reflexive": (3, (0b011, 0b110, 0b000), "relation not reflexive at 2"),
 }
 
 
