@@ -559,7 +559,7 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
     `validate=False` so violations become reportable data instead of parse
     errors.  A topology document is closure-checked either way, because a
     `Topology` holds only its rows; its violations ride on the
-    `InvariantViolation`.
+    `InvariantViolation`, only the first when validated.
     """
     try:
         obj = json.loads(text)
@@ -579,9 +579,12 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
         from . import topology as _topology
 
         # Checked even unvalidated: a `Topology` exists only for a topology.
-        violations = _topology.check_topology(space, masks)
-        if violations:
-            raise InvariantViolation(f"not a topology: {violations[0]}", tuple(violations))
+        # Only the unvalidated parse reports past the first failure.
+        failures = _topology.closure_failures(space, masks)
+        first = next(failures, None)
+        if first is not None:
+            raise InvariantViolation(f"not a topology: {first}",
+                                     (first,) if validate else (first, *failures))
         return Topology(space, tuple(_topology._neighborhood_rows(space, masks)))
 
     if kind == "qmetric":

@@ -313,84 +313,63 @@ class _DensityUnknown(Exception):
         self.reason = reason
 
 
-@record
-class _NormalForm:
-    # The set equals {k : k mod modulus in residues} up to a density-zero
-    # correction bounded by the recorded sparse components.
-    modulus: int
-    residues: frozenset[int]
-    sqrt_terms: int
-    log_terms: int
-    finite_bound: int
-
-
-def _lift(residues: frozenset[int], small: int, big: int) -> frozenset[int]:
-    step = big // small
-    return frozenset(r + t * small for r in residues for t in range(step))
-
-
-def _density_nf(ds: IndexSetDescriptor) -> _NormalForm:
-    if isinstance(ds, FiniteSet):
-        return _NormalForm(1, frozenset(), 0, 0, len(ds.members))
+def _density_modulus(ds: IndexSetDescriptor) -> int:
+    """The lcm of the residue moduli in ds, refused once it passes
+    `DENSITY_MODULUS_CAP` under a complement or a union."""
     if isinstance(ds, ResidueClasses):
-        return _NormalForm(ds.modulus, frozenset(ds.residues), 0, 0, 0)
-    if isinstance(ds, Squares):
-        return _NormalForm(1, frozenset(), 1, 0, 0)
-    if isinstance(ds, PowersOfTwo):
-        return _NormalForm(1, frozenset(), 0, 1, 0)
+        return ds.modulus
     if isinstance(ds, Complement):
-        nf = _density_nf(ds.of)
-        if nf.modulus > DENSITY_MODULUS_CAP:
+        modulus = _density_modulus(ds.of)
+        if modulus > DENSITY_MODULUS_CAP:
             raise _DensityUnknown(f"complemented modulus exceeds {DENSITY_MODULUS_CAP}")
-        residues = frozenset(range(nf.modulus)) - nf.residues
-        return _NormalForm(nf.modulus, residues, nf.sqrt_terms, nf.log_terms,
-                           nf.finite_bound)
-    if isinstance(ds, UnionSet):
-        out = _NormalForm(1, frozenset(), 0, 0, 0)
-        for part in ds.parts:
-            nf = _density_nf(part)
-            modulus = math.lcm(out.modulus, nf.modulus)
-            if modulus > DENSITY_MODULUS_CAP:
-                raise _DensityUnknown(
-                    f"lcm of union moduli exceeds {DENSITY_MODULUS_CAP}")
-            out = _NormalForm(
-                modulus,
-                _lift(out.residues, out.modulus, modulus)
-                | _lift(nf.residues, nf.modulus, modulus),
-                out.sqrt_terms + nf.sqrt_terms,
-                out.log_terms + nf.log_terms,
-                out.finite_bound + nf.finite_bound,
-            )
-        return out
-    raise TypeError(f"not a descriptor: {ds!r}")
+        return modulus
+    modulus = 1
+    for part in ds.parts if isinstance(ds, UnionSet) else ():
+        modulus = math.lcm(modulus, _density_modulus(part))
+        if modulus > DENSITY_MODULUS_CAP:
+            raise _DensityUnknown(f"lcm of union moduli exceeds {DENSITY_MODULUS_CAP}")
+    return modulus
 
 
 def natural_density(ds: IndexSetDescriptor) -> DensityValue:
     """Density of a described set of positions.
 
-    Every descriptor normalises to a periodic part plus a density-zero
-    correction (finite sets, squares, powers of two), so the density is the
-    periodic part's exactly; when the correction is the whole content the
-    result is zero, certified by the summed counting bounds.
+    Finite sets, squares and powers of two have density zero, so up to
+    density zero the set is its generic tail types: the residues r mod M
+    whose type (r, not a square, not a power of two) lies inside it
+    (`_tails._type_bits`), and the density is their share of M.  When it
+    holds no generic type it lies inside its finite sets, squares and
+    powers of two, and the result is zero, certified by their summed
+    counting bounds.  A lone residue set needs no mask, so its modulus has
+    no cap.
     """
     from fractions import Fraction
-    try:
-        nf = _density_nf(ds)
-    except _DensityUnknown as e:
-        return DensityValue.unknown(e.reason)
-    if nf.residues:
-        return DensityValue.exact(Fraction(len(nf.residues), nf.modulus))
-    if nf.sqrt_terms or nf.log_terms:
-        parts = []
-        if nf.sqrt_terms:
-            parts.append("isqrt(n)" if nf.sqrt_terms == 1 else f"{nf.sqrt_terms}*isqrt(n)")
-        if nf.log_terms:
-            term = "(floor(log2(n)) + 1)"
-            parts.append(term if nf.log_terms == 1 else f"{nf.log_terms}*{term}")
-        if nf.finite_bound:
-            parts.append(str(nf.finite_bound))
-        return DensityValue.zero_by_bound("count(k <= n) <= " + " + ".join(parts))
-    return DensityValue.exact(Fraction(0))
+    if isinstance(ds, ResidueClasses):
+        count, modulus = len(ds.residues), ds.modulus
+    else:
+        try:
+            modulus = _density_modulus(ds)
+        except _DensityUnknown as e:
+            return DensityValue.unknown(e.reason)
+        generic = _tails._tile(1, 4, 4 * modulus)
+        count = (_tails._type_bits(ds, modulus) & generic).bit_count()
+    if count:
+        return DensityValue.exact(Fraction(count, modulus))
+    parts = list(_tails._parts(ds))
+    sqrt_terms = sum(isinstance(part, Squares) for part in parts)
+    log_terms = sum(isinstance(part, PowersOfTwo) for part in parts)
+    if not (sqrt_terms or log_terms):
+        return DensityValue.exact(Fraction(0))
+    terms = []
+    if sqrt_terms:
+        terms.append("isqrt(n)" if sqrt_terms == 1 else f"{sqrt_terms}*isqrt(n)")
+    if log_terms:
+        term = "(floor(log2(n)) + 1)"
+        terms.append(term if log_terms == 1 else f"{log_terms}*{term}")
+    finite_bound = sum(len(part.members) for part in parts if isinstance(part, FiniteSet))
+    if finite_bound:
+        terms.append(str(finite_bound))
+    return DensityValue.zero_by_bound("count(k <= n) <= " + " + ".join(terms))
 
 
 # ---------------------------------------------------------------------------

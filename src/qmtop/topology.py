@@ -7,6 +7,7 @@ oracles.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import reduce
 from itertools import combinations, repeat
 from operator import or_
@@ -68,7 +69,13 @@ def _neighborhood_rows(space: PointSpace, masks) -> list[int]:
 def check_topology(space: PointSpace, masks) -> list[TopologyViolation]:
     """All closure failures of a candidate family of open sets, given as
     ascending distinct masks; a mask with bits outside the space raises
-    `InvariantViolation`.
+    `InvariantViolation`."""
+    return list(closure_failures(space, masks))
+
+
+def closure_failures(space: PointSpace, masks) -> Iterator[TopologyViolation]:
+    """The closure failures of `check_topology`, in its order, computed as
+    they are taken, so the first costs no more than it must.
 
     Every member is an up-set of the family's neighbourhood rows, so the
     family is a topology exactly when it has as many members as those rows
@@ -79,26 +86,24 @@ def check_topology(space: PointSpace, masks) -> list[TopologyViolation]:
         mask = next(m for m in masks if m & ~full)
         raise InvariantViolation(f"mask {mask:#x} has bits outside the space")
     if len(_kernels.upsets(_neighborhood_rows(space, masks))) == len(masks):
-        return []
+        return iter(())
     return _pair_scan(space, masks)
 
 
-def _pair_scan(space: PointSpace, masks) -> list[TopologyViolation]:
+def _pair_scan(space: PointSpace, masks) -> Iterator[TopologyViolation]:
     """Missing empty or full set, then every escaping union or intersection
     of two distinct members (ascending masks)."""
     present = set(masks)
-    out = []
     if 0 not in present:
-        out.append(TopologyViolation("no-empty-set", ()))
+        yield TopologyViolation("no-empty-set", ())
     if space.full_mask not in present:
-        out.append(TopologyViolation("no-full-set", ()))
+        yield TopologyViolation("no-full-set", ())
     points = {m: tuple(members(m)) for m in masks}
     for a, b in combinations(masks, 2):
         if a | b not in present:
-            out.append(TopologyViolation("union-escape", (points[a], points[b])))
+            yield TopologyViolation("union-escape", (points[a], points[b]))
         if a & b not in present:
-            out.append(TopologyViolation("intersection-escape", (points[a], points[b])))
-    return out
+            yield TopologyViolation("intersection-escape", (points[a], points[b]))
 
 
 def generate_from_subbase(space: PointSpace, masks) -> Topology:

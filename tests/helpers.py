@@ -5,7 +5,9 @@ import json
 import math
 from contextlib import redirect_stdout
 from functools import lru_cache, partial
+from fractions import Fraction
 from itertools import combinations_with_replacement
+from typing import NamedTuple
 
 from qmtop import _kernels, _tails
 from qmtop.cli import emit
@@ -25,7 +27,7 @@ from qmtop.core import (
     members,
     serialize,
 )
-from qmtop.qmetric import sep_metric, to_topology
+from qmtop.qmetric import DENSITY_MODULUS_CAP, DensityValue, sep_metric, to_topology
 from qmtop.representation import (
     RoundtripReport,
     _family_candidates,
@@ -497,6 +499,81 @@ def tail_types_by_type(seq: SequenceSpec) -> tuple[int, int, int]:
                 if vast:
                     recurrent |= 1 << value
     return modulus, settle, recurrent
+
+
+class NormalForm(NamedTuple):
+    """A described set as {k : k mod modulus in residues}, up to a
+    density-zero correction bounded by the counted sparse components."""
+    modulus: int
+    residues: frozenset
+    sqrt_terms: int
+    log_terms: int
+    finite_bound: int
+
+
+class _DensityUnknown(Exception):
+    pass
+
+
+def _lift(residues: frozenset, small: int, big: int) -> frozenset:
+    step = big // small
+    return frozenset(r + t * small for r in residues for t in range(step))
+
+
+def density_nf(ds) -> NormalForm:
+    """Oracle: the normal form of ds, with residue sets lifted to the lcm of
+    a union's moduli; refuses as `natural_density` does."""
+    if isinstance(ds, FiniteSet):
+        return NormalForm(1, frozenset(), 0, 0, len(ds.members))
+    if isinstance(ds, ResidueClasses):
+        return NormalForm(ds.modulus, frozenset(ds.residues), 0, 0, 0)
+    if isinstance(ds, Squares):
+        return NormalForm(1, frozenset(), 1, 0, 0)
+    if isinstance(ds, PowersOfTwo):
+        return NormalForm(1, frozenset(), 0, 1, 0)
+    if isinstance(ds, Complement):
+        nf = density_nf(ds.of)
+        if nf.modulus > DENSITY_MODULUS_CAP:
+            raise _DensityUnknown(f"complemented modulus exceeds {DENSITY_MODULUS_CAP}")
+        return nf._replace(residues=frozenset(range(nf.modulus)) - nf.residues)
+    if isinstance(ds, UnionSet):
+        out = NormalForm(1, frozenset(), 0, 0, 0)
+        for part in ds.parts:
+            nf = density_nf(part)
+            modulus = math.lcm(out.modulus, nf.modulus)
+            if modulus > DENSITY_MODULUS_CAP:
+                raise _DensityUnknown(f"lcm of union moduli exceeds {DENSITY_MODULUS_CAP}")
+            out = NormalForm(
+                modulus,
+                _lift(out.residues, out.modulus, modulus) | _lift(nf.residues, nf.modulus, modulus),
+                out.sqrt_terms + nf.sqrt_terms,
+                out.log_terms + nf.log_terms,
+                out.finite_bound + nf.finite_bound,
+            )
+        return out
+    raise TypeError(f"not a descriptor: {ds!r}")
+
+
+def normal_form_density(ds) -> DensityValue:
+    """Oracle: the `DensityValue` of ds read off its normal form: the share
+    of its residues, or zero certified by the summed counting bounds."""
+    try:
+        nf = density_nf(ds)
+    except _DensityUnknown as e:
+        return DensityValue.unknown(e.args[0])
+    if nf.residues:
+        return DensityValue.exact(Fraction(len(nf.residues), nf.modulus))
+    if nf.sqrt_terms or nf.log_terms:
+        parts = []
+        if nf.sqrt_terms:
+            parts.append("isqrt(n)" if nf.sqrt_terms == 1 else f"{nf.sqrt_terms}*isqrt(n)")
+        if nf.log_terms:
+            term = "(floor(log2(n)) + 1)"
+            parts.append(term if nf.log_terms == 1 else f"{nf.log_terms}*{term}")
+        if nf.finite_bound:
+            parts.append(str(nf.finite_bound))
+        return DensityValue.zero_by_bound("count(k <= n) <= " + " + ".join(parts))
+    return DensityValue.exact(Fraction(0))
 
 
 def net_eventually(net: DirectedNet, predicate) -> bool:

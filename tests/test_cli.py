@@ -587,6 +587,27 @@ def test_topology_violation_report_bytes(files, capsys):
         (1, "8e4215754306767daa21111390897392858384ac7ea120b01cdefca1c4056338")
 
 
+def test_non_closed_document_is_refused_at_its_first_violation(files, capsys, monkeypatch):
+    """Every subset of ten points but {0} is not closed: {0,1} and {0,2}
+    meet in {0}.  `canonical` builds that one violation and prints it as an
+    input error; `check` still builds and reports all 9,330, the pairs of
+    sets that meet in exactly {0}."""
+    n = 10
+    doc = files("t.json", json.dumps({"kind": "topology", "n": n, "opens": [
+        members(u) for u in range(1 << n) if u != 1]}))
+    built, violation = [], topology.TopologyViolation
+    monkeypatch.setattr(topology, "TopologyViolation",
+                        lambda *args: built.append(violation(*args)) or built[-1])
+    assert main(["canonical", doc]) == 2
+    assert capsys.readouterr() == ("", "error: not a topology: intersection-escape: {0,1}, {0,2}\n")
+    assert len(built) == 1
+    built.clear()
+    code, out = run(capsys, "check", doc, "--kind", "topology")
+    report = json.loads(out)
+    assert (code, report["reason"]) == (1, "intersection-escape: {0,1}, {0,2}")
+    assert len(built) == len(report["detail"]["violations"]) == (3**9 - 2**10 + 1) // 2
+
+
 def test_check_topology_command_matches_the_pair_scan(files, capsys):
     """On every family of subsets of at most three points, `check --kind
     topology` prints the report of the pair scan's violations, and exits 1
@@ -594,7 +615,7 @@ def test_check_topology_command_matches_the_pair_scan(files, capsys):
     for n in (1, 2, 3):
         for fam in range(1 << (1 << n)):
             masks = members(fam)
-            violations = topology._pair_scan(PointSpace(n), masks)
+            violations = list(topology._pair_scan(PointSpace(n), masks))
             detail = {"violations": [v.to_json() for v in violations]}
             expected = ({"op": "check", "verdict": "fail", "reason": str(violations[0]),
                          "detail": detail} if violations else

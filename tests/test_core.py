@@ -315,15 +315,16 @@ def test_topology_rejects_rows_that_are_no_preorder(case):
 
 def test_non_closed_document_is_refused_even_unvalidated():
     """A `Topology` is always a topology, so the lenient parse checks the
-    closure too, and raises with every violation `check_topology` lists."""
+    closure too, and raises with every violation `check_topology` lists;
+    the validated parse stops at the first."""
     doc = _topology_doc([], [0], [1])
     expected = topology.check_topology(PointSpace(2), [0b00, 0b01, 0b10])
     assert [v.kind for v in expected] == ["no-full-set", "union-escape"]
-    for validate in (True, False):
+    for validate, violations in ((True, expected[:1]), (False, expected)):
         with pytest.raises(InvariantViolation) as info:
             parse_document(doc, validate=validate)
         assert str(info.value) == "not a topology: no-full-set"
-        assert info.value.violations == tuple(expected)
+        assert info.value.violations == tuple(violations)
 
 
 def test_labels_are_presentation_only():
@@ -411,7 +412,6 @@ RECORD_SAMPLES = {
     topology.TopologyViolation: ("union", ((0,), (1,))),
     qmetric.QuasiViolation: ("triangle", "i0", (0, 1, 2)),
     qmetric.DensityValue: ("exact", Fraction(1, 2), None, None),
-    qmetric._NormalForm: (3, frozenset({1}), 0, 0, 0),
     qmetric.IndexDensityReport: ("i0", Squares(), qmetric.DensityValue("exact", Fraction(0)),
                                  ((10, 3),)),
     qmetric.StatResult: ("true", ()),

@@ -44,6 +44,7 @@ from qmtop.topology import (
 from helpers import (
     OPENS_ORACLES,
     all_eventually_periodic,
+    density_nf,
     directed_nets,
     distance_matrices,
     eventually_periodic,
@@ -55,6 +56,7 @@ from helpers import (
     net_is_right_cauchy,
     net_left_converges,
     net_right_converges,
+    normal_form_density,
     opens_of,
     preorder_family,
     sierpinski,
@@ -387,6 +389,75 @@ def test_density_bounds_hold_empirically():
             assert count <= bound(n)
 
 
+DENSITY_LEAVES = (FiniteSet((3,)), FiniteSet(()), ResidueClasses(2, (1,)),
+                  ResidueClasses(3, (0, 2)), ResidueClasses(1000, (1,)),
+                  ResidueClasses(10**7, (0,)), Squares(), PowersOfTwo())
+
+
+def _grow(trees):
+    """The trees, their complements, and their unions of 0, 1 or 2 parts."""
+    return [*trees, *map(Complement, trees), UnionSet(()), *(UnionSet((a,)) for a in trees),
+            *(UnionSet((a, b)) for a in trees for b in trees)]
+
+
+def _random_descriptor(rng, depth):
+    """A random descriptor tree of at most the given depth."""
+    if depth == 0 or rng.random() < 0.3:
+        kind = rng.randrange(5)
+        if kind == 0:
+            return FiniteSet(tuple(rng.sample(range(40), rng.randrange(4))))
+        if kind == 1:
+            return Squares()
+        if kind == 2:
+            return PowersOfTwo()
+        m = rng.choice((1, 2, 3, 4, 6, 7, 12, 1000, 10**7))
+        return ResidueClasses(m, tuple(rng.randrange(m) for _ in range(rng.randrange(4))))
+    if rng.random() < 0.4:
+        return Complement(_random_descriptor(rng, depth - 1))
+    return UnionSet(tuple(_random_descriptor(rng, depth - 1) for _ in range(rng.randrange(4))))
+
+
+def test_natural_density_matches_the_normal_form_on_every_small_tree():
+    """Kind, value, bound and refusal reason all equal the residue-set
+    normal form's, on every tree of depth at most 2 over the leaves."""
+    trees = _grow(_grow(DENSITY_LEAVES))
+    assert len(trees) == 8189
+    for ds in trees:
+        assert natural_density(ds) == normal_form_density(ds), ds
+
+
+def test_natural_density_matches_the_normal_form_on_seeded_trees():
+    import random
+
+    rng = random.Random(2024)
+    kinds = set()
+    for _ in range(2000):
+        ds = _random_descriptor(rng, 3)
+        density = natural_density(ds)
+        assert density == normal_form_density(ds), ds
+        kinds.add((density.kind, density.reason))
+    assert kinds == {("exact", None), ("zero_by_bound", None),
+                     ("unknown", "complemented modulus exceeds 1000000"),
+                     ("unknown", "lcm of union moduli exceeds 1000000")}
+
+
+def test_density_of_a_union_near_the_cap_stays_small():
+    """Two residue sets with lcm 999,000 take one mask over the tail types,
+    not every residue lifted to the lcm."""
+    import tracemalloc
+
+    union = UnionSet((ResidueClasses(1000, tuple(range(1, 1000))),
+                      ResidueClasses(999, tuple(range(1, 999)))))
+    tracemalloc.start()
+    try:
+        density = natural_density(union)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert density.value == Fraction(998999, 999000)
+    assert peak < 16 * 2**20
+
+
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 _moduli = st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12])
@@ -414,11 +485,9 @@ def test_density_matches_direct_counting(ds):
     algebra is checkable against a direct scan."""
     import math
 
-    from qmtop.qmetric import _density_nf
-
     density = natural_density(ds)
     assert density.kind in ("exact", "zero_by_bound")
-    nf = _density_nf(ds)
+    nf = density_nf(ds)
     n = 20_000
     count = sum(1 for k in range(1, n + 1) if ds.contains(k))
     slack = (nf.modulus + nf.sqrt_terms * math.isqrt(n)

@@ -128,7 +128,7 @@ def test_check_topology_shortcut_matches_pair_scan():
         for fam in range(1 << subsets):
             masks = [m for m in range(subsets) if fam >> m & 1]
             family = [space.subset([p for p in range(n) if m >> p & 1]) for m in masks]
-            assert check_topology(space, family) == topology._pair_scan(space, masks)
+            assert check_topology(space, family) == list(topology._pair_scan(space, masks))
 
 
 def test_generate_from_subbase_idempotent_on_topologies():
