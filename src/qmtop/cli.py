@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from . import continuity, qmetric, representation, topology
+# `continuity` is loaded with the CLI, where perfbench finds it to trace.
+from . import continuity, qmetric, representation, topology  # noqa: F401
 from .core import (
     DirectedNet,
     DocumentError,
@@ -22,6 +23,7 @@ from .core import (
     SequenceSpec,
     Topology,
     ValueSemigroup,
+    axiom_violations,
     members,
     parse_document,
     serialize,
@@ -78,36 +80,30 @@ def _verdict(op: str, ok: bool, reason: str | None, **report) -> int:
 # ---------------------------------------------------------------------------
 
 
+# Each checked kind: the record its document must parse to, and its refusal.
+_CHECKED = {
+    "topology": (Topology, "document is not a topology"),
+    "qmetric": (QuasiFamily, "document is not a quasimetric family"),
+    "semigroup": (ValueSemigroup, "document is not a semigroup"),
+    "positives": (PositiveSet, "document carries no set of positives"),
+}
+
+
 def cmd_check(args) -> int:
-    kind = args.kind
     try:
         value = parse_document(_read(args.file), validate=False)
     except InvariantViolation as e:
         # Even this parse closure-checks a topology document, and the
         # failures it raises with are the report.
-        if kind == "topology" and e.violations:
+        if args.kind == "topology" and e.violations:
             return _report(e.violations)
         raise
-    if kind == "topology":
-        if not isinstance(value, Topology):
-            return _fail_input("document is not a topology")
-        violations = ()
-    elif kind == "qmetric":
-        if not isinstance(value, QuasiFamily):
-            return _fail_input("document is not a quasimetric family")
-        violations = qmetric.check_quasifamily(value)
-    elif kind == "semigroup":
-        sg = value.semigroup if isinstance(value, PositiveSet) else value
-        if not isinstance(sg, ValueSemigroup):
-            return _fail_input("document is not a semigroup")
-        violations = continuity.check_value_semigroup(sg)
-    else:  # positives
-        if not isinstance(value, PositiveSet):
-            return _fail_input("document carries no set of positives")
-        violations = continuity.check_value_semigroup(value.semigroup)
-        if not violations:
-            violations = continuity.check_positives(value)
-    return _report(violations)
+    record, refusal = _CHECKED[args.kind]
+    if args.kind == "semigroup" and isinstance(value, PositiveSet):
+        value = value.semigroup
+    if not isinstance(value, record):
+        return _fail_input(refusal)
+    return _report(axiom_violations(value)[1])
 
 
 def _report(violations) -> int:

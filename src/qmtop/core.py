@@ -423,9 +423,6 @@ class ValueSemigroup:
     def size(self) -> int:
         return len(self.elements)
 
-    def plus(self, a: int, b: int) -> int:
-        return self.add[a][b]
-
     def leq(self, a: int, b: int) -> bool:
         """Derived order: a <= b iff a + x = b for some x."""
         return any(self.add[a][x] == b for x in range(self.size))
@@ -550,12 +547,31 @@ def _descriptor_json(ds: IndexSetDescriptor) -> dict:
     raise TypeError(f"not a descriptor: {ds!r}")
 
 
+def axiom_violations(value: Document) -> tuple[str, list]:
+    """What a parsed value promises to be, and every violation of the first
+    axioms it breaks: a set of positives promises its semigroup's before its
+    own.  Every other value, a `Topology` too, keeps its promises as it is
+    built."""
+    from . import continuity, qmetric
+
+    if isinstance(value, QuasiFamily):
+        return "quasimetric family", qmetric.check_quasifamily(value)
+    if isinstance(value, ValueSemigroup):
+        return "value semigroup", continuity.check_value_semigroup(value)
+    if isinstance(value, PositiveSet):
+        noun, violations = axiom_violations(value.semigroup)
+        if violations:
+            return noun, violations
+        return "set of positives", continuity.check_positives(value)
+    return type(value).__name__, []
+
+
 def parse_document(text: str, *, validate: bool = True) -> Document:
     """Decode a JSON document into its value.
 
-    With `validate=True` (the default) the mathematical invariants the kind
-    promises are verified (quasimetric axioms, semigroup axioms) and an
-    `InvariantViolation` is raised on failure.  Checker front ends parse with
+    With `validate=True` (the default) the axioms the value promises
+    (`axiom_violations`) are verified, and an `InvariantViolation` carrying
+    every violation is raised on failure.  Checker front ends parse with
     `validate=False` so violations become reportable data instead of parse
     errors.  A topology document is closure-checked either way, because a
     `Topology` holds only its rows; its violations ride on the
@@ -587,7 +603,7 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
                                      (first,) if validate else (first, *failures))
         return Topology(space, tuple(_topology._neighborhood_rows(space, masks)))
 
-    if kind == "qmetric":
+    elif kind == "qmetric":
         space = _space_from(obj)
         _require(isinstance(obj.get("indices"), list), "qmetric needs index labels")
         _require(all(isinstance(s, str) for s in obj["indices"]), "index labels must be strings")
@@ -605,16 +621,8 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
         seen: dict = {}
         value = QuasiFamily(space, indices, tuple(_zero_rows(label, m, space.n, seen)
                                                   for label, m in zip(indices, obj["matrices"])))
-        if validate:
-            from . import qmetric as _qmetric
 
-            violations = _qmetric.check_quasifamily(value)
-            if violations:
-                raise InvariantViolation(f"not a quasimetric family: {violations[0]}",
-                                         tuple(violations))
-        return value
-
-    if kind == "sequence":
+    elif kind == "sequence":
         space = _space_from(obj)
         default = _int(obj.get("default"), "sequence 'default'")
         _require(isinstance(obj.get("rules", []), list), "sequence 'rules' must be a list")
@@ -625,12 +633,12 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
             rules.append((_descriptor_from(rule["set"]), _int(rule["point"], "rule point")))
         return SequenceSpec(space, default, tuple(rules))
 
-    if kind == "map":
+    elif kind == "map":
         n_from, n_to = _int(obj.get("from"), "map 'from'"), _int(obj.get("to"), "map 'to'")
         values = tuple(_int_list(obj.get("values"), "map values"))
         return PointMap(PointSpace(n_from), PointSpace(n_to), values)
 
-    if kind == "net":
+    elif kind == "net":
         space = _space_from(obj)
         _require(isinstance(obj.get("elements"), list), "net needs element names")
         _require(all(isinstance(s, str) for s in obj["elements"]), "element names must be strings")
@@ -639,34 +647,25 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
         assignment = tuple(_int_list(obj.get("assignment"), "assignment"))
         return DirectedNet(space, tuple(obj["elements"]), order, assignment)
 
-    if kind == "semigroup":
+    elif kind == "semigroup":
         _require(isinstance(obj.get("elements"), list), "semigroup needs element labels")
         _require(all(isinstance(s, str) for s in obj["elements"]), "element labels must be strings")
         _require(isinstance(obj.get("add"), list), "semigroup needs an addition table")
         add = tuple(tuple(_int_list(r, "add row")) for r in obj["add"])
-        sg = ValueSemigroup(tuple(obj["elements"]), add,
-                            _int(obj.get("zero"), "semigroup 'zero'"),
-                            _int(obj.get("infinity"), "semigroup 'infinity'"))
-        if validate:
-            from . import continuity as _continuity
-
-            violations = _continuity.check_value_semigroup(sg)
-            if violations:
-                raise InvariantViolation(f"not a value semigroup: {violations[0]}",
-                                         tuple(violations))
+        value = ValueSemigroup(tuple(obj["elements"]), add,
+                               _int(obj.get("zero"), "semigroup 'zero'"),
+                               _int(obj.get("infinity"), "semigroup 'infinity'"))
         if "positives" in obj:
-            ps = PositiveSet(sg, tuple(_int_list(obj["positives"], "positives")))
-            if validate:
-                from . import continuity as _continuity
+            value = PositiveSet(value, tuple(_int_list(obj["positives"], "positives")))
 
-                violations = _continuity.check_positives(ps)
-                if violations:
-                    raise InvariantViolation(f"not a set of positives: {violations[0]}",
-                                             tuple(violations))
-            return ps
-        return sg
+    else:
+        raise DocumentSyntaxError(f"unknown document kind {kind!r}")
 
-    raise DocumentSyntaxError(f"unknown document kind {kind!r}")
+    if validate:
+        noun, violations = axiom_violations(value)
+        if violations:
+            raise InvariantViolation(f"not a {noun}: {violations[0]}", tuple(violations))
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -785,16 +784,12 @@ def serialize(value: Document) -> str:
         _space_json(value.space, obj)
         return _dump(obj)
 
-    if isinstance(value, ValueSemigroup):
-        return _dump({"kind": "semigroup", "elements": list(value.elements),
-                      "add": [list(r) for r in value.add],
-                      "zero": value.zero, "infinity": value.infinity})
-
-    if isinstance(value, PositiveSet):
-        sg = value.semigroup
-        return _dump({"kind": "semigroup", "elements": list(sg.elements),
-                      "add": [list(r) for r in sg.add],
-                      "zero": sg.zero, "infinity": sg.infinity,
-                      "positives": list(value.members)})
+    if isinstance(value, (ValueSemigroup, PositiveSet)):
+        sg = value.semigroup if isinstance(value, PositiveSet) else value
+        obj = {"kind": "semigroup", "elements": list(sg.elements),
+               "add": [list(r) for r in sg.add], "zero": sg.zero, "infinity": sg.infinity}
+        if sg is not value:
+            obj["positives"] = list(value.members)
+        return _dump(obj)
 
     raise TypeError(f"cannot serialize {type(value).__name__}")

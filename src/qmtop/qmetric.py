@@ -151,8 +151,7 @@ def left_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     # net (any two elements have an upper bound), is eventually inside each
     # of finitely many sets iff it is eventually inside their intersection,
     # the column of the meet.
-    meet = ball_meet(q)
-    return _eventually_in(s, q.space.subset(y for y in q.space.points() if meet[y] >> x & 1))
+    return _eventually_in(s, transpose(ball_meet(q))[x])
 
 
 def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:

@@ -71,23 +71,17 @@ def disagreeing_pairs(meet, sym: int, pred_a: str, pred_b: str) -> list[dict]:
             for p in members(a ^ b)]
 
 
-def _preorders_by_distance(n: int) -> list[tuple[int, ...]]:
-    """Zero rows of every preorder on n points, ordered by their distance
-    rows ({y : d(x,y) = 1}) read as a tuple of masks, smallest first."""
-    full = (1 << n) - 1
-    return sorted(_kernels.preorder_rows(n), key=lambda rows: tuple(full & ~r for r in rows))
-
-
 def _family_candidates(n: int, max_indices: int):
     """The zero rows of families of independent preorder-induced distances,
     one tuple of rows per index, in canonical order.
 
     A {0,1} distance is a quasimetric iff its zero relation is a preorder,
     so enumerating per-index preorders covers exactly the valid families.
-    Preorders are ordered as in `_preorders_by_distance`, and families are
-    ordered by index count then lexicographically over their sorted keys.
+    Preorders are in descending order of their zero rows, which is
+    ascending order of their distance rows ({y : d(x, y) = 1}); families
+    are ordered by index count then lexicographically over their keys.
     """
-    preorders = _preorders_by_distance(n)
+    preorders = sorted(_kernels.preorder_rows(n), reverse=True)
     for count in range(1, max_indices + 1):
         yield from combinations_with_replacement(preorders, count)
 

@@ -8,7 +8,7 @@ oracles.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from functools import reduce
+from functools import cache, reduce
 from itertools import combinations, repeat
 from operator import or_
 
@@ -92,18 +92,19 @@ def closure_failures(space: PointSpace, masks) -> Iterator[TopologyViolation]:
 
 def _pair_scan(space: PointSpace, masks) -> Iterator[TopologyViolation]:
     """Missing empty or full set, then every escaping union or intersection
-    of two distinct members (ascending masks)."""
+    of two distinct members (ascending masks), whose points are listed once
+    a violation names them."""
     present = set(masks)
     if 0 not in present:
         yield TopologyViolation("no-empty-set", ())
     if space.full_mask not in present:
         yield TopologyViolation("no-full-set", ())
-    points = {m: tuple(members(m)) for m in masks}
+    points = cache(lambda m: tuple(members(m)))
     for a, b in combinations(masks, 2):
         if a | b not in present:
-            yield TopologyViolation("union-escape", (points[a], points[b]))
+            yield TopologyViolation("union-escape", (points(a), points(b)))
         if a & b not in present:
-            yield TopologyViolation("intersection-escape", (points[a], points[b]))
+            yield TopologyViolation("intersection-escape", (points(a), points(b)))
 
 
 def generate_from_subbase(space: PointSpace, masks) -> Topology:

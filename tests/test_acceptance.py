@@ -298,3 +298,47 @@ def test_criterion_10_mutants_and_cli_contract(tmp_path, capsys):
     with capsys.disabled():
         _verdict(10, "seeded mutants detected with exact witnesses; CLI "
                      "exit-code matrix honours the 0/1/2 contract", ok)
+
+
+# Statements (3)-(5) of the paper: the literal condition (`qmetric.PREDICATES`)
+# at every ordered pair of distinct points, read as a characterisation of
+# the axiom it is offered for.  Each witness is a space on which the axiom
+# holds but the condition fails.
+SIERPINSKI_DOC = {"kind": "topology", "n": 2, "opens": [[], [1], [0, 1]]}
+TWO_INDEX_DOC = {"kind": "qmetric", "n": 2, "indices": ["i0", "i1"],
+                 "matrices": [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]}
+
+
+def _statement_verdict(num, statement, method, axiom, witness, name, tmp_path, capsys):
+    start = time.perf_counter()
+    families = [q for n in (1, 2, 3) for q in small_index_families(n, max_indices=2)]
+    meeting = [q for q in families if qmetric.sep_metric(q, method)]
+    is_axiom = getattr(topology, f"is_{axiom}")
+    if_half = bool(meeting) and all(is_axiom(qmetric.to_topology(q)) for q in meeting)
+    path = tmp_path / "witness.json"
+    path.write_text(json.dumps(witness))
+    code = cli_main(["separation", str(path), "--method", method])
+    detail = json.loads(capsys.readouterr().out)["detail"]
+    only_if_fails = (code, detail["condition"], detail["direct"]) == (1, False, True)
+    elapsed = time.perf_counter() - start
+    with capsys.disabled():
+        _verdict(num, f"statement ({statement}) fails: {method} at every pair implies "
+                      f"{axiom.upper()} on the {len(meeting)} of {len(families)} families "
+                      f"(|I|<=2, n<=3) that meet it, but {name} is {axiom.upper()} and "
+                      f"fails it ({elapsed:.2f}s)",
+                 if_half and only_if_fails and elapsed < 1.0)
+
+
+def test_criterion_11_statement_3_t0(tmp_path, capsys):
+    _statement_verdict(11, 3, "literal_r3", "t0", SIERPINSKI_DOC,
+                       "the Sierpinski space", tmp_path, capsys)
+
+
+def test_criterion_12_statement_4_t1(tmp_path, capsys):
+    _statement_verdict(12, 4, "literal_r4", "t1", TWO_INDEX_DOC,
+                       "a two-index family on 2 points", tmp_path, capsys)
+
+
+def test_criterion_13_statement_5_t2(tmp_path, capsys):
+    _statement_verdict(13, 5, "literal_r5", "t2", TWO_INDEX_DOC,
+                       "a two-index family on 2 points", tmp_path, capsys)

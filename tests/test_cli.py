@@ -750,23 +750,78 @@ def test_directory_path_is_input_error(argv, tmp_path, files, capsys):
     assert captured.err.startswith("error: ") and str(tmp_path) in captured.err
 
 
-def test_check_kind_mismatches(files, capsys):
-    sg = files("sg.json", '{"kind":"semigroup","elements":["0","1"],'
-                          '"add":[[0,1],[1,1]],"zero":0,"infinity":1}')
-    # valid semigroup, but the document carries no positives to check
-    assert run(capsys, "check", sg, "--kind", "semigroup")[0] == 0
-    assert run(capsys, "check", sg, "--kind", "positives")[0] == 2
-    with_pos = files("sgp.json", '{"kind":"semigroup","elements":["0","1"],'
-                                 '"add":[[0,1],[1,1]],"zero":0,"infinity":1,'
-                                 '"positives":[0,1]}')
-    assert run(capsys, "check", with_pos, "--kind", "positives")[0] == 0
-    bad_pos = files("sgq.json", '{"kind":"semigroup","elements":["0","1"],'
-                                '"add":[[0,1],[1,1]],"zero":0,"infinity":1,'
-                                '"positives":[1]}')
-    code, out = run(capsys, "check", bad_pos, "--kind", "positives")
-    assert code == 1
-    assert json.loads(out)["detail"]["violations"][0]["axiom"] == "order-separation"
-    assert run(capsys, "check", files("s.json", SIER), "--kind", "qmetric")[0] == 2
+def _check_failed(reason: str, violations: list) -> tuple[int, str, str]:
+    report = {"op": "check", "verdict": "fail", "reason": reason,
+              "detail": {"violations": violations}}
+    return 1, json.dumps(report, separators=(",", ":")) + "\n", ""
+
+
+def _check_refused(message: str) -> tuple[int, str, str]:
+    return 2, "", f"error: {message}\n"
+
+
+CHECK_PASSED = (0, '{"op":"check","verdict":"pass"}\n', "")
+NOT_TOPOLOGY, NOT_FAMILY, NOT_SEMIGROUP, NO_POSITIVES = map(_check_refused, [
+    "document is not a topology", "document is not a quasimetric family",
+    "document is not a semigroup", "document carries no set of positives"])
+SEMIGROUP = '{"kind":"semigroup","elements":["0","1"],"add":[[0,1],[1,1]],"zero":0,"infinity":1'
+# Addition mod 2 has no absorbing infinity, and fails more axioms after it.
+XOR = '{"kind":"semigroup","elements":["0","1"],"add":[[0,1],[1,0]],"zero":0,"infinity":1'
+XOR_FAILED = _check_failed("absorbing fails at (1,)", [
+    {"axiom": "absorbing", "witness": [1]}, {"axiom": "antisymmetry", "witness": [0, 1]},
+    {"axiom": "antisymmetry", "witness": [1, 0]},
+    {"axiom": "unique-halving", "witness": [0, 0, 1]},
+    {"axiom": "unique-halving", "witness": [1]},
+    *({"axiom": "meet-distributivity", "witness": w}
+      for w in ([0, 0, 1], [0, 1, 1], [1, 0, 1], [1, 1, 1]))])
+
+# A document, then (exit code, stdout, stderr) of `check --kind` topology,
+# qmetric, semigroup and positives on it.  A set of positives promises its
+# semigroup's axioms first, then its own; `--kind semigroup` reads only the
+# semigroup of a document that has positives.
+CHECK_KINDS = {
+    "topology": (SIER, CHECK_PASSED, NOT_FAMILY, NOT_SEMIGROUP, NO_POSITIVES),
+    "non-closed topology": (
+        '{"kind":"topology","n":2,"opens":[[],[0],[1]]}',
+        _check_failed("no-full-set", [{"kind": "no-full-set", "witness": []},
+                                      {"kind": "union-escape", "witness": [[0], [1]]}]),
+        *[_check_refused("not a topology: no-full-set")] * 3),
+    "family": (EDGE_FAMILY, NOT_TOPOLOGY, CHECK_PASSED, NOT_SEMIGROUP, NO_POSITIVES),
+    "non-transitive family": (
+        BAD_QMETRIC, NOT_TOPOLOGY,
+        _check_failed("triangle at index 'i0', points (0, 1, 2)",
+                      [{"kind": "triangle", "index": "i0", "points": [0, 1, 2]}]),
+        NOT_SEMIGROUP, NO_POSITIVES),
+    "non-reflexive family": (
+        '{"kind":"qmetric","n":2,"indices":["i0"],"matrices":[[[0,0],[0,1]]]}', NOT_TOPOLOGY,
+        _check_failed("nonzero-self-distance at index 'i0', points (1,)",
+                      [{"kind": "nonzero-self-distance", "index": "i0", "points": [1]},
+                       {"kind": "triangle", "index": "i0", "points": [1, 0, 1]}]),
+        NOT_SEMIGROUP, NO_POSITIVES),
+    "semigroup": (SEMIGROUP + "}", NOT_TOPOLOGY, NOT_FAMILY, CHECK_PASSED, NO_POSITIVES),
+    "broken semigroup": (XOR + "}", NOT_TOPOLOGY, NOT_FAMILY, XOR_FAILED, NO_POSITIVES),
+    "positives": (SEMIGROUP + ',"positives":[0,1]}', NOT_TOPOLOGY, NOT_FAMILY,
+                  CHECK_PASSED, CHECK_PASSED),
+    "positives failing their axioms": (
+        SEMIGROUP + ',"positives":[1]}', NOT_TOPOLOGY, NOT_FAMILY, CHECK_PASSED,
+        _check_failed("order-separation fails at (1, 0)",
+                      [{"axiom": "order-separation", "witness": [1, 0]}])),
+    "positives of a broken semigroup": (XOR + ',"positives":[0,1]}', NOT_TOPOLOGY,
+                                        NOT_FAMILY, XOR_FAILED, XOR_FAILED),
+    "sequence": (SQUARES_SEQ, NOT_TOPOLOGY, NOT_FAMILY, NOT_SEMIGROUP, NO_POSITIVES),
+    "net": ('{"kind":"net","elements":["a","b"],"order":[[1,1],[0,1]],'
+            '"assignment":[0,1],"n":2}', NOT_TOPOLOGY, NOT_FAMILY, NOT_SEMIGROUP, NO_POSITIVES),
+    "map": ('{"kind":"map","from":2,"to":2,"values":[0,1]}',
+            NOT_TOPOLOGY, NOT_FAMILY, NOT_SEMIGROUP, NO_POSITIVES),
+}
+
+
+@pytest.mark.parametrize("case", CHECK_KINDS.values(), ids=CHECK_KINDS.keys())
+def test_check_reports_the_axioms_each_kind_promises(case, files, capsys):
+    doc = files("doc.json", case[0])
+    for kind, expected in zip(["topology", "qmetric", "semigroup", "positives"], case[1:]):
+        code = main(["check", doc, "--kind", kind])
+        assert (code, *capsys.readouterr()) == expected, kind
 
 
 def _child_env() -> dict:

@@ -327,6 +327,30 @@ def test_non_closed_document_is_refused_even_unvalidated():
         assert info.value.violations == tuple(violations)
 
 
+_SEMIGROUP = '{"kind":"semigroup","elements":["0","1"],"add":[[0,1],[1,1]],"zero":0,"infinity":1'
+_XOR = '{"kind":"semigroup","elements":["0","1"],"add":[[0,1],[1,0]],"zero":0,"infinity":1'
+
+
+@pytest.mark.parametrize("doc, noun, check", [
+    (_qmetric_doc(["i0", "i1"], [[0, 0], [0, 0]], [[0, 1], [1, 1]]), "quasimetric family",
+     check_quasifamily),
+    (_XOR + "}", "value semigroup", continuity.check_value_semigroup),
+    (_XOR + ',"positives":[0,1]}', "value semigroup",
+     lambda value: continuity.check_value_semigroup(value.semigroup)),
+    (_SEMIGROUP + ',"positives":[1]}', "set of positives", continuity.check_positives),
+], ids=["family", "semigroup", "positives of a broken semigroup", "positives"])
+def test_validated_parse_refuses_the_first_broken_promise(doc, noun, check):
+    """A validated parse raises with every violation of the first axioms the
+    document breaks, a set of positives its semigroup's before its own; the
+    unvalidated parse returns the value those violations are read off."""
+    violations = check(parse_document(doc, validate=False))
+    assert violations
+    with pytest.raises(InvariantViolation) as info:
+        parse_document(doc)
+    assert str(info.value) == f"not a {noun}: {violations[0]}"
+    assert info.value.violations == tuple(violations)
+
+
 def test_labels_are_presentation_only():
     labelled = PointSpace(2, ("p", "q"))
     plain = PointSpace(2)

@@ -10,7 +10,6 @@ from qmtop.core import PointSpace, QuasiFamily, members, parse_document, seriali
 from qmtop.qmetric import PREDICATES, check_quasifamily, pack, separation_pair, to_topology
 from qmtop.representation import (
     _family_candidates,
-    _preorders_by_distance,
     canonical_family,
     discrepancy_pairs,
     find_discrepancy,
@@ -258,7 +257,7 @@ def _states_by_index_count(n, max_indices):
     """Number of (meet, sym) states of the families with exactly k indices,
     k = 1..max_indices, by closing the preorders' packed pairs under AND/OR."""
     generators = {(pack(meet), sym) for meet, sym in
-                  (separation_pair(n, (rows,)) for rows in _preorders_by_distance(n))}
+                  (separation_pair(n, rows) for rows in _family_candidates(n, 1))}
     level, counts = {((1 << n * n) - 1, 0)}, []
     for _ in range(max_indices):
         level = {(m & gm, s | gs) for m, s in level for gm, gs in generators}

@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import product
 
@@ -15,6 +16,7 @@ from qmtop.core import (
     Squares,
     Topology,
     members,
+    parse_document,
     serialize,
 )
 from qmtop.topology import (
@@ -129,6 +131,20 @@ def test_check_topology_shortcut_matches_pair_scan():
             masks = [m for m in range(subsets) if fam >> m & 1]
             family = [space.subset([p for p in range(n) if m >> p & 1]) for m in masks]
             assert check_topology(space, family) == list(topology._pair_scan(space, masks))
+
+
+def test_first_closure_failure_lists_only_the_members_it_names(monkeypatch):
+    """Every subset of ten points but {0} first fails where {0,1} and {0,2}
+    meet in {0}: the validated parse lists the points of those two members,
+    not of all 1,023."""
+    doc = json.dumps({"kind": "topology", "n": 10,
+                      "opens": [members(u) for u in range(1 << 10) if u != 1]})
+    listed = []
+    monkeypatch.setattr(topology, "members", lambda m: listed.append(m) or members(m))
+    with pytest.raises(InvariantViolation) as info:
+        parse_document(doc)
+    assert str(info.value) == "not a topology: intersection-escape: {0,1}, {0,2}"
+    assert len(listed) <= 2
 
 
 def test_generate_from_subbase_idempotent_on_topologies():
