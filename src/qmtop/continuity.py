@@ -18,7 +18,6 @@ from .core import (
 from .topology import check_topology, generate_from_subbase
 
 SEMIGROUP_MAX_SIZE = 64
-LIFT_MAX_INDICES = 6
 
 
 @record
@@ -211,11 +210,12 @@ def lift_quasifamily(q: QuasiFamily) -> ContinuitySpace:
     max, all elements positive, distance the vector of coordinate distances.
 
     The output is re-verified against every semigroup, positives, and
-    distance axiom before being returned.
+    distance axiom before being returned.  A carrier above
+    `SEMIGROUP_MAX_SIZE`, 7 or more indices, is refused before it is built.
     """
     k = len(q.indices)
-    if k > LIFT_MAX_INDICES:
-        raise ValueError(f"at most {LIFT_MAX_INDICES} indices supported, got {k}")
+    if 1 << k > SEMIGROUP_MAX_SIZE:
+        raise ValueError(f"carrier 2^{k} larger than {SEMIGROUP_MAX_SIZE}")
     sg = semigroup_zero_one_pow(k)
     positives = PositiveSet(sg, tuple(range(sg.size)))
     n = q.space.n

@@ -596,12 +596,13 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
 
         # Checked even unvalidated: a `Topology` exists only for a topology.
         # Only the unvalidated parse reports past the first failure.
-        failures = _topology.closure_failures(space, masks)
+        generated = _topology.generate_from_subbase(space, masks)
+        failures = _topology.closure_failures(generated, masks)
         first = next(failures, None)
         if first is not None:
             raise InvariantViolation(f"not a topology: {first}",
                                      (first,) if validate else (first, *failures))
-        return Topology(space, tuple(_topology._neighborhood_rows(space, masks)))
+        return generated
 
     elif kind == "qmetric":
         space = _space_from(obj)

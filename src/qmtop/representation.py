@@ -94,19 +94,19 @@ def find_discrepancy(pred_a: str, pred_b: str, n: int,
     i0, i1, ...
 
     Predicates that read one relation (`qmetric.PREDICATES`) never disagree;
-    every other pair does on some one-index family of at most 3 points, so
-    the scan stops within a few candidates.  Each candidate is read off its
-    `qmetric.separation_pair`, and only the witness is made a family and
-    re-checked against the topology it generates.
+    every other pair does on a one-index family of at most 3 points and on
+    one of 2 points and at most 3 indices, so the scan, from 2 points since
+    one point has no pair, stops within 14 candidates whatever the bounds.
+    Each candidate is read off its `qmetric.separation_pair`, and only the
+    witness is made a family and re-checked against the topology it generates.
     """
     reads = [qmetric.predicate(name)[0] for name in (pred_a, pred_b)]
-    if not 1 <= n <= 4:
-        raise ValueError("discrepancy search supports 1..4 points")
-    if not 1 <= max_indices <= 3:
-        raise ValueError("discrepancy search supports 1..3 indices")
+    PointSpace(n)  # the point bound, 1..MAX_POINTS
+    if max_indices < 1:
+        raise ValueError(f"discrepancy search needs at least 1 index, got {max_indices}")
     if reads[0] == reads[1]:
         return None
-    for points in range(1, n + 1):
+    for points in range(2, n + 1):
         for rows in _family_candidates(points, max_indices):
             if disagreeing_pairs(*qmetric.separation_pair(points, rows), pred_a, pred_b):
                 q = QuasiFamily(PointSpace(points), tuple(f"i{k}" for k in range(len(rows))),

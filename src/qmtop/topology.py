@@ -70,24 +70,24 @@ def check_topology(space: PointSpace, masks) -> list[TopologyViolation]:
     """All closure failures of a candidate family of open sets, given as
     ascending distinct masks; a mask with bits outside the space raises
     `InvariantViolation`."""
-    return list(closure_failures(space, masks))
-
-
-def closure_failures(space: PointSpace, masks) -> Iterator[TopologyViolation]:
-    """The closure failures of `check_topology`, in its order, computed as
-    they are taken, so the first costs no more than it must.
-
-    Every member is an up-set of the family's neighbourhood rows, so the
-    family is a topology exactly when it has as many members as those rows
-    have up-sets; only a failure pays for the scan over pairs.
-    """
     full = space.full_mask
     if masks and (min(masks) < 0 or max(masks) > full):
         mask = next(m for m in masks if m & ~full)
         raise InvariantViolation(f"mask {mask:#x} has bits outside the space")
-    if len(_kernels.upsets(_neighborhood_rows(space, masks))) == len(masks):
+    return list(closure_failures(generate_from_subbase(space, masks), masks))
+
+
+def closure_failures(generated: Topology, masks) -> Iterator[TopologyViolation]:
+    """The closure failures of `check_topology`, in its order, given the
+    topology the masks generate; lazy, so the first costs no more than it must.
+
+    Every member is an up-set of the generated topology's rows, so the
+    family is a topology exactly when it has as many members as those rows
+    have up-sets; only a failure pays for the scan over pairs.
+    """
+    if len(_kernels.upsets(generated.rows)) == len(masks):
         return iter(())
-    return _pair_scan(space, masks)
+    return _pair_scan(generated.space, masks)
 
 
 def _pair_scan(space: PointSpace, masks) -> Iterator[TopologyViolation]:

@@ -17,6 +17,11 @@ What the calls cover:
 - The r4/t2 discrepancy witness is one of the few that need two indices.
   Two predicates that read one relation answer "none" without a scan, and
   an unknown predicate is an input error with no report.
+- The discrepancy search has no bound of its own: at 16 points and 1,000
+  indices it gives the r4/t2 witness of 4 points and 3 indices, and "none"
+  for t1_amended/t1; 17 points and 0 indices are input errors with no
+  report.
+- `roundtrip --n 5` checks the theorem on all 6,942 five-point topologies.
 - The literal separation conditions of the paper's statements (3)-(5)
   fail on spaces that are T0, T1 and T2.
 - The topology stream runs the generator kernel that carries up-sets; its
@@ -78,14 +83,20 @@ def main(tmp: str) -> None:
     if out["verdict"] != "witness" or \
             out["witness"]["matrices"] != [[[0, 1, 0], [1, 0, 0], [1, 1, 0]]]:
         sys.exit("expected the r5/t2 witness")
-    out = json.loads(run(1, "discrepancy", "--left", "literal_r4", "--right", "t2",
-                         "--n", "4", "--indices", "3"))
+    r4_t2 = ["discrepancy", "--left", "literal_r4", "--right", "t2"]
+    out = json.loads(run(1, *r4_t2, "--n", "4", "--indices", "3"))
     if out["witness"]["matrices"] != [[[0, 0], [1, 0]], [[0, 1], [0, 0]]]:
         sys.exit("expected the two-index r4/t2 witness")
-    out = json.loads(run(0, "discrepancy", "--left", "t1_amended", "--right", "t1",
-                         "--n", "4", "--indices", "3"))
-    if out["verdict"] != "none":
-        sys.exit("expected verdict none")
+    if json.loads(run(1, *r4_t2, "--n", "16", "--indices", "1000")) != out:
+        sys.exit("expected the r4/t2 witness of --n 4 --indices 3 at any larger bounds")
+    for bounds in (["--n", "4", "--indices", "3"], ["--n", "16", "--indices", "1000"]):
+        out = json.loads(run(0, "discrepancy", "--left", "t1_amended", "--right", "t1",
+                             *bounds))
+        if out["verdict"] != "none":
+            sys.exit("expected verdict none")
+    for bounds in (["--n", "17"], ["--n", "3", "--indices", "0"]):
+        if run(2, *r4_t2, *bounds) != "":
+            sys.exit("expected no report for a bound out of range")
     out = json.loads(run(0, "discrepancy", "--left", "literal_r5", "--right", "literal_r4",
                          "--n", "4", "--indices", "3"))
     if out["verdict"] != "none":
@@ -101,6 +112,8 @@ def main(tmp: str) -> None:
         if (detail["condition"], detail["direct"]) != (False, True):
             sys.exit(f"expected {method} to fail on a space that has its axiom")
 
+    if json.loads(run(0, "roundtrip", "--n", "5"))["detail"]["equal"] != 6942:
+        sys.exit("expected 6942 equal round trips")
     if run(0, "enumerate", "--n", "5", "--kind", "topologies", "--count-only") != "6942\n":
         sys.exit("expected 6942")
     proc = subprocess.run([sys.executable, "-m", "qmtop", "enumerate", "--n", "5",

@@ -5,6 +5,7 @@ lines.
 """
 
 import json
+import random
 import time
 from fractions import Fraction
 from itertools import product
@@ -14,6 +15,7 @@ from qmtop.core import (
     PointMap,
     PointSpace,
     PositiveSet,
+    QuasiFamily,
     ResidueClasses,
     SequenceSpec,
     Squares,
@@ -25,8 +27,13 @@ from qmtop import continuity, qmetric, representation, topology
 from helpers import (
     all_eventually_periodic,
     d_U,
+    directed_nets,
     family_route_topologies,
     matrix_family,
+    net_eventually,
+    net_is_right_cauchy,
+    net_left_converges,
+    net_right_converges,
     opens_continuous,
     opens_of,
     p_U,
@@ -36,6 +43,7 @@ from helpers import (
 )
 
 EXPECTED_COUNTS = {1: 1, 2: 4, 3: 29, 4: 355}
+ROUNDTRIP_COUNTS = {**EXPECTED_COUNTS, 5: 6942}
 
 
 def _verdict(num: int, name: str, ok: bool) -> None:
@@ -46,7 +54,7 @@ def _verdict(num: int, name: str, ok: bool) -> None:
 def test_criterion_01_roundtrip_theorem():
     start = time.perf_counter()
     ok = True
-    for n, expected in EXPECTED_COUNTS.items():
+    for n, expected in ROUNDTRIP_COUNTS.items():
         count = 0
         for t in topology.enumerate_topologies(n):
             count += 1
@@ -55,7 +63,8 @@ def test_criterion_01_roundtrip_theorem():
         ok = ok and count == expected
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 5.0
-    _verdict(1, f"round-trip over 389 topologies, exact equality ({elapsed:.2f}s)", ok)
+    _verdict(1, f"round-trip over {sum(ROUNDTRIP_COUNTS.values()):,} topologies, "
+                f"exact equality ({elapsed:.2f}s)", ok)
 
 
 def test_criterion_02_dual_enumeration_oracle():
@@ -342,3 +351,64 @@ def test_criterion_12_statement_4_t1(tmp_path, capsys):
 def test_criterion_13_statement_5_t2(tmp_path, capsys):
     _statement_verdict(13, 5, "literal_r5", "t2", TWO_INDEX_DOC,
                        "a two-index family on 2 points", tmp_path, capsys)
+
+
+def _net_convergence_disagreements(n):
+    """Every net over a directed preorder of at most 3 elements against
+    every family of at most 2 indices on n points, with every assignment for
+    n <= 2 and one per renaming of the points for n = 3 (the families are
+    closed under renaming).  Right convergence to x is eventual membership
+    in the meet of the balls at x, which is x's row in the generated
+    topology.  The oracles are read per index, from one-index families, and
+    each family's verdict is the AND over its indices; Cauchy and left
+    convergence are checked the same way."""
+    preorders = [t.rows for t in topology.enumerate_preorders(n)]
+    single = [QuasiFamily(PointSpace(n), ("i0",), (rows,)) for rows in preorders]
+    families = [(q, [preorders.index(rows) for rows in q.rows], qmetric.ball_meet(q),
+                 qmetric.to_topology(q).rows) for q in small_index_families(n)]
+    disagreements = 0
+    for net in directed_nets(n, up_to_renaming=n == 3):
+        eventually = [net_eventually(net, lambda v: mask >> v & 1) for mask in range(1 << n)]
+        cauchy = [net_is_right_cauchy(net, p) for p in single]
+        right = [[net_right_converges(net, p, x) for x in range(n)] for p in single]
+        left = [[net_left_converges(net, p, x) for x in range(n)] for p in single]
+        for q, chosen, meet, rows in families:
+            disagreements += qmetric.is_right_cauchy(net, q) != all(cauchy[i] for i in chosen)
+            for x in range(n):
+                verdict = qmetric.right_converges(net, q, x)
+                disagreements += not (verdict == all(right[i][x] for i in chosen)
+                                      == eventually[meet[x]] == eventually[rows[x]])
+                disagreements += qmetric.left_converges(net, q, x) != \
+                    all(left[i][x] for i in chosen)
+    return disagreements
+
+
+def test_criterion_14_statement_1_convergence():
+    """Statement (1): a sequence right-converges to x in the family iff it
+    converges to x in the generated topology, iff it converges in every
+    index at once.  Criterion 05 covers canonical families; here every
+    family of at most 2 indices on n <= 2 and a seeded sample of families
+    on 3 points that are no topology's canonical family, and the nets."""
+    start = time.perf_counter()
+    families = [q for n in (1, 2) for q in small_index_families(n)]
+    others = [q for q in small_index_families(3) if q.rows !=
+              representation.canonical_family(qmetric.to_topology(q)).rows]
+    families += random.Random(14).sample(others, 32)
+    disagreements = checked = 0
+    for q in families:
+        n, t = q.space.n, qmetric.to_topology(q)
+        for seq in all_eventually_periodic(q.space):
+            for x in range(n):
+                checked += 1
+                right = qmetric.right_converges(seq, q, x)
+                topo = topology.converges_topologically(seq, t, x, horizon=512)
+                disagreements += not right == topo == qmetric.product_converges(seq, q, x)
+    sequences_s = time.perf_counter() - start
+    net_disagreements = sum(map(_net_convergence_disagreements, (1, 2, 3)))
+    _verdict(14, f"statement (1) holds: right = topological = product convergence on "
+                 f"{checked} (family, eventually-periodic sequence, point) cases, "
+                 f"|I|<=2 on n<=2 and 32 non-canonical families on n=3 "
+                 f"({disagreements} disagreements, {sequences_s:.2f}s), and on every "
+                 f"net over a directed preorder of <=3 elements, |I|<=2, n<=3 "
+                 f"({net_disagreements} disagreements)",
+             disagreements == net_disagreements == 0 and sequences_s < 1.5)

@@ -87,7 +87,10 @@ def test_roundtrip_command(files, capsys):
 
     sier = files("sier.json", SIER)
     assert run(capsys, "roundtrip", sier)[0] == 0
-    assert run(capsys, "roundtrip", "--n", "5")[0] == 2
+    code, out = run(capsys, "roundtrip", "--n", "5")
+    assert code == 0 and json.loads(out)["detail"]["message"] == "6942 topologies, 6942 equal"
+    assert main(["roundtrip", "--n", "6"]) == 2
+    assert capsys.readouterr() == ("", "error: enumeration supports 1..5 points, got 6\n")
 
 
 def test_roundtrip_enumeration_witness_is_the_least_failing_document(monkeypatch, capsys):

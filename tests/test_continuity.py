@@ -6,6 +6,7 @@ from qmtop.core import (
     QuasiFamily,
     ValueSemigroup,
 )
+from qmtop import continuity
 from qmtop.continuity import (
     ContinuitySpace,
     ball_r,
@@ -73,6 +74,16 @@ def test_lift_examples():
     discrete3 = next(t for t in enumerate_topologies(3) if len(opens_of(t)) == 8)
     with pytest.raises(ValueError):
         lift_quasifamily(canonical_family(discrete3))
+
+
+def test_lift_refuses_a_carrier_above_the_semigroup_bound(monkeypatch):
+    """Seven indices lift to 2^7 = 128 elements, past `SEMIGROUP_MAX_SIZE`;
+    the lift refuses them before building the carrier's table."""
+    monkeypatch.setattr(continuity, "semigroup_zero_one_pow",
+                        lambda k: pytest.fail("the carrier was built"))
+    seven = QuasiFamily(PointSpace(2), tuple(f"i{k}" for k in range(7)), ((0b11, 0b11),) * 7)
+    with pytest.raises(ValueError, match=r"^carrier 2\^7 larger than 64$"):
+        lift_quasifamily(seven)
 
 
 def test_ball_r_examples():

@@ -327,6 +327,19 @@ def test_non_closed_document_is_refused_even_unvalidated():
         assert info.value.violations == tuple(violations)
 
 
+def test_validated_parse_reads_the_neighbourhood_rows_once(monkeypatch):
+    """A closed topology document is closure-checked and turned into its
+    `Topology` from one computation of its neighbourhood rows."""
+    calls = []
+    real = topology._neighborhood_rows
+    monkeypatch.setattr(topology, "_neighborhood_rows",
+                        lambda space, masks: calls.append(1) or real(space, masks))
+    t = parse_document(_topology_doc(*([p for p in range(12) if u >> p & 1]
+                                       for u in range(1 << 12)), n=12))
+    assert t.rows == tuple(1 << x for x in range(12))
+    assert len(calls) == 1
+
+
 _SEMIGROUP = '{"kind":"semigroup","elements":["0","1"],"add":[[0,1],[1,1]],"zero":0,"infinity":1'
 _XOR = '{"kind":"semigroup","elements":["0","1"],"add":[[0,1],[1,0]],"zero":0,"infinity":1'
 

@@ -8,7 +8,6 @@ from qmtop.core import (
     PointMap,
     PointSpace,
     PowersOfTwo,
-    QuasiFamily,
     ResidueClasses,
     SequenceSpec,
     Squares,
@@ -19,7 +18,6 @@ from qmtop.core import (
 from qmtop.qmetric import (
     PREDICATES,
     ball,
-    ball_meet,
     check_quasifamily,
     is_right_cauchy,
     left_converges,
@@ -45,17 +43,12 @@ from helpers import (
     OPENS_ORACLES,
     all_eventually_periodic,
     density_nf,
-    directed_nets,
     distance_matrices,
     eventually_periodic,
     from_opens,
     matrix_check_quasifamily,
     matrix_family,
     matrix_sep_pair,
-    net_eventually,
-    net_is_right_cauchy,
-    net_left_converges,
-    net_right_converges,
     normal_form_density,
     opens_of,
     preorder_family,
@@ -218,34 +211,6 @@ def test_net_convergence():
     swapped = parse_document(
         '{"kind":"net","elements":["a","b"],"order":[[1,1],[0,1]],"assignment":[1,0],"n":2}')
     assert not right_converges(swapped, cf, 1)
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_net_convergence_matches_the_elementwise_oracle(n):
-    """Every net over a directed preorder of at most 3 elements against
-    every family of at most 2 indices on n points, with every assignment for
-    n <= 2 and one per renaming of the points for n = 3 (the families are
-    closed under renaming).  Statement (1) on nets: right convergence to x
-    is eventual membership in the meet of the balls at x, which is x's row
-    in the generated topology.  The oracles are read per index, from
-    one-index families, and each family's verdict is the AND over its
-    indices."""
-    preorders = [t.rows for t in enumerate_preorders(n)]
-    single = [QuasiFamily(PointSpace(n), ("i0",), (rows,)) for rows in preorders]
-    families = [(q, [preorders.index(rows) for rows in q.rows], ball_meet(q),
-                 to_topology(q).rows) for q in small_index_families(n)]
-    for net in directed_nets(n, up_to_renaming=n == 3):
-        eventually = [net_eventually(net, lambda v: mask >> v & 1) for mask in range(1 << n)]
-        cauchy = [net_is_right_cauchy(net, p) for p in single]
-        right = [[net_right_converges(net, p, x) for x in range(n)] for p in single]
-        left = [[net_left_converges(net, p, x) for x in range(n)] for p in single]
-        for q, chosen, meet, rows in families:
-            assert is_right_cauchy(net, q) == all(cauchy[i] for i in chosen)
-            for x in range(n):
-                verdict = right_converges(net, q, x)
-                assert verdict == all(right[i][x] for i in chosen)
-                assert verdict == eventually[meet[x]] == eventually[rows[x]]
-                assert left_converges(net, q, x) == all(left[i][x] for i in chosen)
 
 
 def test_product_converges_examples():

@@ -1,6 +1,7 @@
 import json
 import pathlib
 import random
+from itertools import product
 
 import pytest
 
@@ -207,10 +208,9 @@ def test_find_discrepancy_argument_validation():
         find_discrepancy("literal_r9", "t2", 3, 1)
     with pytest.raises(ValueError):
         find_discrepancy("literal_r5", "t9", 3, 1)
-    with pytest.raises(ValueError):
-        find_discrepancy("literal_r5", "t2", 5, 1)
-    with pytest.raises(ValueError):
-        find_discrepancy("literal_r5", "t2", 3, 4)
+    for n, max_indices in ((0, 1), (17, 1), (3, 0)):
+        with pytest.raises(ValueError):
+            find_discrepancy("literal_r5", "t2", n, max_indices)
 
 
 @pytest.mark.parametrize("n, max_indices", [(3, 2), (2, 3)])
@@ -237,7 +237,8 @@ def test_first_witnesses_at_four_points_and_three_indices():
 def test_predicates_reading_one_relation_need_no_scan(monkeypatch):
     """The 18 `none` pairs of the pinned four-point, three-index table are
     exactly the pairs of predicates that read one relation; the search
-    answers None for them without a candidate scan, after its bound checks."""
+    answers None for them without a candidate scan, after its range checks,
+    at any point count and index count."""
     path = pathlib.Path(__file__).parent / "data" / "discrepancy_witnesses_n4_i3.json"
     pinned = json.loads(path.read_text())
     none = {(a, b) for a in pinned for b in pinned[a] if pinned[a][b] is None}
@@ -247,8 +248,9 @@ def test_predicates_reading_one_relation_need_no_scan(monkeypatch):
     monkeypatch.setattr(representation, "_family_candidates",
                         lambda *args: pytest.fail("the candidate scan ran"))
     for a, b in none:
-        assert find_discrepancy(a, b, 4, 3) is None
-        for n, max_indices in ((5, 3), (4, 4)):
+        for n, max_indices in ((4, 3), (5, 3), (4, 4), (16, 10**9)):
+            assert find_discrepancy(a, b, n, max_indices) is None
+        for n, max_indices in ((0, 1), (17, 1), (4, 0)):
             with pytest.raises(ValueError):
                 find_discrepancy(a, b, n, max_indices)
 
@@ -282,18 +284,29 @@ def test_packed_search_builds_topology_only_for_the_witness(monkeypatch):
 
 
 def test_predicates_reading_different_relations_disagree_on_three_points():
-    """Every pair of predicates that read different relations has a
-    one-index witness on at most 3 points: the fact that bounds the scan."""
-    pairs = [(a, b) for a in PREDICATES for b in PREDICATES
-             if PREDICATES[a][0] != PREDICATES[b][0]]
-    assert len(pairs) == 46
+    """The facts that bound the scan, over all 64 ordered predicate pairs: a
+    pair that reads one relation gets None (before any scan, as
+    `test_predicates_reading_one_relation_need_no_scan` checks), and every
+    other pair has a one-index witness on at most 3 points and a witness on
+    2 points with at most 3 indices.  So the scan stops within 3 points, and
+    at 2 points once it may use 3 indices, whatever its bounds."""
+    pairs = [(a, b) for a in PREDICATES for b in PREDICATES]
+    assert len(pairs) == 64
+    different = [(a, b) for a, b in pairs if PREDICATES[a][0] != PREDICATES[b][0]]
+    assert len(different) == 46
     for a, b in pairs:
-        w = find_discrepancy(a, b, 3, 1)
-        assert w is not None and discrepancy_pairs(w, a, b), (a, b)
+        for n, max_indices in ((3, 1), (2, 3)):
+            w = find_discrepancy(a, b, n, max_indices)
+            if (a, b) in different:
+                assert w is not None and discrepancy_pairs(w, a, b), (a, b, n)
+            else:
+                assert w is None, (a, b, n)
 
 
 def test_candidate_scan_visits_at_most_fifteen_families(monkeypatch):
-    """Over every accepted call, the scan stops within 15 candidates."""
+    """Over every point count the search accepts and index counts up to
+    10^9, the scan stops within 14 candidates, and finds the witness of
+    the same call clamped to 4 points and 3 indices."""
     visits = []
 
     def counted(points, max_indices):
@@ -301,14 +314,20 @@ def test_candidate_scan_visits_at_most_fifteen_families(monkeypatch):
             visits[-1] += 1
             yield rows
 
-    monkeypatch.setattr(representation, "_family_candidates", counted)
-    calls = 0
+    clamped = {}
     for a in PREDICATES:
         for b in PREDICATES:
             for n in range(1, 5):
                 for max_indices in range(1, 4):
-                    visits.append(0)
-                    find_discrepancy(a, b, n, max_indices)
-                    calls += 1
-    assert calls == 768
-    assert 0 < max(visits) <= 15
+                    w = find_discrepancy(a, b, n, max_indices)
+                    clamped[a, b, n, max_indices] = w and serialize(w)
+    monkeypatch.setattr(representation, "_family_candidates", counted)
+    calls = 0
+    for (a, b, n, max_indices) in product(PREDICATES, PREDICATES, range(1, 17),
+                                          (1, 2, 3, 4, 10, 10**9)):
+        visits.append(0)
+        w = find_discrepancy(a, b, n, max_indices)
+        assert (w and serialize(w)) == clamped[a, b, min(n, 4), min(max_indices, 3)]
+        calls += 1
+    assert calls == 6144
+    assert 0 < max(visits) <= 14
