@@ -27,7 +27,16 @@ from qmtop.core import (
     members,
     serialize,
 )
-from qmtop.qmetric import DENSITY_MODULUS_CAP, DensityValue, sep_metric, to_topology
+from qmtop.qmetric import (
+    DENSITY_MODULUS_CAP,
+    DensityValue,
+    ball_meet,
+    is_right_cauchy,
+    left_converges,
+    right_converges,
+    sep_metric,
+    to_topology,
+)
 from qmtop.representation import (
     RoundtripReport,
     _family_candidates,
@@ -622,3 +631,35 @@ def directed_nets(n: int, max_elements: int = 3, up_to_renaming: bool = False):
             for assignment in assignments:
                 yield DirectedNet(PointSpace(n), tuple(f"e{a}" for a in range(m)),
                                   order, assignment)
+
+
+@lru_cache(maxsize=None)
+def net_convergence_disagreements(n: int) -> int:
+    """Every net over a directed preorder of at most 3 elements against
+    every family of at most 2 indices on n points, with every assignment for
+    n <= 2 and one per renaming of the points for n = 3 (the families are
+    closed under renaming).  Right convergence to x is eventual membership
+    in the meet of the balls at x, which is x's row in the generated
+    topology.  The oracles are read per index, from one-index families, and
+    each family's verdict is the AND over its indices; Cauchy and left
+    convergence are checked the same way.  Returns the number of
+    disagreements; cached, as two suites read the same sweep."""
+    preorders = [t.rows for t in enumerate_preorders(n)]
+    single = [QuasiFamily(PointSpace(n), ("i0",), (rows,)) for rows in preorders]
+    families = [(q, [preorders.index(rows) for rows in q.rows], ball_meet(q),
+                 to_topology(q).rows) for q in small_index_families(n)]
+    disagreements = 0
+    for net in directed_nets(n, up_to_renaming=n == 3):
+        eventually = [net_eventually(net, lambda v: mask >> v & 1) for mask in range(1 << n)]
+        cauchy = [net_is_right_cauchy(net, p) for p in single]
+        right = [[net_right_converges(net, p, x) for x in range(n)] for p in single]
+        left = [[net_left_converges(net, p, x) for x in range(n)] for p in single]
+        for q, chosen, meet, rows in families:
+            disagreements += is_right_cauchy(net, q) != all(cauchy[i] for i in chosen)
+            for x in range(n):
+                verdict = right_converges(net, q, x)
+                disagreements += not (verdict == all(right[i][x] for i in chosen)
+                                      == eventually[meet[x]] == eventually[rows[x]])
+                disagreements += left_converges(net, q, x) != \
+                    all(left[i][x] for i in chosen)
+    return disagreements

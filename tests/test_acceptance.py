@@ -15,7 +15,6 @@ from qmtop.core import (
     PointMap,
     PointSpace,
     PositiveSet,
-    QuasiFamily,
     ResidueClasses,
     SequenceSpec,
     Squares,
@@ -27,13 +26,9 @@ from qmtop import continuity, qmetric, representation, topology
 from helpers import (
     all_eventually_periodic,
     d_U,
-    directed_nets,
     family_route_topologies,
     matrix_family,
-    net_eventually,
-    net_is_right_cauchy,
-    net_left_converges,
-    net_right_converges,
+    net_convergence_disagreements,
     opens_continuous,
     opens_of,
     p_U,
@@ -353,36 +348,6 @@ def test_criterion_13_statement_5_t2(tmp_path, capsys):
                        "a two-index family on 2 points", tmp_path, capsys)
 
 
-def _net_convergence_disagreements(n):
-    """Every net over a directed preorder of at most 3 elements against
-    every family of at most 2 indices on n points, with every assignment for
-    n <= 2 and one per renaming of the points for n = 3 (the families are
-    closed under renaming).  Right convergence to x is eventual membership
-    in the meet of the balls at x, which is x's row in the generated
-    topology.  The oracles are read per index, from one-index families, and
-    each family's verdict is the AND over its indices; Cauchy and left
-    convergence are checked the same way."""
-    preorders = [t.rows for t in topology.enumerate_preorders(n)]
-    single = [QuasiFamily(PointSpace(n), ("i0",), (rows,)) for rows in preorders]
-    families = [(q, [preorders.index(rows) for rows in q.rows], qmetric.ball_meet(q),
-                 qmetric.to_topology(q).rows) for q in small_index_families(n)]
-    disagreements = 0
-    for net in directed_nets(n, up_to_renaming=n == 3):
-        eventually = [net_eventually(net, lambda v: mask >> v & 1) for mask in range(1 << n)]
-        cauchy = [net_is_right_cauchy(net, p) for p in single]
-        right = [[net_right_converges(net, p, x) for x in range(n)] for p in single]
-        left = [[net_left_converges(net, p, x) for x in range(n)] for p in single]
-        for q, chosen, meet, rows in families:
-            disagreements += qmetric.is_right_cauchy(net, q) != all(cauchy[i] for i in chosen)
-            for x in range(n):
-                verdict = qmetric.right_converges(net, q, x)
-                disagreements += not (verdict == all(right[i][x] for i in chosen)
-                                      == eventually[meet[x]] == eventually[rows[x]])
-                disagreements += qmetric.left_converges(net, q, x) != \
-                    all(left[i][x] for i in chosen)
-    return disagreements
-
-
 def test_criterion_14_statement_1_convergence():
     """Statement (1): a sequence right-converges to x in the family iff it
     converges to x in the generated topology, iff it converges in every
@@ -404,7 +369,7 @@ def test_criterion_14_statement_1_convergence():
                 topo = topology.converges_topologically(seq, t, x, horizon=512)
                 disagreements += not right == topo == qmetric.product_converges(seq, q, x)
     sequences_s = time.perf_counter() - start
-    net_disagreements = sum(map(_net_convergence_disagreements, (1, 2, 3)))
+    net_disagreements = sum(map(net_convergence_disagreements, (1, 2, 3)))
     _verdict(14, f"statement (1) holds: right = topological = product convergence on "
                  f"{checked} (family, eventually-periodic sequence, point) cases, "
                  f"|I|<=2 on n<=2 and 32 non-canonical families on n=3 "

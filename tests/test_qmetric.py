@@ -49,6 +49,7 @@ from helpers import (
     matrix_check_quasifamily,
     matrix_family,
     matrix_sep_pair,
+    net_convergence_disagreements,
     normal_form_density,
     opens_of,
     preorder_family,
@@ -211,6 +212,15 @@ def test_net_convergence():
     swapped = parse_document(
         '{"kind":"net","elements":["a","b"],"order":[[1,1],[0,1]],"assignment":[1,0],"n":2}')
     assert not right_converges(swapped, cf, 1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_net_convergence_matches_the_elementwise_oracle(n):
+    """Statement (1) on nets: right, left and Cauchy verdicts agree with
+    the per-index oracles, and right convergence to x is eventual
+    membership in x's row of the generated topology (see
+    helpers.net_convergence_disagreements for the sweep)."""
+    assert net_convergence_disagreements(n) == 0
 
 
 def test_product_converges_examples():
