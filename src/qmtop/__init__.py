@@ -6,52 +6,3 @@ the topology <-> family constructions in `representation`, value
 semigroups and continuity spaces in `continuity`, and the batch CLI in
 `cli`.
 """
-
-from .core import (
-    Complement,
-    DirectedNet,
-    DocumentError,
-    DocumentSyntaxError,
-    FiniteSet,
-    InvariantViolation,
-    PointMap,
-    PointSpace,
-    PositiveSet,
-    PowersOfTwo,
-    QuasiFamily,
-    ResidueClasses,
-    SequenceSpec,
-    SpaceMismatchError,
-    Squares,
-    Topology,
-    UnionSet,
-    ValueSemigroup,
-    parse_document,
-    serialize,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "Complement",
-    "DirectedNet",
-    "DocumentError",
-    "DocumentSyntaxError",
-    "FiniteSet",
-    "InvariantViolation",
-    "PointMap",
-    "PointSpace",
-    "PositiveSet",
-    "PowersOfTwo",
-    "QuasiFamily",
-    "ResidueClasses",
-    "SequenceSpec",
-    "SpaceMismatchError",
-    "Squares",
-    "Topology",
-    "UnionSet",
-    "ValueSemigroup",
-    "parse_document",
-    "serialize",
-    "__version__",
-]

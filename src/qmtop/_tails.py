@@ -51,6 +51,7 @@ class TailAnalysisError(ValueError):
 @record
 class TailTypes:
     modulus: int
+    # past this position only unboundedly realised types occur
     settle: int
     # mask of the values some unboundedly realised type takes
     recurrent: int
@@ -119,11 +120,6 @@ def tail_types(seq: SequenceSpec) -> TailTypes:
 def eventually_in(seq: SequenceSpec, good_mask: int) -> bool:
     """Whether all but finitely many positions take a value inside the mask."""
     return not tail_types(seq).recurrent & ~good_mask
-
-
-def settle_bound(seq: SequenceSpec) -> int:
-    """Bound past which only unbounded types are realised."""
-    return tail_types(seq).settle
 
 
 def evaluate_range(seq: SequenceSpec, kmax: int) -> list[int]:
@@ -214,7 +210,7 @@ def assert_tail_consistent(seq: SequenceSpec, good_mask: int, decided: bool,
     """
     if not decided:
         return
-    start = settle_bound(seq)
+    start = tail_types(seq).settle
     if start >= horizon:
         return
     outside = 0

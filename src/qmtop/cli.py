@@ -221,14 +221,6 @@ _CONVERGE = {
 
 def cmd_converge(args) -> int:
     mode, x = args.mode, args.point
-    # The cross-check evaluates every position up to the horizon; the
-    # statistical scan stops at the same top horizon.
-    horizon_cap = max(qmetric.EMPIRICAL_HORIZONS)
-    if mode == "topological":
-        if args.horizon > horizon_cap:
-            return _fail_input(f"--horizon must be at most {horizon_cap}")
-        if args.horizon < 1:
-            return _fail_input("--horizon must be at least 1")
     seq = parse_document(_read(args.sequence))
     space = parse_document(_read(args.space))
     carriers, reason = _CONVERGE[mode]
@@ -240,8 +232,7 @@ def cmd_converge(args) -> int:
         raise DocumentError(f"{mode} mode needs a {noun} document")
     detail = {"mode": mode, "point": x}
     if mode == "topological":
-        ok = topology.converges_topologically(seq, _as_topology(space), x,
-                                              horizon=args.horizon)
+        ok = topology.converges_topologically(seq, _as_topology(space), x)
     elif mode == "right":
         ok = qmetric.right_converges(seq, q, x)
     elif mode == "left":
@@ -340,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "statistical"])
     p.add_argument("--strict", action="store_true",
                    help="treat an undecided statistical verdict as failure")
-    p.add_argument("--horizon", type=int, default=100_000,
-                   help="direct-evaluation cross-check bound (topological mode, "
-                        "at most 1000000)")
     p.set_defaults(handler=cmd_converge)
 
     p = sub.add_parser("enumerate", help="stream every topology or preorder of a size")

@@ -454,9 +454,9 @@ def _require(cond: bool, message: str) -> None:
         raise DocumentSyntaxError(message)
 
 
-def _space_from(obj: dict, key: str = "n") -> PointSpace:
-    _require(key in obj, f"missing {key!r}")
-    n = _int(obj[key], repr(key))
+def _space_from(obj: dict) -> PointSpace:
+    _require("n" in obj, "missing 'n'")
+    n = _int(obj["n"], "'n'")
     labels = obj.get("labels")
     if labels is not None:
         _require(isinstance(labels, list) and all(isinstance(s, str) for s in labels),

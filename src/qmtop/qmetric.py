@@ -382,20 +382,11 @@ class IndexDensityReport:
     density: DensityValue
     empirical: tuple[tuple[int, int], ...]  # (horizon, deviation count)
 
-    @property
-    def empirical_densities(self) -> tuple[Fraction, ...]:
-        from fractions import Fraction
-        return tuple(Fraction(c, h) for h, c in self.empirical)
-
 
 @record
 class StatResult:
     verdict: str  # "true" | "false" | "undecided"
     per_index: tuple[IndexDensityReport, ...]
-
-    @property
-    def converges(self) -> bool | None:
-        return {"true": True, "false": False}.get(self.verdict)
 
 
 def _difference(ds: IndexSetDescriptor, earlier: list[IndexSetDescriptor]):

@@ -33,6 +33,9 @@ from .core import (  # noqa: F401  (serialize: an import site perfbench patches)
 )
 
 ENUM_MAX_POINTS = 5
+# The last position `converges_topologically` evaluates directly to
+# cross-check a positive verdict; read at each call, so tests can shorten it.
+CROSS_CHECK_HORIZON = 100_000
 
 
 @record
@@ -117,13 +120,6 @@ def generate_from_subbase(space: PointSpace, masks) -> Topology:
     return Topology(space, tuple(_neighborhood_rows(space, masks)))
 
 
-def minimal_neighborhood(t: Topology, x: int) -> int:
-    """Mask of the intersection of every open containing x; open itself on
-    finite carriers."""
-    t.space.check_point(x)
-    return t.rows[x]
-
-
 def alexandrov_topology(space: PointSpace, rows) -> Topology:
     """The topology whose opens are the up-sets of a preorder's rows."""
     return Topology(space, tuple(rows))
@@ -184,18 +180,19 @@ def is_continuous(f: PointMap, td: Topology, tc: Topology) -> bool:
     return all(row & ~f.preimage_mask(tc.rows[f(x)]) == 0 for x, row in enumerate(td.rows))
 
 
-def converges_topologically(s: SequenceSpec, t: Topology, x: int,
-                            horizon: int = 100_000) -> bool:
+def converges_topologically(s: SequenceSpec, t: Topology, x: int) -> bool:
     """Whether the sequence is eventually inside the minimal neighbourhood of x.
 
-    The verdict is decided exactly from the rule structure; the horizon only
-    bounds a direct-evaluation cross-check of a positive verdict.
+    The verdict is decided exactly from the rule structure; positions up to
+    `CROSS_CHECK_HORIZON` cross-check a positive verdict by direct
+    evaluation.
     """
     if not s.space.compatible(t.space):
         raise SpaceMismatchError("sequence and topology spaces differ")
-    good = minimal_neighborhood(t, x)
+    t.space.check_point(x)
+    good = t.rows[x]
     decided = _tails.eventually_in(s, good)
-    _tails.assert_tail_consistent(s, good, decided, horizon)
+    _tails.assert_tail_consistent(s, good, decided, CROSS_CHECK_HORIZON)
     return decided
 
 

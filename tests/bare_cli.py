@@ -24,6 +24,9 @@ What the calls cover:
 - `roundtrip --n 5` checks the theorem on all 6,942 five-point topologies.
 - The literal separation conditions of the paper's statements (3)-(5)
   fail on spaces that are T0, T1 and T2.
+- A constant sequence converges topologically in the Sierpinski space.
+  The cross-check's depth is a constant, `topology.CROSS_CHECK_HORIZON`, so
+  `--horizon` is an unknown option: exit 2 and no report.
 - The topology stream runs the generator kernel that carries up-sets; its
   documents are counted, not printed.
 - The 12-point discrete space (4,096 opens, written in descending order)
@@ -111,6 +114,12 @@ def main(tmp: str) -> None:
         detail = json.loads(run(1, "separation", path, "--method", method))["detail"]
         if (detail["condition"], detail["direct"]) != (False, True):
             sys.exit(f"expected {method} to fail on a space that has its axiom")
+    const = doc("const.json", {"kind": "sequence", "n": 2, "default": 1})
+    topological = ["converge", const, sier, "--point", "1", "--mode", "topological"]
+    if json.loads(run(0, *topological))["verdict"] != "pass":
+        sys.exit("expected the constant sequence to converge topologically")
+    if run(2, *topological, "--horizon", "10") != "":
+        sys.exit("expected no report for --horizon, which converge does not take")
 
     if json.loads(run(0, "roundtrip", "--n", "5"))["detail"]["equal"] != 6942:
         sys.exit("expected 6942 equal round trips")

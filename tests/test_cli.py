@@ -281,38 +281,6 @@ def test_rules_must_be_a_list(rules, files, capsys):
     assert "'rules' must be a list" in captured.err
 
 
-def test_topological_horizon_is_bounded(files, capsys):
-    """The cross-check evaluates every position up to the horizon, so a
-    horizon past the statistical scan's top one is an input error, not an
-    allocation of gigabytes."""
-    seq = files("const.json", '{"kind":"sequence","n":2,"default":1}')
-    sier = files("sier.json", SIER)
-    top = max(qmetric.EMPIRICAL_HORIZONS)
-    for horizon in (top + 1, 10**9, 10**30):
-        code = main(["converge", seq, sier, "--point", "1", "--mode", "topological",
-                     "--horizon", str(horizon)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert f"at most {top}" in captured.err
-    code, out = run(capsys, "converge", seq, sier, "--point", "1", "--mode", "topological",
-                    "--horizon", str(top))
-    assert code == 0 and json.loads(out)["verdict"] == "pass"
-
-
-def test_topological_horizon_must_be_positive(files, capsys):
-    """A horizon below 1 would skip the tail cross-check without a word."""
-    seq = files("const.json", '{"kind":"sequence","n":2,"default":1}')
-    sier = files("sier.json", SIER)
-    for horizon in (0, -1, -10**9):
-        code = main(["converge", seq, sier, "--point", "1", "--mode", "topological",
-                     "--horizon", str(horizon)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert captured.err == "error: --horizon must be at least 1\n"
-    assert run(capsys, "converge", seq, sier, "--point", "1", "--mode", "topological",
-               "--horizon", "1")[0] == 0
-
-
 def test_roundtrip_file_and_n_is_input_error(files, capsys):
     code = main(["roundtrip", files("sier.json", SIER), "--n", "2"])
     captured = capsys.readouterr()

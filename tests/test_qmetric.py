@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 
+from qmtop import topology
 from qmtop.core import (
     Complement,
     FiniteSet,
     PointMap,
     PointSpace,
     PowersOfTwo,
+    QuasiFamily,
     ResidueClasses,
     SequenceSpec,
     Squares,
@@ -107,14 +110,21 @@ def test_separation_rows_match_matrix_scan():
     """Every predicate of the table at every ordered pair reads the same off
     (meet, sym) as the per-pair scan: over the matrices for a metric one,
     over the opens of the generated topology for a direct axiom.  All
-    families of one or two preorder indices on up to three points, and the
-    canonical family of every topology on up to four points."""
-    cases = [(q, distance_matrices(q)) for n in (1, 2, 3) for q in small_index_families(n, 2)]
+    families of one to three preorder indices on up to three points, a
+    seeded sample of such families on four points, and the canonical family
+    of every topology on up to four points."""
+    families = [q for n in (1, 2, 3) for q in small_index_families(n, 3)]
+    rng, preorders = random.Random(3), [t.rows for t in enumerate_preorders(4)]
+    for _ in range(100):
+        count = rng.randint(1, 3)
+        families.append(QuasiFamily(PointSpace(4), tuple(f"i{k}" for k in range(count)),
+                                    tuple(rng.choice(preorders) for _ in range(count))))
+    cases = [(q, distance_matrices(q)) for q in families]
     cases += [(canonical_family(t), _canonical_matrices(t))
               for n in (1, 2, 3, 4) for t in enumerate_topologies(n)]
     for q, mats in cases:
         n = q.space.n
-        t = to_topology(q)
+        t, meet_sym = to_topology(q), separation_pair(n, q.rows)
         pairs = [(x, y) for x in range(n) for y in range(n) if x != y]
         for name in PREDICATES:
             if name in OPENS_ORACLES:
@@ -122,7 +132,7 @@ def test_separation_rows_match_matrix_scan():
             else:
                 expected = [matrix_sep_pair(mats, name, x, y) for x, y in pairs]
             packed = sum(1 << x * n + y for (x, y), e in zip(pairs, expected) if e)
-            assert predicate_pairs(name, *separation_pair(n, q.rows)) == packed
+            assert predicate_pairs(name, *meet_sym) == packed
             assert sep_metric(q, name) == all(expected)
 
 
@@ -234,14 +244,15 @@ def test_product_converges_examples():
             right_converges(alternating, cf, target)
 
 
-def test_convergence_routes_agree_two_points():
+def test_convergence_routes_agree_two_points(monkeypatch):
     # full n <= 3 sweep lives in the acceptance suite
+    monkeypatch.setattr(topology, "CROSS_CHECK_HORIZON", 256)
     for t in enumerate_topologies(2):
         cf = canonical_family(t)
         for seq in all_eventually_periodic(t.space):
             for x in range(2):
                 r = right_converges(seq, cf, x)
-                assert converges_topologically(seq, t, x, horizon=256) == r
+                assert converges_topologically(seq, t, x) == r
                 assert product_converges(seq, cf, x) == r
 
 
@@ -500,7 +511,6 @@ def test_stat_converges_undecided():
     q = matrix_family(2, [[0, 1], [0, 0]])
     res = stat_converges(seq, q, 0, horizons=(10**3,))
     assert res.verdict == "undecided"
-    assert res.converges is None
 
 
 def test_stat_deviation_respects_rule_shadowing():

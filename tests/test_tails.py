@@ -89,7 +89,7 @@ def specs(draw):
 @given(specs(), st.integers(1, 6))
 def test_eventually_in_matches_brute_force(seq, good_mask):
     decided = _tails.eventually_in(seq, good_mask)
-    settle = _tails.settle_bound(seq)
+    settle = _tails.tail_types(seq).settle
     assert settle < HORIZON
     vals = values(seq, HORIZON)
     bad_beyond = [k for k in range(settle + 1, HORIZON + 1)
@@ -100,7 +100,7 @@ def test_eventually_in_matches_brute_force(seq, good_mask):
 @settings(max_examples=60, deadline=None)
 @given(specs())
 def test_recurrent_values_match_window(seq):
-    settle = _tails.settle_bound(seq)
+    settle = _tails.tail_types(seq).settle
     window = frozenset(values(seq, HORIZON)[settle + 1:])
     assert window == recurrent_values(seq)
 
@@ -146,7 +146,7 @@ def test_finite_deviation_is_eventual():
     space = PointSpace(2)
     seq = SequenceSpec(space, 1, ((FiniteSet((2, 9, 31)), 0),))
     assert _tails.eventually_in(seq, 0b10)
-    assert _tails.settle_bound(seq) >= 31
+    assert _tails.tail_types(seq).settle >= 31
     assert recurrent_values(seq) == {1}
 
 
@@ -241,7 +241,7 @@ def test_consistency_guard_reports_the_first_excursion():
     # Squares leave the mask unboundedly often; the first one past the
     # settle bound (7) is position 9.
     seq = SequenceSpec(PointSpace(2), 0, ((FiniteSet((7,)), 0), (Squares(), 1)))
-    assert _tails.settle_bound(seq) == 7
+    assert _tails.tail_types(seq).settle == 7
     with pytest.raises(AssertionError, match="position 9 takes value 1 outside mask 0x1$"):
         _tails.assert_tail_consistent(seq, 0b01, True, 1000)
     _tails.assert_tail_consistent(seq, 0b01, True, 8)

@@ -29,7 +29,6 @@ from qmtop.topology import (
     is_t0,
     is_t1,
     is_t2,
-    minimal_neighborhood,
     separating_pairs,
     topology_documents,
 )
@@ -155,9 +154,9 @@ def test_generate_from_subbase_idempotent_on_topologies():
 
 def test_minimal_neighborhood_examples():
     t = sierpinski()
-    assert members(minimal_neighborhood(t, 1)) == [1]
-    assert members(minimal_neighborhood(t, 0)) == [0, 1]
-    assert members(minimal_neighborhood(_discrete(3), 2)) == [2]
+    assert members(t.rows[1]) == [1]
+    assert members(t.rows[0]) == [0, 1]
+    assert members(_discrete(3).rows[2]) == [2]
 
 
 def test_minimal_neighborhood_is_least_open():
@@ -169,10 +168,11 @@ def test_minimal_neighborhood_is_least_open():
             opens = opens_of(t)
             assert tuple(_kernels.upsets(t.rows)) == opens
             for x in range(n):
-                m = minimal_neighborhood(t, x)
+                m = t.rows[x]
                 assert m == least_open(t, x) and m in opens and m >> x & 1
-    with pytest.raises(InvariantViolation):
-        minimal_neighborhood(sierpinski(), 2)
+    t = sierpinski()
+    with pytest.raises(InvariantViolation, match="^point 2 outside space of 2 points$"):
+        converges_topologically(SequenceSpec(t.space, 0), t, 2)
 
 
 def test_specialization_preorder_examples():
@@ -306,10 +306,11 @@ def test_converges_topologically_examples():
     assert not converges_topologically(squares_dip, t, 1)
 
 
-def test_constant_sequence_converges_everywhere():
+def test_constant_sequence_converges_everywhere(monkeypatch):
+    monkeypatch.setattr(topology, "CROSS_CHECK_HORIZON", 500)
     for t in enumerate_topologies(3):
         for x in range(3):
-            assert converges_topologically(SequenceSpec(t.space, x), t, x, horizon=500)
+            assert converges_topologically(SequenceSpec(t.space, x), t, x)
 
 
 def test_enumeration_counts_and_bounds():
