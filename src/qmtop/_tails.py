@@ -15,11 +15,11 @@ finite list, and both facts are decided exactly:
   many pre-cycle hits are listed explicitly.
 
 Each rule's index set is one mask over the 4M types (`_type_bits`), built
-the way `_member_bits` builds a mask over positions, and the first matching
-rule takes the types no earlier rule took.  That gives the mask of values
-that some unboundedly realised type takes, which turns "the sequence is
-eventually inside S" into one AND against S, with an explicit settle bound
-past which the typed behaviour governs.
+by the one fold that also builds its mask over positions (`_member_bits`),
+and the first matching rule takes the types no earlier rule took.  That
+gives the mask of values that some unboundedly realised type takes, which
+turns "the sequence is eventually inside S" into one AND against S, with an
+explicit settle bound past which the typed behaviour governs.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def tail_types(seq: SequenceSpec) -> TailTypes:
         (4 * r + 2 for r in square_residues),
         (4 * r + 1 for odd, r in cycle2 if odd),
         (4 * r + 3 for r in cycle4)), 4 * modulus - 1)
-    rest, recurrent = _tile(0b1111, 4, 4 * modulus), 0
+    rest, recurrent = (1 << 4 * modulus) - 1, 0
     for ds, point in seq.rules:
         hit = _type_bits(ds, modulus) & rest
         if hit & vast:
@@ -156,13 +156,20 @@ def _member_bits(ds: IndexSetDescriptor, top: int) -> int:
         return _position_bits((j * j for j in range(math.isqrt(top) + 1)), top)
     if isinstance(ds, PowersOfTwo):
         return _position_bits((1 << e for e in range(top.bit_length())), top)
+    return _fold(ds, _member_bits, top, top + 1)
+
+
+def _fold(ds: IndexSetDescriptor, bits, arg: int, width: int) -> int:
+    """The mask `bits(ds, arg)` of a complement or a union, over a universe
+    of `width` bits: a complement XORs the universe and a union ORs its
+    parts, each part's mask taken by `bits` itself."""
     if isinstance(ds, Complement):
-        return _member_bits(ds.of, top) ^ ((2 << top) - 1)
+        return bits(ds.of, arg) ^ ((1 << width) - 1)
     if isinstance(ds, UnionSet):
-        bits = 0
+        out = 0
         for part in ds.parts:
-            bits |= _member_bits(part, top)
-        return bits
+            out |= bits(part, arg)
+        return out
     raise TypeError(f"not a descriptor: {ds!r}")
 
 
@@ -189,14 +196,15 @@ def _type_bits(ds: IndexSetDescriptor, modulus: int) -> int:
         return _tile(0b1100, 4, 4 * modulus)
     if isinstance(ds, PowersOfTwo):
         return _tile(0b1010, 4, 4 * modulus)
-    if isinstance(ds, Complement):
-        return _type_bits(ds.of, modulus) ^ _tile(0b1111, 4, 4 * modulus)
-    if isinstance(ds, UnionSet):
-        bits = 0
-        for part in ds.parts:
-            bits |= _type_bits(part, modulus)
-        return bits
-    raise TypeError(f"not a descriptor: {ds!r}")
+    return _fold(ds, _type_bits, modulus, 4 * modulus)
+
+
+def generic_types(ds: IndexSetDescriptor, modulus: int) -> tuple[int, list]:
+    """How many residues r mod modulus (a multiple of every modulus in ds)
+    have their generic type, r at neither a square nor a power of two,
+    inside ds; and ds with every descriptor nested inside it."""
+    generic = _tile(0b0001, 4, 4 * modulus)
+    return (_type_bits(ds, modulus) & generic).bit_count(), list(_parts(ds))
 
 
 def assert_tail_consistent(seq: SequenceSpec, good_mask: int, decided: bool,
@@ -213,13 +221,15 @@ def assert_tail_consistent(seq: SequenceSpec, good_mask: int, decided: bool,
     start = tail_types(seq).settle
     if start >= horizon:
         return
+    masks = evaluate_range(seq, horizon)
     outside = 0
-    for v, positions in enumerate(evaluate_range(seq, horizon)):
+    for v, positions in enumerate(masks):
         if not good_mask >> v & 1:
             outside |= positions
     outside >>= start + 1
     if outside:
         k = start + (outside & -outside).bit_length()
+        value = next(v for v, positions in enumerate(masks) if positions >> k & 1)
         raise AssertionError(
             f"tail analysis claimed eventual membership, but position {k} "
-            f"takes value {seq.value_at(k)} outside mask {good_mask:#x}")
+            f"takes value {value} outside mask {good_mask:#x}")

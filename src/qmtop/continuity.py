@@ -5,6 +5,7 @@ quasimetric family lifts to.
 
 from __future__ import annotations
 
+from functools import lru_cache
 
 from .core import (
     InvariantViolation,
@@ -32,9 +33,11 @@ class AxiomViolation:
         return {"axiom": self.axiom, "witness": list(self.witness)}
 
 
-def _leq_table(sg: ValueSemigroup) -> list[list[bool]]:
-    """leq[a][b] is `sg.leq(a, b)`, the derived order."""
-    return [[sg.leq(a, b) for b in range(sg.size)] for a in range(sg.size)]
+@lru_cache(maxsize=8)
+def _leq_table(sg: ValueSemigroup) -> tuple[tuple[bool, ...], ...]:
+    """leq[a][b] is `sg.leq(a, b)`, the derived order, built once per
+    semigroup for the axiom checks that each read it."""
+    return tuple(tuple(sg.leq(a, b) for b in range(sg.size)) for a in range(sg.size))
 
 
 def _meet_of(sg: ValueSemigroup, leq, a: int, b: int) -> int | None:

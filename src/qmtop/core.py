@@ -9,7 +9,6 @@ members and cache keys.
 from __future__ import annotations
 
 import json
-import math
 from functools import reduce
 from itertools import chain, repeat
 from operator import or_
@@ -250,9 +249,6 @@ class FiniteSet:
             raise InvariantViolation("finite index sets hold naturals only")
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
 
-    def contains(self, k: int) -> bool:
-        return k in self.members
-
 
 @record
 class ResidueClasses:
@@ -266,36 +262,25 @@ class ResidueClasses:
             raise InvariantViolation("residues must lie in [0, modulus)")
         object.__setattr__(self, "residues", tuple(sorted(set(self.residues))))
 
-    def contains(self, k: int) -> bool:
-        return k % self.modulus in self.residues
-
 
 @record
 class Squares:
-    def contains(self, k: int) -> bool:
-        return k >= 0 and math.isqrt(k) ** 2 == k
+    """The perfect squares 0, 1, 4, 9, ..."""
 
 
 @record
 class PowersOfTwo:
-    def contains(self, k: int) -> bool:
-        return k >= 1 and k & (k - 1) == 0
+    """The powers of two 1, 2, 4, 8, ..."""
 
 
 @record
 class Complement:
     of: "IndexSetDescriptor"
 
-    def contains(self, k: int) -> bool:
-        return not self.of.contains(k)
-
 
 @record
 class UnionSet:
     parts: tuple["IndexSetDescriptor", ...]
-
-    def contains(self, k: int) -> bool:
-        return any(p.contains(k) for p in self.parts)
 
 
 IndexSetDescriptor = Union[FiniteSet, ResidueClasses, Squares, PowersOfTwo, Complement, UnionSet]
@@ -318,12 +303,6 @@ class SequenceSpec:
         self.space.check_point(self.default)
         for _, p in self.rules:
             self.space.check_point(p)
-
-    def value_at(self, k: int) -> int:
-        for ds, p in self.rules:
-            if ds.contains(k):
-                return p
-        return self.default
 
 
 @record

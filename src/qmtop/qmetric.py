@@ -336,7 +336,7 @@ def natural_density(ds: IndexSetDescriptor) -> DensityValue:
     Finite sets, squares and powers of two have density zero, so up to
     density zero the set is its generic tail types: the residues r mod M
     whose type (r, not a square, not a power of two) lies inside it
-    (`_tails._type_bits`), and the density is their share of M.  When it
+    (`_tails.generic_types`), and the density is their share of M.  When it
     holds no generic type it lies inside its finite sets, squares and
     powers of two, and the result is zero, certified by their summed
     counting bounds.  A lone residue set needs no mask, so its modulus has
@@ -344,17 +344,15 @@ def natural_density(ds: IndexSetDescriptor) -> DensityValue:
     """
     from fractions import Fraction
     if isinstance(ds, ResidueClasses):
-        count, modulus = len(ds.residues), ds.modulus
+        count, modulus, parts = len(ds.residues), ds.modulus, [ds]
     else:
         try:
             modulus = _density_modulus(ds)
         except _DensityUnknown as e:
             return DensityValue.unknown(e.reason)
-        generic = _tails._tile(1, 4, 4 * modulus)
-        count = (_tails._type_bits(ds, modulus) & generic).bit_count()
+        count, parts = _tails.generic_types(ds, modulus)
     if count:
         return DensityValue.exact(Fraction(count, modulus))
-    parts = list(_tails._parts(ds))
     sqrt_terms = sum(isinstance(part, Squares) for part in parts)
     log_terms = sum(isinstance(part, PowersOfTwo) for part in parts)
     if not (sqrt_terms or log_terms):
@@ -417,20 +415,20 @@ def deviation_descriptor(s: SequenceSpec, deviates) -> IndexSetDescriptor:
     return parts[0] if len(parts) == 1 else UnionSet(tuple(parts))
 
 
-def stat_converges(s: SequenceSpec, q: QuasiFamily, x: int,
-                   horizons: tuple[int, ...] = EMPIRICAL_HORIZONS) -> StatResult:
+def stat_converges(s: SequenceSpec, q: QuasiFamily, x: int) -> StatResult:
     """Statistical convergence: each index's deviation set has density zero.
 
     The deviation set is computed symbolically from the rules and its density
     decided by `natural_density`; empirical prefix counts over the horizon
-    ladder cross-check the symbolic work by direct evaluation.
+    ladder `EMPIRICAL_HORIZONS` cross-check the symbolic work by direct
+    evaluation.
     """
     _check_space(s, q)
     q.space.check_point(x)
     # The point masks are disjoint, so a deviation count is the sum of the
     # deviating points' counts, taken once per point and horizon.
-    counts = [[(positions & ((2 << h) - 1)).bit_count() for h in horizons]
-              for positions in _tails.evaluate_range(s, max(horizons))]
+    counts = [[(positions & ((2 << h) - 1)).bit_count() for h in EMPIRICAL_HORIZONS]
+              for positions in _tails.evaluate_range(s, max(EMPIRICAL_HORIZONS))]
     reports = []
     any_positive = False
     any_unknown = False
@@ -439,7 +437,7 @@ def stat_converges(s: SequenceSpec, q: QuasiFamily, x: int,
         dev = deviation_descriptor(s, lambda point: not row >> point & 1)
         density = natural_density(dev)
         far = [c for p, c in enumerate(counts) if not row >> p & 1]
-        empirical = tuple((h, sum(c[i] for c in far)) for i, h in enumerate(horizons))
+        empirical = tuple((h, sum(c[i] for c in far)) for i, h in enumerate(EMPIRICAL_HORIZONS))
         reports.append(IndexDensityReport(label, dev, density, empirical))
         if density.kind == "unknown":
             any_unknown = True

@@ -44,7 +44,10 @@ What the calls cover:
   order on 3.10): no square is 2 mod 3, so its first rule never fires, but
   every odd power of two is, so with powers of two it is not Cauchy.
 - Two residue sets whose lcm is 999,000 get their statistical density
-  from one mask over the tail types.
+  from one mask over the tail types: over the discrete 2-point space at
+  point 0, index [0] deviates at density 998999/999000 (exit 1).  The
+  same sequence is an input error (exit 2, no report) for `--mode right`,
+  whose exact tail analysis refuses an lcm above `_tails.MODULUS_CAP`.
 - A net order that is not transitive, and a family whose second index
   breaks the triangle inequality, are reported with their first and with
   every witness; `canonical` refuses a valid qmetric document.
@@ -227,9 +230,11 @@ def main(tmp: str) -> None:
     disc2 = doc("disc2.json", {"kind": "topology", "n": 2, "opens": [[], [0], [1], [0, 1]]})
     out = json.loads(run(1, "converge", near_cap, disc2, "--point", "0",
                          "--mode", "statistical"))
-    if {"kind": "exact", "numerator": 998999, "denominator": 999000} not in \
-            [i["density"] for i in out["detail"]["per_index"]]:
-        sys.exit("expected density 998999/999000")
+    if {"kind": "exact", "numerator": 998999, "denominator": 999000} != \
+            {i["index"]: i["density"] for i in out["detail"]["per_index"]}.get("[0]"):
+        sys.exit("expected index [0] at density 998999/999000")
+    if run(2, "converge", near_cap, disc2, "--point", "0", "--mode", "right") != "":
+        sys.exit("expected no report for rule moduli past the tail analysis cap")
 
 
 if __name__ == "__main__":

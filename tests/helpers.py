@@ -462,6 +462,29 @@ def _descriptor_parts(ds):
             yield from _descriptor_parts(part)
 
 
+def contains(ds, k: int) -> bool:
+    """Oracle: whether position k is a member of ds, tested by itself."""
+    if isinstance(ds, FiniteSet):
+        return k in ds.members
+    if isinstance(ds, ResidueClasses):
+        return k % ds.modulus in ds.residues
+    if isinstance(ds, Squares):
+        return k >= 0 and math.isqrt(k) ** 2 == k
+    if isinstance(ds, PowersOfTwo):
+        return k >= 1 and k & (k - 1) == 0
+    if isinstance(ds, Complement):
+        return not contains(ds.of, k)
+    if isinstance(ds, UnionSet):
+        return any(contains(q, k) for q in ds.parts)
+    raise TypeError(f"not a descriptor: {ds!r}")
+
+
+def value_at(seq: SequenceSpec, k: int) -> int:
+    """Oracle: the point seq takes at position k, the first rule whose set
+    contains k or else the default."""
+    return next((point for ds, point in seq.rules if contains(ds, k)), seq.default)
+
+
 def _contains_type(ds, r: int, s: int, p: int) -> bool:
     """Whether ds holds the positions of residue r (mod a multiple of each
     rule modulus), squares when s is set and powers of two when p is."""

@@ -189,7 +189,7 @@ def test_criterion_07_separation_characterizations(capsys):
                     "documented discrepancy witness emitted", ok)
 
 
-def test_criterion_08_statistical_convergence():
+def test_criterion_08_statistical_convergence(monkeypatch):
     cf = representation.canonical_family(sierpinski())
     space = cf.space
     squares_dip = SequenceSpec(space, 1, ((Squares(), 0),))
@@ -207,7 +207,8 @@ def test_criterion_08_statistical_convergence():
 
     thirds = SequenceSpec(space, 0, ((ResidueClasses(3, (0,)), 1),))
     edge = matrix_family(2, [[0, 1], [0, 0]])
-    res2 = qmetric.stat_converges(thirds, edge, 0, horizons=(10**3, 10**4))
+    monkeypatch.setattr(qmetric, "EMPIRICAL_HORIZONS", (10**3, 10**4))
+    res2 = qmetric.stat_converges(thirds, edge, 0)
     ok = ok and res2.verdict == "false"
     ok = ok and res2.per_index[0].density.value == Fraction(1, 3)
     _verdict(8, "squares deviation converges statistically but not in order, "

@@ -86,6 +86,20 @@ def test_lift_refuses_a_carrier_above_the_semigroup_bound(monkeypatch):
         lift_quasifamily(seven)
 
 
+def test_lifting_six_indices_builds_one_order_table(monkeypatch):
+    """The lift's three axiom re-checks share one table of the carrier's
+    derived order: 64 x 64 `leq` calls, where a table per check took three
+    times as many."""
+    leq = ValueSemigroup.leq
+    calls = []
+    monkeypatch.setattr(ValueSemigroup, "leq",
+                        lambda sg, a, b: calls.append((a, b)) or leq(sg, a, b))
+    continuity._leq_table.cache_clear()
+    six = QuasiFamily(PointSpace(2), tuple(f"i{k}" for k in range(6)), ((0b11, 0b10),) * 6)
+    assert lift_quasifamily(six).semigroup.size == 64
+    assert len(calls) == 64 * 64
+
+
 def test_ball_r_examples():
     cf = canonical_family(sierpinski())
     cs = lift_quasifamily(cf)

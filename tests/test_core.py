@@ -37,7 +37,14 @@ from qmtop import _tails, continuity, core, qmetric, representation, topology
 from qmtop.qmetric import check_quasifamily
 from qmtop.topology import enumerate_preorders, enumerate_topologies
 
-from helpers import label_sorted, matrix_family, opens_of, preorder_family, sierpinski
+from helpers import (
+    label_sorted,
+    matrix_family,
+    opens_of,
+    preorder_family,
+    sierpinski,
+    value_at,
+)
 
 
 SIER_DOC = '{"kind":"topology","n":2,"opens":[[],[1],[0,1]]}'
@@ -382,7 +389,7 @@ def test_sequence_rule_order_resolves_overlaps():
         (ResidueClasses(2, (0,)), 1),
         (ResidueClasses(3, (0,)), 2),
     ))
-    assert [seq.value_at(k) for k in range(1, 8)] == [0, 1, 2, 1, 0, 1, 0]
+    assert [value_at(seq, k) for k in range(1, 8)] == [0, 1, 2, 1, 0, 1, 0]
 
 
 @st.composite

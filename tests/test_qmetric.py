@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from qmtop import topology
+from qmtop import qmetric, topology
 from qmtop.core import (
     Complement,
     FiniteSet,
@@ -45,6 +45,7 @@ from qmtop.topology import (
 from helpers import (
     OPENS_ORACLES,
     all_eventually_periodic,
+    contains,
     density_nf,
     distance_matrices,
     eventually_periodic,
@@ -58,6 +59,7 @@ from helpers import (
     preorder_family,
     sierpinski,
     small_index_families,
+    value_at,
 )
 
 
@@ -371,7 +373,7 @@ def test_density_bounds_hold_empirically():
     for ds, bound in ((Squares(), lambda n: math.isqrt(n)),
                       (PowersOfTwo(), lambda n: int(math.log2(n)) + 1)):
         for n in (100, 10_000):
-            count = sum(1 for k in range(1, n + 1) if ds.contains(k))
+            count = sum(1 for k in range(1, n + 1) if contains(ds, k))
             assert count <= bound(n)
 
 
@@ -475,45 +477,46 @@ def test_density_matches_direct_counting(ds):
     assert density.kind in ("exact", "zero_by_bound")
     nf = density_nf(ds)
     n = 20_000
-    count = sum(1 for k in range(1, n + 1) if ds.contains(k))
+    count = sum(1 for k in range(1, n + 1) if contains(ds, k))
     slack = (nf.modulus + nf.sqrt_terms * math.isqrt(n)
              + nf.log_terms * (int(math.log2(n)) + 1) + nf.finite_bound)
     assert abs(count - density.value * n) <= slack
 
 
-def test_stat_converges_examples():
+def test_stat_converges_examples(monkeypatch):
     cf = canonical_family(sierpinski())
     space = cf.space
-    horizons = (10**3, 10**4)
+    monkeypatch.setattr(qmetric, "EMPIRICAL_HORIZONS", (10**3, 10**4))
 
     squares_dip = SequenceSpec(space, 1, ((Squares(), 0),))
-    res = stat_converges(squares_dip, cf, 1, horizons=horizons)
+    res = stat_converges(squares_dip, cf, 1)
     assert res.verdict == "true"
     assert not right_converges(squares_dip, cf, 1)
     by_index = {r.index: r for r in res.per_index}
     assert by_index["[1]"].density.kind == "zero_by_bound"
 
-    assert stat_converges(SequenceSpec(space, 0), cf, 0, horizons=horizons).verdict == "true"
+    assert stat_converges(SequenceSpec(space, 0), cf, 0).verdict == "true"
 
     third = SequenceSpec(space, 0, ((ResidueClasses(3, (0,)), 1),))
     q = matrix_family(2, [[0, 1], [0, 0]])
-    res = stat_converges(third, q, 0, horizons=horizons)
+    res = stat_converges(third, q, 0)
     assert res.verdict == "false"
     assert res.per_index[0].density.value == Fraction(1, 3)
 
 
-def test_stat_converges_undecided():
+def test_stat_converges_undecided(monkeypatch):
     space = PointSpace(2)
     seq = SequenceSpec(space, 0, (
         (ResidueClasses(9973, (0,)), 1),
         (ResidueClasses(9967, (1,)), 1),
     ))
     q = matrix_family(2, [[0, 1], [0, 0]])
-    res = stat_converges(seq, q, 0, horizons=(10**3,))
+    monkeypatch.setattr(qmetric, "EMPIRICAL_HORIZONS", (10**3,))
+    res = stat_converges(seq, q, 0)
     assert res.verdict == "undecided"
 
 
-def test_stat_deviation_respects_rule_shadowing():
+def test_stat_deviation_respects_rule_shadowing(monkeypatch):
     # the first rule hides the second on even positions, so the deviation
     # set of the second rule's point is the odd multiples of 3
     space = PointSpace(3)
@@ -522,27 +525,30 @@ def test_stat_deviation_respects_rule_shadowing():
         (ResidueClasses(3, (0,)), 2),
     ))
     q = matrix_family(3, [[0, 0, 1], [0, 0, 1], [1, 1, 0]])  # deviation only for value 2
-    res = stat_converges(seq, q, 0, horizons=(10**4,))
+    monkeypatch.setattr(qmetric, "EMPIRICAL_HORIZONS", (10**4,))
+    res = stat_converges(seq, q, 0)
     assert res.verdict == "false"
     assert res.per_index[0].density.value == Fraction(1, 6)
     horizon, count = res.per_index[0].empirical[0]
     assert count == sum(1 for k in range(1, horizon + 1) if k % 3 == 0 and k % 2 == 1)
 
 
-def test_stat_implied_by_right_convergence():
+def test_stat_implied_by_right_convergence(monkeypatch):
     cf = canonical_family(sierpinski())
+    monkeypatch.setattr(qmetric, "EMPIRICAL_HORIZONS", (10**3,))
     for seq in all_eventually_periodic(cf.space):
         for x in range(2):
             if right_converges(seq, cf, x):
-                assert stat_converges(seq, cf, x, horizons=(10**3,)).verdict == "true"
+                assert stat_converges(seq, cf, x).verdict == "true"
 
 
-def test_empirical_counts_match_direct_evaluation():
+def test_empirical_counts_match_direct_evaluation(monkeypatch):
     cf = canonical_family(sierpinski())
+    monkeypatch.setattr(qmetric, "EMPIRICAL_HORIZONS", (10**3,))
     space = cf.space
     seq = SequenceSpec(space, 1, ((Squares(), 0), (ResidueClasses(7, (3,)), 1)))
-    res = stat_converges(seq, cf, 1, horizons=(10**3,))
+    res = stat_converges(seq, cf, 1)
     by_index = {r.index: r for r in res.per_index}
     row = cf.index_rows("[1]")[1]
-    expected = sum(1 for k in range(1, 1001) if not row >> seq.value_at(k) & 1)
+    expected = sum(1 for k in range(1, 1001) if not row >> value_at(seq, k) & 1)
     assert by_index["[1]"].empirical[0] == (1000, expected)
