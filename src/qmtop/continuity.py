@@ -5,8 +5,7 @@ quasimetric family lifts to.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
+from ._kernels import members, transpose
 from .core import (
     InvariantViolation,
     PointSpace,
@@ -33,19 +32,22 @@ class AxiomViolation:
         return {"axiom": self.axiom, "witness": list(self.witness)}
 
 
-@lru_cache(maxsize=8)
-def _leq_table(sg: ValueSemigroup) -> tuple[tuple[bool, ...], ...]:
-    """leq[a][b] is `sg.leq(a, b)`, the derived order, built once per
-    semigroup for the axiom checks that each read it."""
-    return tuple(tuple(sg.leq(a, b) for b in range(sg.size)) for a in range(sg.size))
+def _mask(points) -> int:
+    """The mask of some points, each counted once."""
+    return sum(1 << p for p in set(points))
 
 
-def _meet_of(sg: ValueSemigroup, leq, a: int, b: int) -> int | None:
-    lower = [c for c in range(sg.size) if leq[c][a] and leq[c][b]]
-    for c in lower:
-        if all(leq[d][c] for d in lower):
-            return c
-    return None
+def _order(sg: ValueSemigroup) -> tuple[list[int], list[int]]:
+    """The derived order, a <= b iff a + x = b for some x, as row masks:
+    up[a] masks {a + x : x in the carrier}, and down[b] {a : a <= b}."""
+    up = [_mask(row) for row in sg.add]
+    return up, transpose(up)
+
+
+def _meet(down: list[int], a: int, b: int) -> int | None:
+    """The lower bound of a and b whose down-set holds every other one."""
+    lower = down[a] & down[b]
+    return next((c for c in members(lower) if down[c] & lower == lower), None)
 
 
 def check_value_semigroup(candidate: ValueSemigroup) -> list[AxiomViolation]:
@@ -76,31 +78,27 @@ def check_value_semigroup(candidate: ValueSemigroup) -> list[AxiomViolation]:
             out.append(AxiomViolation("identity", (a,)))
         if add[inf][a] != inf:
             out.append(AxiomViolation("absorbing", (a,)))
-    leq = _leq_table(candidate)
+    up, down = _order(candidate)
     for a in range(m):
-        for b in range(m):
-            if a != b and leq[a][b] and leq[b][a]:
-                out.append(AxiomViolation("antisymmetry", (a, b)))
+        for b in members(up[a] & down[a] & ~(1 << a)):
+            out.append(AxiomViolation("antisymmetry", (a, b)))
     for a in range(m):
         halves = tuple(b for b in range(m) if add[b][b] == a)
         if len(halves) != 1:
             out.append(AxiomViolation("unique-halving", (a,) + halves))
-    meets: dict[tuple[int, int], int] = {}
+    meet = [[_meet(down, a, b) for b in range(m)] for a in range(m)]
     for a in range(m):
         for b in range(a, m):
-            meet = _meet_of(candidate, leq, a, b)
-            if meet is None:
+            if meet[a][b] is None:
                 out.append(AxiomViolation("meet-exists", (a, b)))
-            else:
-                meets[a, b] = meets[b, a] = meet
     for a in range(m):
         for b in range(m):
-            if (a, b) not in meets:
+            if meet[a][b] is None:
                 continue
+            left = add[meet[a][b]]
             for c in range(m):
-                left = add[meets[a, b]][c]
-                right = meets.get((add[a][c], add[b][c]))
-                if right is not None and left != right:
+                right = meet[add[a][c]][add[b][c]]
+                if right is not None and left[c] != right:
                     out.append(AxiomViolation("meet-distributivity", (a, b, c)))
     return out
 
@@ -114,26 +112,29 @@ def check_positives(p: PositiveSet) -> list[AxiomViolation]:
     """
     sg = p.semigroup
     m = sg.size
-    leq = _leq_table(sg)
-    members = set(p.members)
+    up, down = _order(sg)
+    # Witnesses are listed in this set's iteration order.
+    positives = set(p.members)
+    mask = _mask(positives)
     out = []
-    for r in members:
-        for s in members:
-            meet = _meet_of(sg, leq, r, s)
-            if meet is not None and meet not in members:
+    for r in positives:
+        for s in positives:
+            meet = _meet(down, r, s)
+            if meet is not None and meet not in positives:
                 out.append(AxiomViolation("meet-closed", (r, s, meet)))
-    for r in members:
-        for a in range(m):
-            if leq[r][a] and a not in members:
-                out.append(AxiomViolation("upward-closed", (r, a)))
-    for r in members:
+    for r in positives:
+        for a in members(up[r] & ~mask):
+            out.append(AxiomViolation("upward-closed", (r, a)))
+    for r in positives:
         halves = [b for b in range(m) if sg.add[b][b] == r]
         for b in halves:
-            if b not in members:
+            if b not in positives:
                 out.append(AxiomViolation("halving-closed", (r, b)))
+    # The sums b + r over every positive r, one mask per b.
+    sums = [_mask(sg.add[b][r] for r in positives) for b in range(m)]
     for a in range(m):
         for b in range(m):
-            if all(leq[a][sg.add[b][r]] for r in members) and not leq[a][b]:
+            if sums[b] & ~up[a] == 0 and not up[a] >> b & 1:
                 out.append(AxiomViolation("order-separation", (a, b)))
     return out
 
@@ -163,7 +164,7 @@ class ContinuitySpace:
 def check_continuity_space(cs: ContinuitySpace) -> list[AxiomViolation]:
     """Zero self-distance and the triangle inequality under the derived order."""
     sg = cs.semigroup
-    leq = _leq_table(sg)
+    up, _ = _order(sg)
     n = cs.space.n
     out = []
     for x in range(n):
@@ -172,7 +173,7 @@ def check_continuity_space(cs: ContinuitySpace) -> list[AxiomViolation]:
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                if not leq[cs.dist[x][z]][sg.add[cs.dist[x][y]][cs.dist[y][z]]]:
+                if not up[cs.dist[x][z]] >> sg.add[cs.dist[x][y]][cs.dist[y][z]] & 1:
                     out.append(AxiomViolation("triangle", (x, y, z)))
     return out
 
@@ -182,12 +183,8 @@ def ball_r(cs: ContinuitySpace, x: int, r: int) -> int:
     cs.space.check_point(x)
     if r not in cs.positives.members:
         raise ValueError(f"radius {r} is not a positive element")
-    sg = cs.semigroup
-    mask = 0
-    for y in cs.space.points():
-        if sg.leq(cs.dist[x][y], r):
-            mask |= 1 << y
-    return mask
+    add = cs.semigroup.add
+    return _mask(y for y in cs.space.points() if r in add[cs.dist[x][y]])
 
 
 def to_topology_kopperman(cs: ContinuitySpace) -> Topology:
@@ -213,10 +210,14 @@ def lift_quasifamily(q: QuasiFamily) -> ContinuitySpace:
     max, all elements positive, distance the vector of coordinate distances.
 
     The output is re-verified against every semigroup, positives, and
-    distance axiom before being returned.  A carrier above
-    `SEMIGROUP_MAX_SIZE`, 7 or more indices, is refused before it is built.
+    distance axiom before being returned.  A family with no index, whose
+    carrier 2^0 has zero equal to infinity and so is no value semigroup,
+    and a carrier above `SEMIGROUP_MAX_SIZE`, 7 or more indices, are
+    refused before the carrier is built.
     """
     k = len(q.indices)
+    if k == 0:
+        raise ValueError("carrier 2^0 has zero equal to infinity")
     if 1 << k > SEMIGROUP_MAX_SIZE:
         raise ValueError(f"carrier 2^{k} larger than {SEMIGROUP_MAX_SIZE}")
     sg = semigroup_zero_one_pow(k)

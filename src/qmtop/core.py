@@ -402,10 +402,6 @@ class ValueSemigroup:
     def size(self) -> int:
         return len(self.elements)
 
-    def leq(self, a: int, b: int) -> bool:
-        """Derived order: a <= b iff a + x = b for some x."""
-        return any(self.add[a][x] == b for x in range(self.size))
-
 
 @record
 class PositiveSet:

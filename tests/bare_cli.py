@@ -14,6 +14,10 @@ What the calls cover:
 
 - The positives check and the statistical verdict build records with
   defaults, `DensityValue`'s classmethod constructors and `Fraction`s.
+- A value semigroup has at most 64 elements
+  (`continuity.SEMIGROUP_MAX_SIZE`): the carrier {0,1}^6 under OR, every
+  element positive, passes every semigroup and positives axiom, and a
+  65-element chain under max is an input error with no report.
 - The r4/t2 discrepancy witness is one of the few that need two indices.
   Two predicates that read one relation answer "none" without a scan, and
   an unknown predicate is an input error with no report.
@@ -180,6 +184,17 @@ def main(tmp: str) -> None:
                          "positives": [0, 1]})
     if json.loads(run(0, "check", sg, "--kind", "positives"))["verdict"] != "pass":
         sys.exit("expected the positives to pass")
+    cube = doc("cube6.json", {"kind": "semigroup", "elements": [str(e) for e in range(64)],
+                              "add": [[a | b for b in range(64)] for a in range(64)],
+                              "zero": 0, "infinity": 63, "positives": list(range(64))})
+    if json.loads(run(0, "check", cube, "--kind", "positives"))["verdict"] != "pass":
+        sys.exit("expected the positives of {0,1}^6 to pass")
+    chain = doc("chain65.json", {"kind": "semigroup", "elements": [str(e) for e in range(65)],
+                                 "add": [[max(a, b) for b in range(65)] for a in range(65)],
+                                 "zero": 0, "infinity": 64})
+    proc = call("check", chain, "--kind", "semigroup")
+    if (proc.returncode, proc.stdout, proc.stderr) != (2, "", "error: carrier larger than 64\n"):
+        sys.exit("expected the 65-element carrier to be an input error")
     seq = doc("seq.json", {"kind": "sequence", "n": 2, "default": 1,
                            "rules": [{"set": {"type": "squares"}, "point": 0}]})
     out = json.loads(run(0, "converge", seq, sier, "--point", "1", "--mode", "statistical"))

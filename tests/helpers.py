@@ -11,12 +11,14 @@ from typing import NamedTuple
 
 from qmtop import _kernels, _tails
 from qmtop.cli import emit
+from qmtop.continuity import AxiomViolation
 from qmtop.core import (
     Complement,
     DirectedNet,
     FiniteSet,
     PointMap,
     PointSpace,
+    PositiveSet,
     PowersOfTwo,
     QuasiFamily,
     ResidueClasses,
@@ -24,6 +26,7 @@ from qmtop.core import (
     Squares,
     Topology,
     UnionSet,
+    ValueSemigroup,
     members,
     serialize,
 )
@@ -686,3 +689,94 @@ def net_convergence_disagreements(n: int) -> int:
                 disagreements += left_converges(net, q, x) != \
                     all(left[i][x] for i in chosen)
     return disagreements
+
+
+def leq(sg: ValueSemigroup, a: int, b: int) -> bool:
+    """Oracle: the derived order, a <= b iff a + x = b for some x."""
+    return any(sg.add[a][x] == b for x in range(sg.size))
+
+
+def _table_meet(sg: ValueSemigroup, table, a: int, b: int) -> int | None:
+    lower = [c for c in range(sg.size) if table[c][a] and table[c][b]]
+    for c in lower:
+        if all(table[d][c] for d in lower):
+            return c
+    return None
+
+
+def table_check_value_semigroup(candidate: ValueSemigroup) -> list[AxiomViolation]:
+    """Oracle: every value-semigroup axiom, read from a bool table of the
+    derived order and a dict of meets keyed by pairs."""
+    m = candidate.size
+    add = candidate.add
+    zero, inf = candidate.zero, candidate.infinity
+    out = []
+    if inf == zero:
+        out.append(AxiomViolation("infinity-distinct-from-zero", (inf,)))
+    for a in range(m):
+        for b in range(m):
+            if add[a][b] != add[b][a]:
+                out.append(AxiomViolation("commutativity", (a, b)))
+            for c in range(m):
+                if add[add[a][b]][c] != add[a][add[b][c]]:
+                    out.append(AxiomViolation("associativity", (a, b, c)))
+    for a in range(m):
+        if add[zero][a] != a:
+            out.append(AxiomViolation("identity", (a,)))
+        if add[inf][a] != inf:
+            out.append(AxiomViolation("absorbing", (a,)))
+    table = [[leq(candidate, a, b) for b in range(m)] for a in range(m)]
+    for a in range(m):
+        for b in range(m):
+            if a != b and table[a][b] and table[b][a]:
+                out.append(AxiomViolation("antisymmetry", (a, b)))
+    for a in range(m):
+        halves = tuple(b for b in range(m) if add[b][b] == a)
+        if len(halves) != 1:
+            out.append(AxiomViolation("unique-halving", (a,) + halves))
+    meets: dict[tuple[int, int], int] = {}
+    for a in range(m):
+        for b in range(a, m):
+            meet = _table_meet(candidate, table, a, b)
+            if meet is None:
+                out.append(AxiomViolation("meet-exists", (a, b)))
+            else:
+                meets[a, b] = meets[b, a] = meet
+    for a in range(m):
+        for b in range(m):
+            if (a, b) not in meets:
+                continue
+            for c in range(m):
+                left = add[meets[a, b]][c]
+                right = meets.get((add[a][c], add[b][c]))
+                if right is not None and left != right:
+                    out.append(AxiomViolation("meet-distributivity", (a, b, c)))
+    return out
+
+
+def table_check_positives(p: PositiveSet) -> list[AxiomViolation]:
+    """Oracle: the set-of-positives axioms, read from a bool table of the
+    derived order; the positives are visited in the order of their set."""
+    sg = p.semigroup
+    m = sg.size
+    table = [[leq(sg, a, b) for b in range(m)] for a in range(m)]
+    positives = set(p.members)
+    out = []
+    for r in positives:
+        for s in positives:
+            meet = _table_meet(sg, table, r, s)
+            if meet is not None and meet not in positives:
+                out.append(AxiomViolation("meet-closed", (r, s, meet)))
+    for r in positives:
+        for a in range(m):
+            if table[r][a] and a not in positives:
+                out.append(AxiomViolation("upward-closed", (r, a)))
+    for r in positives:
+        for b in range(m):
+            if sg.add[b][b] == r and b not in positives:
+                out.append(AxiomViolation("halving-closed", (r, b)))
+    for a in range(m):
+        for b in range(m):
+            if all(table[a][sg.add[b][r]] for r in positives) and not table[a][b]:
+                out.append(AxiomViolation("order-separation", (a, b)))
+    return out

@@ -558,6 +558,54 @@ def test_topology_violation_report_bytes(files, capsys):
         (1, "8e4215754306767daa21111390897392858384ac7ea120b01cdefca1c4056338")
 
 
+def _semigroup(add, positives=None, labels=None) -> str:
+    m = len(add)
+    obj = {"kind": "semigroup", "elements": labels or [str(e) for e in range(m)],
+           "add": add, "zero": 0, "infinity": m - 1}
+    if positives is not None:
+        obj["positives"] = positives
+    return json.dumps(obj)
+
+
+CUBE = [[a | b for b in range(8)] for a in range(8)]
+CUBE_LABELS = [f"{e:03b}" for e in range(8)]
+# Every witness of these documents, in the checker's order.  The max chain
+# with a perturbed first and last row breaks all eight axioms of a value
+# semigroup, as does a random table; the cube {0,1}^3 under OR with two
+# entries changed breaks commutativity, associativity, unique halving and
+# meet distributivity.  Positives over a valid semigroup break meet
+# closure, upward closure and order separation; they cannot break closure
+# under halving, since a valid finite semigroup doubles each element to
+# itself, and over an invalid one the semigroup's violations are reported.
+AXIOM_REPORTS = {
+    "perturbed max chain": (_semigroup(
+        [[4, 1, 2, 3, 4, 5], [1, 1, 2, 3, 4, 5], [2, 2, 2, 3, 4, 5], [3, 3, 3, 3, 4, 5],
+         [4, 4, 4, 4, 4, 5], [2, 5, 5, 5, 5, 5]]), "semigroup",
+        "39205102e091d490c76d5bd3211fcdcae6cafc41ba38a117f1b38630f438a78d"),
+    "random table": (_semigroup(
+        [[3, 5, 6, 2, 3, 0, 1, 2], [3, 3, 6, 0, 7, 7, 7, 6], [7, 3, 6, 1, 7, 3, 0, 4],
+         [6, 7, 6, 1, 4, 1, 1, 6], [6, 1, 0, 5, 3, 1, 7, 3], [2, 1, 0, 7, 3, 2, 7, 7],
+         [4, 5, 6, 2, 2, 1, 5, 5], [7, 3, 4, 2, 5, 4, 1, 3]], labels=list("abcdefgh")),
+        "semigroup", "eab3953504fe1d7f5b59dbcd93d17e0b110855a1ebd8f99af30a3dd31c438277"),
+    "perturbed cube": (_semigroup(
+        [[1 if (a, b) == (1, 2) else 7 if (a, b) == (6, 6) else a | b for b in range(8)]
+         for a in range(8)], labels=CUBE_LABELS), "semigroup",
+        "59f9182b29e582186098919ed98be02ab54b3c8148152df87864cca1c0512dae"),
+    "cube positives": (_semigroup(CUBE, [3, 5, 6], CUBE_LABELS), "positives",
+                       "4464647b12c7d007d56cb06ced13a178fe7f104c46cc8bf0ba80a2c7d3111875"),
+    "chain positives": (_semigroup([[max(a, b) for b in range(4)] for a in range(4)], [2]),
+                        "positives",
+                        "0ee335baa79b28d4b8d68a8025996dcd4ea1e86feb9fbaca3b1746dd7f454a08"),
+}
+
+
+@pytest.mark.parametrize("case", AXIOM_REPORTS.values(), ids=AXIOM_REPORTS.keys())
+def test_axiom_report_bytes(case, files, capsys):
+    text, kind, digest = case
+    doc = files("sg.json", text)
+    assert _stdout_sha256(capsys, "check", doc, "--kind", kind) == (1, digest)
+
+
 def test_non_closed_document_is_refused_at_its_first_violation(files, capsys, monkeypatch):
     """Every subset of ten points but {0} is not closed: {0,1} and {0,2}
     meet in {0}.  `canonical` builds that one violation and prints it as an

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from qmtop.core import (
@@ -21,7 +23,14 @@ from qmtop.qmetric import ball, to_topology
 from qmtop.representation import canonical_family
 from qmtop.topology import enumerate_topologies
 
-from helpers import opens_of, sierpinski, small_index_families
+from helpers import (
+    leq,
+    opens_of,
+    sierpinski,
+    small_index_families,
+    table_check_positives,
+    table_check_value_semigroup,
+)
 
 
 def test_two_element_max_semigroup_is_valid():
@@ -46,7 +55,7 @@ def test_pointwise_max_cube_is_valid_up_to_three_coordinates():
         # derived order is the bitwise one
         for a in range(sg.size):
             for b in range(sg.size):
-                assert sg.leq(a, b) == (a & ~b == 0)
+                assert leq(sg, a, b) == (a & ~b == 0)
 
 
 def test_positives_examples():
@@ -86,18 +95,60 @@ def test_lift_refuses_a_carrier_above_the_semigroup_bound(monkeypatch):
         lift_quasifamily(seven)
 
 
-def test_lifting_six_indices_builds_one_order_table(monkeypatch):
-    """The lift's three axiom re-checks share one table of the carrier's
-    derived order: 64 x 64 `leq` calls, where a table per check took three
-    times as many."""
-    leq = ValueSemigroup.leq
-    calls = []
-    monkeypatch.setattr(ValueSemigroup, "leq",
-                        lambda sg, a, b: calls.append((a, b)) or leq(sg, a, b))
-    continuity._leq_table.cache_clear()
-    six = QuasiFamily(PointSpace(2), tuple(f"i{k}" for k in range(6)), ((0b11, 0b10),) * 6)
-    assert lift_quasifamily(six).semigroup.size == 64
-    assert len(calls) == 64 * 64
+def test_lift_refuses_a_family_with_no_index(monkeypatch):
+    """{0,1}^0 has one element, so its zero is its infinity: a family with
+    no index lifts to no value semigroup, and is refused before the carrier
+    is built."""
+    monkeypatch.setattr(continuity, "semigroup_zero_one_pow",
+                        lambda k: pytest.fail("the carrier was built"))
+    with pytest.raises(ValueError, match=r"^carrier 2\^0 has zero equal to infinity$"):
+        lift_quasifamily(QuasiFamily(PointSpace(2), (), ()))
+
+
+def _seeded_semigroups(rng, count):
+    """Random tables, chains under max and {0,1}^k under OR, of 1..16
+    elements, a third of them with a few entries perturbed."""
+    for _ in range(count):
+        shape = rng.choice(["random", "chain", "cube"])
+        if shape == "cube":
+            sg = semigroup_zero_one_pow(rng.randint(0, 4))
+            m, zero, inf = sg.size, sg.zero, sg.infinity
+            add = [list(row) for row in sg.add]
+        else:
+            m = rng.randint(1, 16)
+            if shape == "chain":
+                add = [[max(a, b) for b in range(m)] for a in range(m)]
+                zero, inf = 0, m - 1
+            else:
+                add = [[rng.randrange(m) for _ in range(m)] for _ in range(m)]
+                zero, inf = rng.randrange(m), rng.randrange(m)
+        if rng.random() < 1 / 3:
+            for _ in range(rng.randint(1, 3)):
+                add[rng.randrange(m)][rng.randrange(m)] = rng.randrange(m)
+        sg = ValueSemigroup(tuple(map(str, range(m))), tuple(map(tuple, add)), zero, inf)
+        yield sg, PositiveSet(sg, tuple(r for r in range(m) if rng.random() < 0.5))
+
+
+def test_mask_order_matches_the_table_oracle():
+    """The row-mask order, meets and checkers give the witness lists of the
+    bool-table route, in its order, on seeded tables of every shape; the
+    mask order is the brute-force order on those tables, on addition mod 2
+    and on the {0,1}^k carriers up to the 64-element bound."""
+    rng = random.Random(29)
+    seeded = list(_seeded_semigroups(rng, 300))
+    failing = set()
+    for sg, positives in seeded:
+        found = check_value_semigroup(sg) + check_positives(positives)
+        assert found == table_check_value_semigroup(sg) + table_check_positives(positives)
+        failing |= {v.axiom for v in found}
+    assert len(failing) == 13
+    xor = ValueSemigroup(("0", "1"), ((0, 1), (1, 0)), zero=0, infinity=1)
+    carriers = [sg for sg, _ in seeded] + [xor] + [semigroup_zero_one_pow(k) for k in range(7)]
+    for sg in carriers:
+        up, down = continuity._order(sg)
+        for a in range(sg.size):
+            for b in range(sg.size):
+                assert (up[a] >> b & 1, down[b] >> a & 1) == (leq(sg, a, b),) * 2
 
 
 def test_ball_r_examples():
@@ -178,7 +229,7 @@ def test_violations_replay_against_their_axiom():
             assert xor.add[xor.infinity][a] != xor.infinity
         elif v.axiom == "antisymmetry":
             a, b = v.witness
-            assert xor.leq(a, b) and xor.leq(b, a) and a != b
+            assert leq(xor, a, b) and leq(xor, b, a) and a != b
         elif v.axiom == "unique-halving":
             a, halves = v.witness[0], v.witness[1:]
             assert [b for b in range(xor.size) if xor.add[b][b] == a] == list(halves)
@@ -187,4 +238,4 @@ def test_violations_replay_against_their_axiom():
     for v in check_positives(PositiveSet(sg1, (1,))):
         assert v.axiom == "order-separation"
         a, b = v.witness
-        assert all(sg1.leq(a, sg1.add[b][r]) for r in (1,)) and not sg1.leq(a, b)
+        assert all(leq(sg1, a, sg1.add[b][r]) for r in (1,)) and not leq(sg1, a, b)
