@@ -1,21 +1,12 @@
-"""Value semigroups, sets of positives, and the distance-to-topology
-construction over them, together with the {0,1}^I instance that a
-quasimetric family lifts to.
+"""The axiom checkers of value semigroups and their sets of positives,
+the documents `check --kind semigroup` and `check --kind positives` read.
 """
 
 from __future__ import annotations
 
 from ._kernels import members, transpose
-from .core import (
-    InvariantViolation,
-    PointSpace,
-    PositiveSet,
-    QuasiFamily,
-    Topology,
-    ValueSemigroup,
-    record,
-)
-from .topology import check_topology, generate_from_subbase
+from .core import PositiveSet, ValueSemigroup, record
+from .topology import check_topology  # noqa: F401  (an import site perfbench patches)
 
 SEMIGROUP_MAX_SIZE = 64
 
@@ -113,14 +104,14 @@ def check_positives(p: PositiveSet) -> list[AxiomViolation]:
     sg = p.semigroup
     m = sg.size
     up, down = _order(sg)
-    # Witnesses are listed in this set's iteration order.
-    positives = set(p.members)
+    # Witnesses are listed with the positives ascending, as `p.members` holds them.
+    positives = p.members
     mask = _mask(positives)
     out = []
     for r in positives:
         for s in positives:
             meet = _meet(down, r, s)
-            if meet is not None and meet not in positives:
+            if meet is not None and not mask >> meet & 1:
                 out.append(AxiomViolation("meet-closed", (r, s, meet)))
     for r in positives:
         for a in members(up[r] & ~mask):
@@ -128,7 +119,7 @@ def check_positives(p: PositiveSet) -> list[AxiomViolation]:
     for r in positives:
         halves = [b for b in range(m) if sg.add[b][b] == r]
         for b in halves:
-            if b not in positives:
+            if not mask >> b & 1:
                 out.append(AxiomViolation("halving-closed", (r, b)))
     # The sums b + r over every positive r, one mask per b.
     sums = [_mask(sg.add[b][r] for r in positives) for b in range(m)]
@@ -137,109 +128,3 @@ def check_positives(p: PositiveSet) -> list[AxiomViolation]:
             if sums[b] & ~up[a] == 0 and not up[a] >> b & 1:
                 out.append(AxiomViolation("order-separation", (a, b)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Continuity spaces
-
-
-@record
-class ContinuitySpace:
-    space: PointSpace
-    semigroup: ValueSemigroup
-    positives: PositiveSet
-    dist: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        n = self.space.n
-        if self.positives.semigroup != self.semigroup:
-            raise InvariantViolation("positives belong to a different semigroup")
-        if len(self.dist) != n or any(len(row) != n for row in self.dist):
-            raise InvariantViolation("distance table shape mismatch")
-        m = self.semigroup.size
-        if any(not 0 <= e < m for row in self.dist for e in row):
-            raise InvariantViolation("distance entry outside the carrier")
-
-
-def check_continuity_space(cs: ContinuitySpace) -> list[AxiomViolation]:
-    """Zero self-distance and the triangle inequality under the derived order."""
-    sg = cs.semigroup
-    up, _ = _order(sg)
-    n = cs.space.n
-    out = []
-    for x in range(n):
-        if cs.dist[x][x] != sg.zero:
-            out.append(AxiomViolation("zero-self-distance", (x,)))
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if not up[cs.dist[x][z]] >> sg.add[cs.dist[x][y]][cs.dist[y][z]] & 1:
-                    out.append(AxiomViolation("triangle", (x, y, z)))
-    return out
-
-
-def ball_r(cs: ContinuitySpace, x: int, r: int) -> int:
-    """Mask of the points within distance r of x under the derived order."""
-    cs.space.check_point(x)
-    if r not in cs.positives.members:
-        raise ValueError(f"radius {r} is not a positive element")
-    add = cs.semigroup.add
-    return _mask(y for y in cs.space.points() if r in add[cs.dist[x][y]])
-
-
-def to_topology_kopperman(cs: ContinuitySpace) -> Topology:
-    """Opens are the sets containing a positive-radius ball around each point;
-    they are closure-checked, and then generate the topology they are."""
-    n = cs.space.n
-    balls = {(x, r): ball_r(cs, x, r)
-             for x in range(n) for r in cs.positives.members}
-    opens = []
-    for u in range(1 << n):
-        if all(not u >> x & 1
-               or any(balls[x, r] & ~u == 0 for r in cs.positives.members)
-               for x in range(n)):
-            opens.append(u)
-    violations = check_topology(cs.space, opens)
-    if violations:
-        raise AssertionError(f"generated opens fail closure: {violations[0]}")
-    return generate_from_subbase(cs.space, opens)
-
-
-def lift_quasifamily(q: QuasiFamily) -> ContinuitySpace:
-    """The {0,1}^I instance of a family: carrier 2^|I| under coordinatewise
-    max, all elements positive, distance the vector of coordinate distances.
-
-    The output is re-verified against every semigroup, positives, and
-    distance axiom before being returned.  A family with no index, whose
-    carrier 2^0 has zero equal to infinity and so is no value semigroup,
-    and a carrier above `SEMIGROUP_MAX_SIZE`, 7 or more indices, are
-    refused before the carrier is built.
-    """
-    k = len(q.indices)
-    if k == 0:
-        raise ValueError("carrier 2^0 has zero equal to infinity")
-    if 1 << k > SEMIGROUP_MAX_SIZE:
-        raise ValueError(f"carrier 2^{k} larger than {SEMIGROUP_MAX_SIZE}")
-    sg = semigroup_zero_one_pow(k)
-    positives = PositiveSet(sg, tuple(range(sg.size)))
-    n = q.space.n
-    # Coordinate i of d(x, y) is 1 where y is outside zero row x of index i.
-    dist = tuple(
-        tuple(sum(1 << i for i, rows in enumerate(q.rows) if not rows[x] >> y & 1)
-              for y in range(n))
-        for x in range(n))
-    cs = ContinuitySpace(q.space, sg, positives, dist)
-    problems = (check_value_semigroup(sg) + check_positives(positives)
-                + check_continuity_space(cs))
-    if problems:
-        raise AssertionError(f"lifted structure fails an axiom: {problems[0]}")
-    return cs
-
-
-def semigroup_zero_one_pow(k: int) -> ValueSemigroup:
-    """The {0,1}^k carrier under coordinatewise max."""
-    size = 1 << k
-    labels = tuple("".join("1" if e >> i & 1 else "0" for i in range(k)) or "0"
-                   for e in range(size))
-    add = tuple(tuple(a | b for b in range(size)) for a in range(size))
-    return ValueSemigroup(labels, add, zero=0, infinity=size - 1)

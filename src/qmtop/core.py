@@ -229,12 +229,6 @@ class QuasiFamily:
             raise InvariantViolation(f"rows for index {label!r} are not {n} masks "
                                      f"of {n} points")
 
-    def index_rows(self, label: str) -> tuple[int, ...]:
-        try:
-            return self.rows[self.indices.index(label)]
-        except ValueError:
-            raise KeyError(f"unknown index {label!r}") from None
-
 
 # ---------------------------------------------------------------------------
 # Describable index sets and sequences
@@ -343,31 +337,6 @@ class DirectedNet:
                     raise InvariantViolation(f"elements {a},{b} have no upper bound")
 
 
-@record
-class PointMap:
-    """A total function between two finite spaces."""
-
-    domain: PointSpace
-    codomain: PointSpace
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.values) != self.domain.n:
-            raise InvariantViolation("map must assign a value to every domain point")
-        for v in self.values:
-            self.codomain.check_point(v)
-
-    def __call__(self, p: int) -> int:
-        return self.values[p]
-
-    def preimage_mask(self, target_mask: int) -> int:
-        mask = 0
-        for x in self.domain.points():
-            if target_mask >> self.values[x] & 1:
-                mask |= 1 << x
-        return mask
-
-
 # ---------------------------------------------------------------------------
 # Semigroup documents (checked in `continuity`)
 
@@ -415,9 +384,7 @@ class PositiveSet:
         object.__setattr__(self, "members", tuple(sorted(set(self.members))))
 
 
-Document = Union[
-    Topology, QuasiFamily, SequenceSpec, PointMap, DirectedNet, ValueSemigroup, PositiveSet
-]
+Document = Union[Topology, QuasiFamily, SequenceSpec, DirectedNet, ValueSemigroup, PositiveSet]
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +576,6 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
             rules.append((_descriptor_from(rule["set"]), _int(rule["point"], "rule point")))
         return SequenceSpec(space, default, tuple(rules))
 
-    elif kind == "map":
-        n_from, n_to = _int(obj.get("from"), "map 'from'"), _int(obj.get("to"), "map 'to'")
-        values = tuple(_int_list(obj.get("values"), "map values"))
-        return PointMap(PointSpace(n_from), PointSpace(n_to), values)
-
     elif kind == "net":
         space = _space_from(obj)
         _require(isinstance(obj.get("elements"), list), "net needs element names")
@@ -746,10 +708,6 @@ def serialize(value: Document) -> str:
         obj["default"] = value.default
         obj["rules"] = [{"set": _descriptor_json(ds), "point": p} for ds, p in value.rules]
         return _dump(obj)
-
-    if isinstance(value, PointMap):
-        return _dump({"kind": "map", "from": value.domain.n, "to": value.codomain.n,
-                      "values": list(value.values)})
 
     if isinstance(value, DirectedNet):
         order = sorted(range(len(value.elements)), key=lambda a: value.elements[a])

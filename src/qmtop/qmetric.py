@@ -1,6 +1,6 @@
 """Quasimetric-family machinery: axioms, balls, the generated topology,
-right/left convergence, metric continuity and separation, and statistical
-convergence through natural density.
+right/left convergence, separation, and statistical convergence through
+natural density.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .core import (
     DirectedNet,
     FiniteSet,
     IndexSetDescriptor,
-    PointMap,
     QuasiFamily,
     ResidueClasses,
     SequenceSpec,
@@ -83,13 +82,6 @@ def ball_meet(q: QuasiFamily) -> list[int]:
     for rows in q.rows:
         meet = list(map(and_, meet, rows))
     return meet
-
-
-def ball(q: QuasiFamily, index: str, x: int) -> int:
-    """Mask of the zero-set of one coordinate at a base point; always
-    contains x."""
-    q.space.check_point(x)
-    return q.index_rows(index)[x]
 
 
 def to_topology(q: QuasiFamily) -> Topology:
@@ -187,19 +179,6 @@ def product_converges(s: SequenceSpec, q: QuasiFamily, x: int) -> bool:
     if verdict != right_converges(s, q, x):
         raise AssertionError("product and per-coordinate convergence disagree")
     return verdict
-
-
-def metric_continuous_at(f: PointMap, q: QuasiFamily, p: QuasiFamily, x: int) -> bool:
-    """For each codomain index some domain ball at x maps into the codomain ball."""
-    if not f.domain.compatible(q.space) or not f.codomain.compatible(p.space):
-        raise SpaceMismatchError("map spaces do not match the families")
-    f.domain.check_point(x)
-    fx = f(x)
-    for codomain_rows in p.rows:
-        pre = f.preimage_mask(codomain_rows[fx])
-        if not any(rows[x] & ~pre == 0 for rows in q.rows):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from . import _kernels, _tails
 from ._kernels import pack, transpose
 from .core import (  # noqa: F401  (serialize: an import site perfbench patches)
     InvariantViolation,
-    PointMap,
     PointSpace,
     SequenceSpec,
     SpaceMismatchError,
@@ -169,16 +168,7 @@ def is_t2(t: Topology) -> bool:
     return separated(t.rows, "t2")
 
 
-# --- continuity and convergence -------------------------------------------
-
-def is_continuous(f: PointMap, td: Topology, tc: Topology) -> bool:
-    """Whether f is monotone: x below y implies f(x) below f(y).  On finite
-    spaces that is continuity, as the least open around x must lie inside
-    the preimage of the least open around f(x)."""
-    if not f.domain.compatible(td.space) or not f.codomain.compatible(tc.space):
-        raise SpaceMismatchError("map spaces do not match the topologies")
-    return all(row & ~f.preimage_mask(tc.rows[f(x)]) == 0 for x, row in enumerate(td.rows))
-
+# --- convergence ----------------------------------------------------------
 
 def converges_topologically(s: SequenceSpec, t: Topology, x: int) -> bool:
     """Whether the sequence is eventually inside the minimal neighbourhood of x.

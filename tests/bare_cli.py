@@ -18,6 +18,12 @@ What the calls cover:
   (`continuity.SEMIGROUP_MAX_SIZE`): the carrier {0,1}^6 under OR, every
   element positive, passes every semigroup and positives axiom, and a
   65-element chain under max is an input error with no report.
+- The positives check lists its witnesses with the positives ascending:
+  on the 16-element chain under max with positives [2, 9] the first is
+  `upward-closed fails at (2, 3)`, though a set of those ints iterates 9
+  first.
+- No verb reads a map, so a `map` document is refused like any unknown
+  kind: exit 2, no report, and one error line.
 - The r4/t2 discrepancy witness is one of the few that need two indices.
   Two predicates that read one relation answer "none" without a scan, and
   an unknown predicate is an input error with no report.
@@ -195,6 +201,17 @@ def main(tmp: str) -> None:
     proc = call("check", chain, "--kind", "semigroup")
     if (proc.returncode, proc.stdout, proc.stderr) != (2, "", "error: carrier larger than 64\n"):
         sys.exit("expected the 65-element carrier to be an input error")
+    chain16 = doc("chain16.json", {"kind": "semigroup", "elements": [str(e) for e in range(16)],
+                                   "add": [[max(a, b) for b in range(16)] for a in range(16)],
+                                   "zero": 0, "infinity": 15, "positives": [2, 9]})
+    if json.loads(run(1, "check", chain16, "--kind", "positives"))["reason"] != \
+            "upward-closed fails at (2, 3)":
+        sys.exit("expected the witnesses of positive 2 first")
+    pmap = doc("map.json", {"kind": "map", "from": 2, "to": 2, "values": [0, 1]})
+    proc = call("check", pmap, "--kind", "topology")
+    if (proc.returncode, proc.stdout, proc.stderr) != \
+            (2, "", "error: unknown document kind 'map'\n"):
+        sys.exit("expected a map document to be refused as an unknown kind")
     seq = doc("seq.json", {"kind": "sequence", "n": 2, "default": 1,
                            "rules": [{"set": {"type": "squares"}, "point": 0}]})
     out = json.loads(run(0, "converge", seq, sier, "--point", "1", "--mode", "statistical"))

@@ -11,23 +11,32 @@ from typing import NamedTuple
 
 from qmtop import _kernels, _tails
 from qmtop.cli import emit
-from qmtop.continuity import AxiomViolation
+from qmtop.continuity import (
+    SEMIGROUP_MAX_SIZE,
+    AxiomViolation,
+    _mask,
+    _order,
+    check_positives,
+    check_value_semigroup,
+)
 from qmtop.core import (
     Complement,
     DirectedNet,
     FiniteSet,
-    PointMap,
+    InvariantViolation,
     PointSpace,
     PositiveSet,
     PowersOfTwo,
     QuasiFamily,
     ResidueClasses,
     SequenceSpec,
+    SpaceMismatchError,
     Squares,
     Topology,
     UnionSet,
     ValueSemigroup,
     members,
+    record,
     serialize,
 )
 from qmtop.qmetric import (
@@ -46,7 +55,7 @@ from qmtop.representation import (
     canonical_family,
     discrepancy_pairs,
 )
-from qmtop.topology import enumerate_preorders, separated
+from qmtop.topology import check_topology, enumerate_preorders, generate_from_subbase, separated
 
 
 @lru_cache(maxsize=None)
@@ -79,6 +88,64 @@ def from_opens(space: PointSpace, masks) -> Topology:
     t = Topology(space, tuple(rows))
     assert opens_of(t) == masks, "the masks are not the opens of a topology"
     return t
+
+
+def index_rows(q: QuasiFamily, label: str) -> tuple[int, ...]:
+    """The zero rows of the index with this label: row x masks the ball
+    {y : d_label(x, y) = 0}."""
+    return q.rows[q.indices.index(label)]
+
+
+# ---------------------------------------------------------------------------
+# Maps and the two sides of the paper's statement (2)
+
+
+@record
+class PointMap:
+    """A total function between two finite spaces."""
+
+    domain: PointSpace
+    codomain: PointSpace
+    values: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.values) != self.domain.n:
+            raise InvariantViolation("map must assign a value to every domain point")
+        for v in self.values:
+            self.codomain.check_point(v)
+
+    def __call__(self, p: int) -> int:
+        return self.values[p]
+
+    def preimage_mask(self, target_mask: int) -> int:
+        mask = 0
+        for x in self.domain.points():
+            if target_mask >> self.values[x] & 1:
+                mask |= 1 << x
+        return mask
+
+
+def is_continuous(f: PointMap, td: Topology, tc: Topology) -> bool:
+    """Whether f is monotone: x below y implies f(x) below f(y).  On finite
+    spaces that is continuity, as the least open around x must lie inside
+    the preimage of the least open around f(x)."""
+    if not f.domain.compatible(td.space) or not f.codomain.compatible(tc.space):
+        raise SpaceMismatchError("map spaces do not match the topologies")
+    return all(row & ~f.preimage_mask(tc.rows[f(x)]) == 0 for x, row in enumerate(td.rows))
+
+
+def metric_continuous_at(f: PointMap, q: QuasiFamily, p: QuasiFamily, x: int) -> bool:
+    """The paper's condition (2): for each codomain index some domain ball at
+    x maps into the codomain ball."""
+    if not f.domain.compatible(q.space) or not f.codomain.compatible(p.space):
+        raise SpaceMismatchError("map spaces do not match the families")
+    f.domain.check_point(x)
+    fx = f(x)
+    for codomain_rows in p.rows:
+        pre = f.preimage_mask(codomain_rows[fx])
+        if not any(rows[x] & ~pre == 0 for rows in q.rows):
+            return False
+    return True
 
 
 def opens_continuous(f: PointMap, td: Topology, tc: Topology) -> bool:
@@ -756,11 +823,11 @@ def table_check_value_semigroup(candidate: ValueSemigroup) -> list[AxiomViolatio
 
 def table_check_positives(p: PositiveSet) -> list[AxiomViolation]:
     """Oracle: the set-of-positives axioms, read from a bool table of the
-    derived order; the positives are visited in the order of their set."""
+    derived order; the positives are visited in ascending order."""
     sg = p.semigroup
     m = sg.size
     table = [[leq(sg, a, b) for b in range(m)] for a in range(m)]
-    positives = set(p.members)
+    positives = sorted(set(p.members))
     out = []
     for r in positives:
         for s in positives:
@@ -780,3 +847,112 @@ def table_check_positives(p: PositiveSet) -> list[AxiomViolation]:
             if all(table[a][sg.add[b][r]] for r in positives) and not table[a][b]:
                 out.append(AxiomViolation("order-separation", (a, b)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Continuity spaces: Kopperman's route to a family's topology through the
+# {0,1}^I lift (Kopperman, "All topologies come from generalized metrics",
+# Amer. Math. Monthly 95, 1988)
+
+
+@record
+class ContinuitySpace:
+    space: PointSpace
+    semigroup: ValueSemigroup
+    positives: PositiveSet
+    dist: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        n = self.space.n
+        if self.positives.semigroup != self.semigroup:
+            raise InvariantViolation("positives belong to a different semigroup")
+        if len(self.dist) != n or any(len(row) != n for row in self.dist):
+            raise InvariantViolation("distance table shape mismatch")
+        m = self.semigroup.size
+        if any(not 0 <= e < m for row in self.dist for e in row):
+            raise InvariantViolation("distance entry outside the carrier")
+
+
+def check_continuity_space(cs: ContinuitySpace) -> list[AxiomViolation]:
+    """Zero self-distance and the triangle inequality under the derived order."""
+    sg = cs.semigroup
+    up, _ = _order(sg)
+    n = cs.space.n
+    out = []
+    for x in range(n):
+        if cs.dist[x][x] != sg.zero:
+            out.append(AxiomViolation("zero-self-distance", (x,)))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if not up[cs.dist[x][z]] >> sg.add[cs.dist[x][y]][cs.dist[y][z]] & 1:
+                    out.append(AxiomViolation("triangle", (x, y, z)))
+    return out
+
+
+def ball_r(cs: ContinuitySpace, x: int, r: int) -> int:
+    """Mask of the points within distance r of x under the derived order."""
+    cs.space.check_point(x)
+    if r not in cs.positives.members:
+        raise ValueError(f"radius {r} is not a positive element")
+    add = cs.semigroup.add
+    return _mask(y for y in cs.space.points() if r in add[cs.dist[x][y]])
+
+
+def to_topology_kopperman(cs: ContinuitySpace) -> Topology:
+    """Oracle: opens are the sets containing a positive-radius ball around
+    each point, found by testing all 2^n subsets; they are closure-checked,
+    and then generate the topology they are."""
+    n = cs.space.n
+    balls = {(x, r): ball_r(cs, x, r)
+             for x in range(n) for r in cs.positives.members}
+    opens = []
+    for u in range(1 << n):
+        if all(not u >> x & 1
+               or any(balls[x, r] & ~u == 0 for r in cs.positives.members)
+               for x in range(n)):
+            opens.append(u)
+    violations = check_topology(cs.space, opens)
+    if violations:
+        raise AssertionError(f"generated opens fail closure: {violations[0]}")
+    return generate_from_subbase(cs.space, opens)
+
+
+def lift_quasifamily(q: QuasiFamily) -> ContinuitySpace:
+    """The {0,1}^I instance of a family: carrier 2^|I| under coordinatewise
+    max, all elements positive, distance the vector of coordinate distances.
+
+    The output is re-verified against every semigroup, positives, and
+    distance axiom before being returned.  A family with no index, whose
+    carrier 2^0 has zero equal to infinity and so is no value semigroup,
+    and a carrier above `SEMIGROUP_MAX_SIZE`, 7 or more indices, are
+    refused before the carrier is built.
+    """
+    k = len(q.indices)
+    if k == 0:
+        raise ValueError("carrier 2^0 has zero equal to infinity")
+    if 1 << k > SEMIGROUP_MAX_SIZE:
+        raise ValueError(f"carrier 2^{k} larger than {SEMIGROUP_MAX_SIZE}")
+    sg = semigroup_zero_one_pow(k)
+    positives = PositiveSet(sg, tuple(range(sg.size)))
+    n = q.space.n
+    # Coordinate i of d(x, y) is 1 where y is outside zero row x of index i.
+    dist = tuple(
+        tuple(sum(1 << i for i, rows in enumerate(q.rows) if not rows[x] >> y & 1)
+              for y in range(n))
+        for x in range(n))
+    cs = ContinuitySpace(q.space, sg, positives, dist)
+    problems = (check_value_semigroup(sg) + check_positives(positives)
+                + check_continuity_space(cs))
+    if problems:
+        raise AssertionError(f"lifted structure fails an axiom: {problems[0]}")
+    return cs
+
+
+def semigroup_zero_one_pow(k: int) -> ValueSemigroup:
+    """The {0,1}^k carrier under coordinatewise max."""
+    size = 1 << k
+    labels = tuple("".join("1" if e >> i & 1 else "0" for i in range(k)) or "0"
+                   for e in range(size))
+    add = tuple(tuple(a | b for b in range(size)) for a in range(size))
+    return ValueSemigroup(labels, add, zero=0, infinity=size - 1)

@@ -12,7 +12,6 @@ from itertools import product
 
 from qmtop.cli import main as cli_main
 from qmtop.core import (
-    PointMap,
     PointSpace,
     PositiveSet,
     ResidueClasses,
@@ -24,16 +23,22 @@ from qmtop.core import (
 from qmtop import continuity, qmetric, representation, topology
 
 from helpers import (
+    PointMap,
     all_eventually_periodic,
     d_U,
     family_route_topologies,
+    is_continuous,
+    lift_quasifamily,
     matrix_family,
+    metric_continuous_at,
     net_convergence_disagreements,
     opens_continuous,
     opens_of,
     p_U,
+    semigroup_zero_one_pow,
     sierpinski,
     small_index_families,
+    to_topology_kopperman,
     zero_rows,
 )
 
@@ -91,8 +96,7 @@ def test_criterion_03_balls_open_and_subbase():
     for q in _test_families():
         t = qmetric.to_topology(q)  # internally asserts = subbase closure
         opens = set(opens_of(t))
-        balls = [qmetric.ball(q, label, x) for label in q.indices
-                 for x in q.space.points()]
+        balls = [ball for rows in q.rows for ball in rows]
         ok = ok and all(b in opens for b in balls)
         generated = topology.generate_from_subbase(q.space, balls)
         ok = ok and generated == t
@@ -153,10 +157,10 @@ def test_criterion_06_continuity_equivalence():
                 qc = families[tc]
                 for f in maps:
                     checked += 1
-                    metric = all(qmetric.metric_continuous_at(f, qd, qc, x)
+                    metric = all(metric_continuous_at(f, qd, qc, x)
                                  for x in range(nd))
                     if not metric == opens_continuous(f, td, tc) == \
-                            topology.is_continuous(f, td, tc):
+                            is_continuous(f, td, tc):
                         disagreements += 1
     elapsed = time.perf_counter() - start
     ok = disagreements == 0 and elapsed < 60.0 and checked >= 29 * 29 * 27
@@ -218,19 +222,19 @@ def test_criterion_08_statistical_convergence(monkeypatch):
 def test_criterion_09_continuity_spaces():
     ok = True
     for k in (1, 2, 3):
-        sg = continuity.semigroup_zero_one_pow(k)
+        sg = semigroup_zero_one_pow(k)
         ok = ok and continuity.check_value_semigroup(sg) == []
         ok = ok and continuity.check_positives(
             PositiveSet(sg, tuple(range(sg.size)))) == []
     for n in (1, 2, 3):
         for q in small_index_families(n, max_indices=2):
-            lifted = continuity.lift_quasifamily(q)
-            if continuity.to_topology_kopperman(lifted) != qmetric.to_topology(q):
+            lifted = lift_quasifamily(q)
+            if to_topology_kopperman(lifted) != qmetric.to_topology(q):
                 ok = False
     xor = ValueSemigroup(("0", "1"), ((0, 1), (1, 0)), zero=0, infinity=1)
     ok = ok and any(v.axiom == "absorbing"
                     for v in continuity.check_value_semigroup(xor))
-    sg1 = continuity.semigroup_zero_one_pow(1)
+    sg1 = semigroup_zero_one_pow(1)
     ok = ok and any(v.axiom == "order-separation" and v.witness == (1, 0)
                     for v in continuity.check_positives(PositiveSet(sg1, (1,))))
     _verdict(9, "pointwise-max cubes satisfy all axioms, Kopperman route "
@@ -385,14 +389,15 @@ def test_criterion_14_statement_1_convergence(monkeypatch):
 def test_criterion_15_statement_2_continuity():
     """Statement (2): f is continuous at x iff for each codomain index j some
     domain index i has d_i(x, y) = 0 imply p_j(f(x), f(y)) = 0
-    (`metric_continuous_at`).  On finite spaces f is continuous at x iff it
-    maps x's least open set, the meet of the balls at x, into f(x)'s.  "If"
-    always holds: each ball at x holds the meet.  "Only if" holds where the
-    domain family is directed at x, where some index's ball at x is the
-    meet; at any other point the map sending the meet to the open point of
-    the Sierpinski space and the rest to the closed point is continuous and
-    fails the condition.  Checked on every family of at most 2 indices on
-    n <= 3, every codomain of at most 2 indices on n <= 2 and every map."""
+    (`helpers.metric_continuous_at`).  On finite spaces f is continuous at x
+    iff it maps x's least open set, the meet of the balls at x, into f(x)'s
+    (`helpers.is_continuous`).  "If" always holds: each ball at x holds the
+    meet.  "Only if" holds where the domain family is directed at x, where
+    some index's ball at x is the meet; at any other point the map sending
+    the meet to the open point of the Sierpinski space and the rest to the
+    closed point is continuous and fails the condition.  Checked on every
+    family of at most 2 indices on n <= 3, every codomain of at most 2
+    indices on n <= 2 and every map."""
     start = time.perf_counter()
     domains = [q for n in (1, 2, 3) for q in small_index_families(n)]
     codomains = [(p, qmetric.to_topology(p).rows)
@@ -416,7 +421,7 @@ def test_criterion_15_statement_2_continuity():
                 for x in range(n):
                     checked += 1
                     continuous = not t.rows[x] & ~f.preimage_mask(codomain_rows[f(x)])
-                    metric = qmetric.metric_continuous_at(f, q, p, x)
+                    metric = metric_continuous_at(f, q, p, x)
                     if metric and not continuous or directed[x] and continuous and not metric:
                         counterexamples += 1
                     if continuous != metric:
@@ -426,8 +431,8 @@ def test_criterion_15_statement_2_continuity():
                 f = PointMap(q.space, sier.space,
                              tuple(meet[x] >> y & 1 for y in range(n)))
                 decision_agrees = decision_agrees and \
-                    topology.is_continuous(f, t, sier_t) and \
-                    not qmetric.metric_continuous_at(f, q, sier, x)
+                    is_continuous(f, t, sier_t) and \
+                    not metric_continuous_at(f, q, sier, x)
         decision_agrees = decision_agrees and \
             failing == {x for x in range(n) if not directed[x]}
     elapsed = time.perf_counter() - start
@@ -436,8 +441,8 @@ def test_criterion_15_statement_2_continuity():
     discrete = matrix_family(2, [[0, 1], [1, 0]])
     f = PointMap(domain.space, discrete.space, (0, 0, 1))
     witness = domain.rows == ((0b001, 0b010, 0b101), (0b001, 0b010, 0b110)) and \
-        topology.is_continuous(f, qmetric.to_topology(domain), qmetric.to_topology(discrete)) \
-        and not qmetric.metric_continuous_at(f, domain, discrete, 2)
+        is_continuous(f, qmetric.to_topology(domain), qmetric.to_topology(discrete)) \
+        and not metric_continuous_at(f, domain, discrete, 2)
     _verdict(15, "statement (2) fails as stated; its 'if' half always holds, and its "
                  "'only if' half holds exactly at points where the domain family is "
                  f"directed ({checked:,} (family, codomain, map, point) cases, |I|<=2 "

@@ -9,27 +9,26 @@ from qmtop.core import (
     ValueSemigroup,
 )
 from qmtop import continuity
-from qmtop.continuity import (
-    ContinuitySpace,
-    ball_r,
-    check_continuity_space,
-    check_positives,
-    check_value_semigroup,
-    lift_quasifamily,
-    semigroup_zero_one_pow,
-    to_topology_kopperman,
-)
-from qmtop.qmetric import ball, to_topology
+from qmtop.continuity import check_positives, check_value_semigroup
+from qmtop.qmetric import to_topology
 from qmtop.representation import canonical_family
 from qmtop.topology import enumerate_topologies
 
+import helpers
 from helpers import (
+    ContinuitySpace,
+    ball_r,
+    check_continuity_space,
+    index_rows,
     leq,
+    lift_quasifamily,
     opens_of,
+    semigroup_zero_one_pow,
     sierpinski,
     small_index_families,
     table_check_positives,
     table_check_value_semigroup,
+    to_topology_kopperman,
 )
 
 
@@ -88,7 +87,7 @@ def test_lift_examples():
 def test_lift_refuses_a_carrier_above_the_semigroup_bound(monkeypatch):
     """Seven indices lift to 2^7 = 128 elements, past `SEMIGROUP_MAX_SIZE`;
     the lift refuses them before building the carrier's table."""
-    monkeypatch.setattr(continuity, "semigroup_zero_one_pow",
+    monkeypatch.setattr(helpers, "semigroup_zero_one_pow",
                         lambda k: pytest.fail("the carrier was built"))
     seven = QuasiFamily(PointSpace(2), tuple(f"i{k}" for k in range(7)), ((0b11, 0b11),) * 7)
     with pytest.raises(ValueError, match=r"^carrier 2\^7 larger than 64$"):
@@ -99,7 +98,7 @@ def test_lift_refuses_a_family_with_no_index(monkeypatch):
     """{0,1}^0 has one element, so its zero is its infinity: a family with
     no index lifts to no value semigroup, and is refused before the carrier
     is built."""
-    monkeypatch.setattr(continuity, "semigroup_zero_one_pow",
+    monkeypatch.setattr(helpers, "semigroup_zero_one_pow",
                         lambda k: pytest.fail("the carrier was built"))
     with pytest.raises(ValueError, match=r"^carrier 2\^0 has zero equal to infinity$"):
         lift_quasifamily(QuasiFamily(PointSpace(2), (), ()))
@@ -157,15 +156,15 @@ def test_ball_r_examples():
     for x in range(2):
         # radius zero: the all-coordinates ball
         expect = cf.space.full_mask
-        for label in cf.indices:
-            expect &= ball(cf, label, x)
+        for rows in cf.rows:
+            expect &= rows[x]
         assert ball_r(cs, x, 0) == expect
         # radius infinity: everything
         assert ball_r(cs, x, cs.semigroup.infinity) == cf.space.full_mask
         # zeroing one coordinate recovers that coordinate's ball exactly
         j = cf.indices.index("[1]")
         radius = cs.semigroup.infinity & ~(1 << j)
-        assert ball_r(cs, x, radius) == ball(cf, "[1]", x)
+        assert ball_r(cs, x, radius) == index_rows(cf, "[1]")[x]
     restricted = ContinuitySpace(cs.space, cs.semigroup,
                                  PositiveSet(cs.semigroup, (0,)), cs.dist)
     with pytest.raises(ValueError):

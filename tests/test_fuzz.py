@@ -97,9 +97,6 @@ def shaped_documents(draw, kinds, n, corrupt=True):
         doc["elements"] = [f"e{k}" for k in range(size)]
         doc["order"] = [[int(a <= b) for b in range(size)] for a in range(size)]
         doc["assignment"] = draw(st.lists(point, min_size=size, max_size=size))
-    elif kind == "map":
-        del doc["n"]
-        doc.update({"from": n, "to": n, "values": draw(st.lists(point, min_size=n, max_size=n))})
     else:  # the max semigroup on a chain
         size = draw(st.integers(2, 4))
         doc["elements"] = [str(k) for k in range(size)]
@@ -122,7 +119,7 @@ def documents(draw, kinds, n):
     return draw(junk if draw(st.integers(0, 99)) < 20 else shaped_documents(kinds, n))
 
 
-KINDS = ("topology", "qmetric", "sequence", "net", "map", "semigroup")
+KINDS = ("topology", "qmetric", "sequence", "net", "semigroup")
 SPACES = ("topology", "qmetric")
 # (argv with placeholders A and B, kinds for A, kinds for B)
 COMMANDS = (

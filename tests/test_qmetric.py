@@ -7,7 +7,6 @@ from qmtop import qmetric, topology
 from qmtop.core import (
     Complement,
     FiniteSet,
-    PointMap,
     PointSpace,
     PowersOfTwo,
     QuasiFamily,
@@ -20,11 +19,9 @@ from qmtop.core import (
 )
 from qmtop.qmetric import (
     PREDICATES,
-    ball,
     check_quasifamily,
     is_right_cauchy,
     left_converges,
-    metric_continuous_at,
     natural_density,
     product_converges,
     predicate_pairs,
@@ -44,15 +41,18 @@ from qmtop.topology import (
 
 from helpers import (
     OPENS_ORACLES,
+    PointMap,
     all_eventually_periodic,
     contains,
     density_nf,
     distance_matrices,
     eventually_periodic,
     from_opens,
+    index_rows,
     matrix_check_quasifamily,
     matrix_family,
     matrix_sep_pair,
+    metric_continuous_at,
     net_convergence_disagreements,
     normal_form_density,
     opens_of,
@@ -140,14 +140,13 @@ def test_separation_rows_match_matrix_scan():
 
 def test_ball_examples():
     cf = canonical_family(sierpinski())
-    assert members(ball(cf, "[1]", 1)) == [1]
-    assert members(ball(cf, "[1]", 0)) == [0, 1]
-    with pytest.raises(KeyError):
-        ball(cf, "[0]", 0)
+    assert members(index_rows(cf, "[1]")[1]) == [1]
+    assert members(index_rows(cf, "[1]")[0]) == [0, 1]
+    assert "[0]" not in cf.indices
     for q in small_index_families(3, 1):
-        for label in q.indices:
+        for rows in q.rows:
             for x in range(3):
-                assert ball(q, label, x) >> x & 1
+                assert rows[x] >> x & 1
 
 
 def test_to_topology_examples():
@@ -168,9 +167,9 @@ def test_balls_are_open_and_generate():
         for q in small_index_families(n, 2 if n == 2 else 1):
             t = to_topology(q)
             opens = set(opens_of(t))
-            for label in q.indices:
+            for rows in q.rows:
                 for x in range(n):
-                    assert ball(q, label, x) in opens
+                    assert rows[x] in opens
 
 
 def test_single_index_family_matches_alexandrov():
@@ -549,6 +548,6 @@ def test_empirical_counts_match_direct_evaluation(monkeypatch):
     seq = SequenceSpec(space, 1, ((Squares(), 0), (ResidueClasses(7, (3,)), 1)))
     res = stat_converges(seq, cf, 1)
     by_index = {r.index: r for r in res.per_index}
-    row = cf.index_rows("[1]")[1]
+    row = index_rows(cf, "[1]")[1]
     expected = sum(1 for k in range(1, 1001) if not row >> value_at(seq, k) & 1)
     assert by_index["[1]"].empirical[0] == (1000, expected)

@@ -21,6 +21,7 @@ from qmtop.topology import enumerate_topologies
 from helpers import (
     d_U,
     from_opens,
+    index_rows,
     object_find_discrepancy,
     object_roundtrip,
     object_route_canonical,
@@ -37,7 +38,7 @@ def test_canonical_family_examples():
     assert cf.indices == ("[]", "[1]", "[0,1]")
     # The zero row of x is the open when x is in it, the whole space otherwise.
     assert cf.rows == ((0b11, 0b11), (0b11, 0b10), (0b11, 0b11))
-    assert cf.index_rows("[1]") == (0b11, 0b10)
+    assert index_rows(cf, "[1]") == (0b11, 0b10)
 
     indiscrete = from_opens(PointSpace(3), [0, 0b111])
     assert canonical_family(indiscrete).rows == ((0b111,) * 3,) * 2
@@ -45,7 +46,7 @@ def test_canonical_family_examples():
     discrete = from_opens(PointSpace(2), range(4))
     dcf = canonical_family(discrete)
     assert len(dcf.indices) == 4
-    assert dcf.index_rows("[0]") == (0b01, 0b11)
+    assert index_rows(dcf, "[0]") == (0b01, 0b11)
 
 
 def test_canonical_families_are_quasimetric():

@@ -8,7 +8,6 @@ from qmtop import _kernels, topology
 
 from qmtop.core import (
     InvariantViolation,
-    PointMap,
     PointSpace,
     ResidueClasses,
     SequenceSpec,
@@ -25,7 +24,6 @@ from qmtop.topology import (
     enumerate_preorders,
     enumerate_topologies,
     generate_from_subbase,
-    is_continuous,
     is_t0,
     is_t1,
     is_t2,
@@ -35,9 +33,11 @@ from qmtop.topology import (
 
 from helpers import (
     OPENS_ORACLES,
+    PointMap,
     brute_minimal_topology,
     family_route_topologies,
     from_opens,
+    is_continuous,
     least_open,
     opens_continuous,
     opens_of,
