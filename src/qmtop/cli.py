@@ -180,13 +180,11 @@ def cmd_separation(args) -> int:
     if args.method == "direct":
         return _verdict("separation", True, None, detail={"method": "direct", **direct})
     if args.method == "metric":
-        # The metric T0 and T1 criteria, `t0_unordered` and `t1_amended`,
-        # read the very axioms they are offered for (`qmetric.PREDICATES`),
-        # so their verdicts are the direct ones.
+        # The metric criteria `t0_unordered`, `t1_amended` and `t2` read the
+        # very axioms they are offered for (`qmetric.PREDICATES`), so their
+        # verdicts are the direct ones.
         return _verdict("separation", True, None,
                         detail={"method": "metric", **direct,
-                                "note": "t2 from the generated topology; no sound "
-                                        "metric criterion is available",
                                 "direct": direct, "disagreements": []})
     reads, axiom = qmetric.PREDICATES[args.method]
     # The symmetric mask is empty for a topology document: no d_U of its
@@ -207,15 +205,14 @@ def cmd_separation(args) -> int:
                             "disagreeing_pairs": pairs})
 
 
-# Each convergence mode: the carriers it accepts, and its reason for a fail.
+# Each convergence mode's reason for a fail.
 _CONVERGE = {
-    "right": ((SequenceSpec, DirectedNet), "right condition fails at some index"),
-    "left": ((SequenceSpec, DirectedNet), "left condition fails at some index"),
-    "cauchy": ((SequenceSpec, DirectedNet), "cauchy condition fails at some index"),
-    "topological": (SequenceSpec, "sequence leaves the minimal neighbourhood "
-                                  "unboundedly often"),
-    "product": (SequenceSpec, "some coordinate never settles"),
-    "statistical": (SequenceSpec, "some index has positive deviation density"),
+    "right": "right condition fails at some index",
+    "left": "left condition fails at some index",
+    "cauchy": "cauchy condition fails at some index",
+    "topological": "sequence leaves the minimal neighbourhood unboundedly often",
+    "product": "some coordinate never settles",
+    "statistical": "some index has positive deviation density",
 }
 
 
@@ -223,16 +220,17 @@ def cmd_converge(args) -> int:
     mode, x = args.mode, args.point
     seq = parse_document(_read(args.sequence))
     space = parse_document(_read(args.space))
-    carriers, reason = _CONVERGE[mode]
     # The topological mode checks the carrier before it reads the space; the
-    # others read the space as a family first.
+    # others read the space as a family first.  Every mode takes a sequence
+    # or a net but the statistical one, as a net has no natural density.
     q = None if mode == "topological" else _as_family(space)
-    if not isinstance(seq, carriers):
-        noun = "sequence" if carriers is SequenceSpec else "sequence or net"
-        raise DocumentError(f"{mode} mode needs a {noun} document")
+    if mode == "statistical" and not isinstance(seq, SequenceSpec):
+        raise DocumentError("statistical mode needs a sequence document")
+    if not isinstance(seq, (SequenceSpec, DirectedNet)):
+        raise DocumentError(f"{mode} mode needs a sequence or net document")
     detail = {"mode": mode, "point": x}
     if mode == "topological":
-        ok = topology.converges_topologically(seq, _as_topology(space), x)
+        ok = qmetric.converges_topologically(seq, _as_topology(space), x)
     elif mode == "right":
         ok = qmetric.right_converges(seq, q, x)
     elif mode == "left":
@@ -253,7 +251,7 @@ def cmd_converge(args) -> int:
                  detail=detail)
             return EXIT_FAIL if args.strict else EXIT_PASS
         ok = result.verdict == "true"
-    return _verdict("converge", ok, reason, detail=detail)
+    return _verdict("converge", ok, _CONVERGE[mode], detail=detail)
 
 
 def cmd_enumerate(args) -> int:

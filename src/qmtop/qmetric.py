@@ -1,6 +1,6 @@
 """Quasimetric-family machinery: axioms, balls, the generated topology,
-right/left convergence, separation, and statistical convergence through
-natural density.
+right, left, topological and product convergence, separation, and
+statistical convergence through natural density.
 """
 
 from __future__ import annotations
@@ -37,6 +37,10 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 EMPIRICAL_HORIZONS = (10**3, 10**4, 10**5, 10**6)
+# The last position `converges_topologically` evaluates directly to
+# cross-check a positive verdict on a sequence; read at each call, so tests
+# can shorten it.
+CROSS_CHECK_HORIZON = 100_000
 DENSITY_MODULUS_CAP = 10**6
 
 
@@ -107,7 +111,7 @@ def to_topology(q: QuasiFamily) -> Topology:
 Carrier = Union[SequenceSpec, DirectedNet]
 
 
-def _check_space(s: Carrier, q: QuasiFamily) -> None:
+def _check_space(s: Carrier, q: QuasiFamily | Topology) -> None:
     if not s.space.compatible(q.space):
         raise SpaceMismatchError("sequence/net space differs from the family's")
 
@@ -166,7 +170,7 @@ def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
     return all(rows[a] & recur == recur for rows in q.rows for a in members(recur))
 
 
-def product_converges(s: SequenceSpec, q: QuasiFamily, x: int) -> bool:
+def product_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     """Coordinatewise eventual vanishing of the distance vector d(x, s_k).
 
     With finitely many coordinates this is one eventual-membership question
@@ -175,10 +179,28 @@ def product_converges(s: SequenceSpec, q: QuasiFamily, x: int) -> bool:
     """
     _check_space(s, q)
     q.space.check_point(x)
-    verdict = _tails.eventually_in(s, ball_meet(q)[x])
+    verdict = _eventually_in(s, ball_meet(q)[x])
     if verdict != right_converges(s, q, x):
         raise AssertionError("product and per-coordinate convergence disagree")
     return verdict
+
+
+def converges_topologically(s: Carrier, t: Topology, x: int) -> bool:
+    """Whether the sequence or net is eventually inside the minimal
+    neighbourhood of x.
+
+    A sequence's verdict is decided exactly from the rule structure, and
+    positions up to `CROSS_CHECK_HORIZON` cross-check a positive one by
+    direct evaluation.  A net's is a finite computation over its tails, with
+    no symbolic step to cross-check.
+    """
+    _check_space(s, t)
+    t.space.check_point(x)
+    good = t.rows[x]
+    decided = _eventually_in(s, good)
+    if isinstance(s, SequenceSpec):
+        _tails.assert_tail_consistent(s, good, decided, CROSS_CHECK_HORIZON)
+    return decided
 
 
 # ---------------------------------------------------------------------------

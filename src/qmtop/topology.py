@@ -1,4 +1,4 @@
-"""Topology axioms, subbase generation, separation, convergence, enumeration.
+"""Topology axioms, subbase generation, separation, enumeration.
 
 Everything here is the direct, definition-level side of the toolkit: the
 quasimetric characterisations in `qmetric` are cross-checked against these
@@ -12,13 +12,11 @@ from functools import cache, reduce
 from itertools import combinations, repeat
 from operator import or_
 
-from . import _kernels, _tails
+from . import _kernels
 from ._kernels import pack, transpose
 from .core import (  # noqa: F401  (serialize: an import site perfbench patches)
     InvariantViolation,
     PointSpace,
-    SequenceSpec,
-    SpaceMismatchError,
     Topology,
     distances_text,
     members,
@@ -32,9 +30,6 @@ from .core import (  # noqa: F401  (serialize: an import site perfbench patches)
 )
 
 ENUM_MAX_POINTS = 5
-# The last position `converges_topologically` evaluates directly to
-# cross-check a positive verdict; read at each call, so tests can shorten it.
-CROSS_CHECK_HORIZON = 100_000
 
 
 @record
@@ -166,24 +161,6 @@ def is_t1(t: Topology) -> bool:
 
 def is_t2(t: Topology) -> bool:
     return separated(t.rows, "t2")
-
-
-# --- convergence ----------------------------------------------------------
-
-def converges_topologically(s: SequenceSpec, t: Topology, x: int) -> bool:
-    """Whether the sequence is eventually inside the minimal neighbourhood of x.
-
-    The verdict is decided exactly from the rule structure; positions up to
-    `CROSS_CHECK_HORIZON` cross-check a positive verdict by direct
-    evaluation.
-    """
-    if not s.space.compatible(t.space):
-        raise SpaceMismatchError("sequence and topology spaces differ")
-    t.space.check_point(x)
-    good = t.rows[x]
-    decided = _tails.eventually_in(s, good)
-    _tails.assert_tail_consistent(s, good, decided, CROSS_CHECK_HORIZON)
-    return decided
 
 
 # --- exhaustive enumeration -------------------------------------------------

@@ -35,7 +35,7 @@ What the calls cover:
 - The literal separation conditions of the paper's statements (3)-(5)
   fail on spaces that are T0, T1 and T2.
 - A constant sequence converges topologically in the Sierpinski space.
-  The cross-check's depth is a constant, `topology.CROSS_CHECK_HORIZON`, so
+  The cross-check's depth is a constant, `qmetric.CROSS_CHECK_HORIZON`, so
   `--horizon` is an unknown option: exit 2 and no report.
 - The topology stream runs the generator kernel that carries up-sets; its
   documents are counted, not printed.
@@ -49,6 +49,11 @@ What the calls cover:
   first violation, so `canonical` refuses every subset of 16 points but
   {0} at once.
 - A net left-converges where its tail lies inside the column of the meet.
+  Every mode of statement (1) takes that net: it converges topologically
+  and in the product to point 1 of the Sierpinski space (exit 0), and to
+  neither at point 0 of the discrete space given by a two-index family
+  (exit 1).  Only the statistical mode refuses a net: exit 2, no report,
+  and `error: statistical mode needs a sequence document`.
 - A sequence whose rule moduli have lcm 9,240 runs the tail-type masks
   (shifts and byte buffers, whose `int` byte methods take no default byte
   order on 3.10): no square is 2 mod 3, so its first rule never fires, but
@@ -223,6 +228,13 @@ def main(tmp: str) -> None:
                            "order": [[1, 1], [0, 1]], "assignment": [0, 1]})
     run(0, "converge", net, sier, "--point", "1", "--mode", "left")
     run(1, "converge", net, sier, "--point", "0", "--mode", "left")
+    for mode in ("topological", "product"):
+        run(0, "converge", net, sier, "--point", "1", "--mode", mode)
+        run(1, "converge", net, two, "--point", "0", "--mode", mode)
+    proc = call("converge", net, sier, "--point", "1", "--mode", "statistical")
+    if (proc.returncode, proc.stdout, proc.stderr) != \
+            (2, "", "error: statistical mode needs a sequence document\n"):
+        sys.exit("expected a net to be refused by the statistical mode")
     bad_net = doc("bad_net.json", {"kind": "net", "n": 2, "elements": ["a", "b", "c"],
                                    "order": [[1, 1, 0], [0, 1, 1], [0, 0, 1]],
                                    "assignment": [0, 1, 1]})

@@ -43,8 +43,10 @@ from qmtop.qmetric import (
     DENSITY_MODULUS_CAP,
     DensityValue,
     ball_meet,
+    converges_topologically,
     is_right_cauchy,
     left_converges,
+    product_converges,
     right_converges,
     sep_metric,
     to_topology,
@@ -361,15 +363,13 @@ def canonical_route_separation(t: Topology, method: str) -> tuple[int, str]:
     direct = {axiom: separated(rows, axiom) for axiom in ("t0", "t1", "t2")}
     if method == "metric":
         metric = {"t0": sep_metric(q, "t0_unordered"), "t1": sep_metric(q, "t1_amended"),
-                  "t2": direct["t2"]}
-        mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
+                  "t2": sep_metric(q, "t2")}
+        mismatches = [axiom for axiom in direct if metric[axiom] != direct[axiom]]
         report = partial(
             emit, "separation", "fail" if mismatches else "pass",
             reason=f"metric and direct verdicts disagree on {mismatches}"
             if mismatches else None,
             detail={"method": "metric", **metric,
-                    "note": "t2 from the generated topology; no sound "
-                            "metric criterion is available",
                     "direct": direct, "disagreements": mismatches})
         failed = bool(mismatches)
     else:
@@ -406,17 +406,19 @@ def family_route_separation(q: QuasiFamily, method: str) -> tuple[int, str]:
         report = partial(emit, "separation", "pass", detail={"method": "direct", **direct})
         failed = False
     elif method == "metric":
+        # x and y are T2-separated iff their ball meets are disjoint: no
+        # point lies at distance 0 from both in every index.
+        meet = [sum(1 << y for y in range(n) if all(m[x][y] == 0 for m in mats))
+                for x in range(n)]
         metric = {"t0": all(matrix_sep_pair(mats, "t0_unordered", x, y) for x, y in pairs),
                   "t1": all(matrix_sep_pair(mats, "t1_amended", x, y) for x, y in pairs),
-                  "t2": direct["t2"]}
-        mismatches = [axiom for axiom in ("t0", "t1") if metric[axiom] != direct[axiom]]
+                  "t2": all(not meet[x] & meet[y] for x, y in pairs)}
+        mismatches = [axiom for axiom in direct if metric[axiom] != direct[axiom]]
         report = partial(
             emit, "separation", "fail" if mismatches else "pass",
             reason=f"metric and direct verdicts disagree on {mismatches}"
             if mismatches else None,
             detail={"method": "metric", **metric,
-                    "note": "t2 from the generated topology; no sound "
-                            "metric criterion is available",
                     "direct": direct, "disagreements": mismatches})
         failed = bool(mismatches)
     else:
@@ -733,26 +735,30 @@ def net_convergence_disagreements(n: int) -> int:
     n <= 2 and one per renaming of the points for n = 3 (the families are
     closed under renaming).  Right convergence to x is eventual membership
     in the meet of the balls at x, which is x's row in the generated
-    topology.  The oracles are read per index, from one-index families, and
-    each family's verdict is the AND over its indices; Cauchy and left
-    convergence are checked the same way.  Returns the number of
-    disagreements; cached, as two suites read the same sweep."""
+    topology, and `converges_topologically` on that topology and
+    `product_converges` must give the same verdict.  The oracles are read
+    per index, from one-index families, and each family's verdict is the
+    AND over its indices; Cauchy and left convergence are checked the same
+    way.  Returns the number of disagreements; cached, as two suites read
+    the same sweep."""
     preorders = [t.rows for t in enumerate_preorders(n)]
     single = [QuasiFamily(PointSpace(n), ("i0",), (rows,)) for rows in preorders]
     families = [(q, [preorders.index(rows) for rows in q.rows], ball_meet(q),
-                 to_topology(q).rows) for q in small_index_families(n)]
+                 to_topology(q)) for q in small_index_families(n)]
     disagreements = 0
     for net in directed_nets(n, up_to_renaming=n == 3):
         eventually = [net_eventually(net, lambda v: mask >> v & 1) for mask in range(1 << n)]
         cauchy = [net_is_right_cauchy(net, p) for p in single]
         right = [[net_right_converges(net, p, x) for x in range(n)] for p in single]
         left = [[net_left_converges(net, p, x) for x in range(n)] for p in single]
-        for q, chosen, meet, rows in families:
+        for q, chosen, meet, t in families:
             disagreements += is_right_cauchy(net, q) != all(cauchy[i] for i in chosen)
             for x in range(n):
                 verdict = right_converges(net, q, x)
                 disagreements += not (verdict == all(right[i][x] for i in chosen)
-                                      == eventually[meet[x]] == eventually[rows[x]])
+                                      == eventually[meet[x]] == eventually[t.rows[x]]
+                                      == converges_topologically(net, t, x)
+                                      == product_converges(net, q, x))
                 disagreements += left_converges(net, q, x) != \
                     all(left[i][x] for i in chosen)
     return disagreements

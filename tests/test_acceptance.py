@@ -120,7 +120,7 @@ def test_criterion_04_d_u_equals_p_u():
 
 
 def test_criterion_05_convergence_equivalence(monkeypatch):
-    monkeypatch.setattr(topology, "CROSS_CHECK_HORIZON", 512)
+    monkeypatch.setattr(qmetric, "CROSS_CHECK_HORIZON", 512)
     disagreements = 0
     for n in (1, 2, 3):
         sequences = all_eventually_periodic(PointSpace(n))
@@ -129,7 +129,7 @@ def test_criterion_05_convergence_equivalence(monkeypatch):
             for seq in sequences:
                 for x in range(n):
                     right = qmetric.right_converges(seq, cf, x)
-                    topo = topology.converges_topologically(seq, t, x)
+                    topo = qmetric.converges_topologically(seq, t, x)
                     prod = qmetric.product_converges(seq, cf, x)
                     if not right == topo == prod:
                         disagreements += 1
@@ -354,13 +354,23 @@ def test_criterion_13_statement_5_t2(tmp_path, capsys):
                        "a two-index family on 2 points", tmp_path, capsys)
 
 
-def test_criterion_14_statement_1_convergence(monkeypatch):
+# Two nets on the two-element chain a <= b, eventually at 1 and eventually at
+# 0, so one converges to point 1 of the discrete space TWO_INDEX_DOC and one
+# does not.
+CONVERGING_NET, DIVERGING_NET = (
+    {"kind": "net", "n": 2, "elements": ["a", "b"], "order": [[1, 1], [0, 1]],
+     "assignment": assignment} for assignment in ([0, 1], [1, 0]))
+
+
+def test_criterion_14_statement_1_convergence(monkeypatch, tmp_path, capsys):
     """Statement (1): a sequence right-converges to x in the family iff it
     converges to x in the generated topology, iff it converges in every
     index at once.  Criterion 05 covers canonical families; here every
     family of at most 2 indices on n <= 2 and a seeded sample of families
-    on 3 points that are no topology's canonical family, and the nets."""
-    monkeypatch.setattr(topology, "CROSS_CHECK_HORIZON", 512)
+    on 3 points that are no topology's canonical family, and the nets.  As
+    criteria 11-13 re-check their witnesses, one net per verdict goes
+    through `qmtop converge` in each of the three modes."""
+    monkeypatch.setattr(qmetric, "CROSS_CHECK_HORIZON", 512)
     start = time.perf_counter()
     families = [q for n in (1, 2) for q in small_index_families(n)]
     others = [q for q in small_index_families(3) if q.rows !=
@@ -373,17 +383,30 @@ def test_criterion_14_statement_1_convergence(monkeypatch):
             for x in range(n):
                 checked += 1
                 right = qmetric.right_converges(seq, q, x)
-                topo = topology.converges_topologically(seq, t, x)
+                topo = qmetric.converges_topologically(seq, t, x)
                 disagreements += not right == topo == qmetric.product_converges(seq, q, x)
     sequences_s = time.perf_counter() - start
     net_disagreements = sum(map(net_convergence_disagreements, (1, 2, 3)))
-    _verdict(14, f"statement (1) holds: right = topological = product convergence on "
-                 f"{checked} (family, eventually-periodic sequence, point) cases, "
-                 f"|I|<=2 on n<=2 and 32 non-canonical families on n=3 "
-                 f"({disagreements} disagreements, {sequences_s:.2f}s), and on every "
-                 f"net over a directed preorder of <=3 elements, |I|<=2, n<=3 "
-                 f"({net_disagreements} disagreements)",
-             disagreements == net_disagreements == 0 and sequences_s < 1.5)
+    space = tmp_path / "space.json"
+    space.write_text(json.dumps(TWO_INDEX_DOC))
+    cli_codes = []
+    for name, net in (("converging", CONVERGING_NET), ("diverging", DIVERGING_NET)):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(net))
+        for mode in ("right", "topological", "product"):
+            cli_codes.append(cli_main(["converge", str(path), str(space), "--point", "1",
+                                       "--mode", mode]))
+            capsys.readouterr()
+    with capsys.disabled():
+        _verdict(14, f"statement (1) holds: right = topological = product convergence on "
+                     f"{checked} (family, eventually-periodic sequence, point) cases, "
+                     f"|I|<=2 on n<=2 and 32 non-canonical families on n=3 "
+                     f"({disagreements} disagreements, {sequences_s:.2f}s), and on every "
+                     f"net over a directed preorder of <=3 elements, |I|<=2, n<=3 "
+                     f"({net_disagreements} disagreements); through the CLI a net that "
+                     f"converges exits 0 and one that does not exits 1 in all three modes",
+                 disagreements == net_disagreements == 0 and sequences_s < 1.5
+                 and cli_codes == [0, 0, 0, 1, 1, 1])
 
 
 def test_criterion_15_statement_2_continuity():

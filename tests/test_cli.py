@@ -386,15 +386,21 @@ def _break_dual_route(monkeypatch, files):
 
 
 def _break_tail_verdict(monkeypatch, files):
-    monkeypatch.setattr(topology._tails, "eventually_in", lambda seq, mask: True)
+    monkeypatch.setattr(qmetric._tails, "eventually_in", lambda seq, mask: True)
     return ["converge", files("squares.json", SQUARES_SEQ), files("sier.json", SIER),
             "--point", "1", "--mode", "topological"]
 
 
+def _break_per_coordinate_route(monkeypatch, files):
+    monkeypatch.setattr(qmetric, "right_converges", lambda s, q, x: False)
+    return ["converge", files("net.json", NET), files("sier.json", SIER),
+            "--point", "1", "--mode", "product"]
+
+
 @pytest.mark.parametrize("breaks", [_break_witness_recheck, _break_dual_route,
-                                    _break_tail_verdict],
+                                    _break_tail_verdict, _break_per_coordinate_route],
                          ids=["witness re-check", "to_topology dual route",
-                              "tail scan"])
+                              "tail scan", "product on a net"])
 def test_failed_self_check_is_internal_error(breaks, monkeypatch, files, capsys):
     code = main(breaks(monkeypatch, files))
     captured = capsys.readouterr()
@@ -719,15 +725,47 @@ def test_discrepancy_strips_direct_only_from_an_axiom(name, capsys):
     assert code == 0 and json.loads(out)["detail"]["left"] == "t1"
 
 
+NET = '{"kind":"net","elements":["a","b"],"order":[[1,1],[0,1]],"assignment":[0,1],"n":2}'
+# The discrete 2-point space as a family that is not canonical.
+TWO_INDEX_FAMILY = ('{"kind":"qmetric","n":2,"indices":["i0","i1"],'
+                    '"matrices":[[[0,0],[1,0]],[[0,1],[0,0]]]}')
+
+
 def test_converge_accepts_nets(files, capsys):
     sier = files("sier.json", SIER)
-    net = files("net.json", '{"kind":"net","elements":["a","b"],'
-                            '"order":[[1,1],[0,1]],"assignment":[0,1],"n":2}')
+    net = files("net.json", NET)
     assert run(capsys, "converge", net, sier, "--point", "1", "--mode", "right")[0] == 0
     assert run(capsys, "converge", net, sier, "--point", "1", "--mode", "cauchy")[0] == 0
     # nets have no statistical semantics
-    assert run(capsys, "converge", net, sier, "--point", "1",
-               "--mode", "statistical")[0] == 2
+    code = main(["converge", net, sier, "--point", "1", "--mode", "statistical"])
+    assert (code, *capsys.readouterr()) == \
+        (2, "", "error: statistical mode needs a sequence document\n")
+
+
+def _converge_report(mode, point, reason=None):
+    verdict = '"verdict":"pass"' if reason is None else f'"verdict":"fail","reason":"{reason}"'
+    return f'{{"op":"converge",{verdict},"detail":{{"mode":"{mode}","point":{point}}}}}\n'
+
+
+# The net ends at 1, so it converges to 1 in the Sierpinski space and not to
+# 0 in the discrete one.  The topological reason keeps the word "sequence",
+# so that every sequence call's report keeps its bytes.
+@pytest.mark.parametrize("mode, space, point, expected", [
+    ("topological", SIER, 1, (0, _converge_report("topological", 1))),
+    ("topological", TWO_INDEX_FAMILY, 0, (1, _converge_report(
+        "topological", 0, "sequence leaves the minimal neighbourhood unboundedly often"))),
+    ("product", SIER, 1, (0, _converge_report("product", 1))),
+    ("product", TWO_INDEX_FAMILY, 0, (1, _converge_report(
+        "product", 0, "some coordinate never settles"))),
+], ids=["topological pass", "topological fail", "product pass", "product fail"])
+def test_converge_decides_nets_in_every_mode_of_statement_1(mode, space, point, expected,
+                                                            files, capsys):
+    """Topological and product convergence take a net, as right convergence
+    does, and give its verdict."""
+    net, space = files("net.json", NET), files("space.json", space)
+    assert run(capsys, "converge", net, space, "--point", str(point), "--mode", mode) == expected
+    assert run(capsys, "converge", net, space, "--point", str(point),
+               "--mode", "right")[0] == expected[0]
 
 
 @pytest.mark.parametrize("mode", ["right", "left", "cauchy"])
@@ -868,6 +906,14 @@ def test_start_up_loads_no_fraction_module():
     proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def test_topology_loads_no_tail_analysis():
+    """Only convergence reads `_tails`, and it lives in `qmetric`."""
+    probe = "import sys, qmtop.topology; print('qmtop._tails' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "False\n", proc.stderr
 
 
 # Refuses every import from outside the standard library and qmtop, then

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from qmtop import qmetric, topology
+from qmtop import qmetric
 from qmtop.core import (
     Complement,
+    DirectedNet,
     FiniteSet,
     PointSpace,
     PowersOfTwo,
@@ -20,6 +21,7 @@ from qmtop.core import (
 from qmtop.qmetric import (
     PREDICATES,
     check_quasifamily,
+    converges_topologically,
     is_right_cauchy,
     left_converges,
     natural_density,
@@ -33,7 +35,6 @@ from qmtop.qmetric import (
 )
 from qmtop.representation import canonical_family
 from qmtop.topology import (
-    converges_topologically,
     enumerate_preorders,
     enumerate_topologies,
     is_t2,
@@ -245,9 +246,20 @@ def test_product_converges_examples():
             right_converges(alternating, cf, target)
 
 
+def test_product_converges_raises_when_the_routes_disagree(monkeypatch):
+    """The per-index route of `right_converges` is the self-check of
+    product convergence, on sequences and nets alike."""
+    cf = canonical_family(sierpinski())
+    net = DirectedNet(cf.space, ("a", "b"), ((1, 1), (0, 1)), (0, 1))
+    monkeypatch.setattr(qmetric, "right_converges", lambda s, q, x: False)
+    for carrier in (SequenceSpec(cf.space, 1), net):
+        with pytest.raises(AssertionError, match="^product and per-coordinate"):
+            product_converges(carrier, cf, 1)
+
+
 def test_convergence_routes_agree_two_points(monkeypatch):
     # full n <= 3 sweep lives in the acceptance suite
-    monkeypatch.setattr(topology, "CROSS_CHECK_HORIZON", 256)
+    monkeypatch.setattr(qmetric, "CROSS_CHECK_HORIZON", 256)
     for t in enumerate_topologies(2):
         cf = canonical_family(t)
         for seq in all_eventually_periodic(t.space):

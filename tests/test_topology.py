@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from qmtop import _kernels, topology
+from qmtop import _kernels, qmetric, topology
 
 from qmtop.core import (
     InvariantViolation,
@@ -20,7 +20,6 @@ from qmtop.core import (
 )
 from qmtop.topology import (
     check_topology,
-    converges_topologically,
     enumerate_preorders,
     enumerate_topologies,
     generate_from_subbase,
@@ -30,6 +29,8 @@ from qmtop.topology import (
     separating_pairs,
     topology_documents,
 )
+
+from qmtop.qmetric import converges_topologically
 
 from helpers import (
     OPENS_ORACLES,
@@ -307,7 +308,7 @@ def test_converges_topologically_examples():
 
 
 def test_constant_sequence_converges_everywhere(monkeypatch):
-    monkeypatch.setattr(topology, "CROSS_CHECK_HORIZON", 500)
+    monkeypatch.setattr(qmetric, "CROSS_CHECK_HORIZON", 500)
     for t in enumerate_topologies(3):
         for x in range(3):
             assert converges_topologically(SequenceSpec(t.space, x), t, x)
