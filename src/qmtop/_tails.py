@@ -17,9 +17,9 @@ finite list, and both facts are decided exactly:
 Each rule's index set is one mask over the 4M types (`_type_bits`), built
 by the one fold that also builds its mask over positions (`_member_bits`),
 and the first matching rule takes the types no earlier rule took.  That
-gives the mask of values that some unboundedly realised type takes, which
-turns "the sequence is eventually inside S" into one AND against S, with an
-explicit settle bound past which the typed behaviour governs.
+gives the mask of values that some unboundedly realised type takes: the
+values the sequence takes past an explicit settle bound, so "the sequence is
+eventually inside S" is one AND against S.
 """
 
 from __future__ import annotations
@@ -115,11 +115,6 @@ def tail_types(seq: SequenceSpec) -> TailTypes:
     if rest & vast:
         recurrent |= 1 << seq.default
     return TailTypes(modulus, settle, recurrent)
-
-
-def eventually_in(seq: SequenceSpec, good_mask: int) -> bool:
-    """Whether all but finitely many positions take a value inside the mask."""
-    return not tail_types(seq).recurrent & ~good_mask
 
 
 def evaluate_range(seq: SequenceSpec, kmax: int) -> list[int]:

@@ -98,8 +98,11 @@ def check_positives(p: PositiveSet) -> list[AxiomViolation]:
     """Brute-force verification of the set-of-positives axioms.
 
     Assumes the underlying semigroup is valid (meets and halves exist);
-    checks meet-closure, upward closure, closure under halving, and the
-    order-separation property.
+    checks meet-closure, upward closure and the order-separation property.
+    Closure under halving cannot fail there, so it is not checked: unique
+    halving makes doubling a bijection of the finite carrier, a <= a + a in
+    the derived order, and a chain a <= 2a <= 4a <= ... returns to a, so
+    antisymmetry gives a + a = a, and every element is its own half.
     """
     sg = p.semigroup
     m = sg.size
@@ -116,11 +119,6 @@ def check_positives(p: PositiveSet) -> list[AxiomViolation]:
     for r in positives:
         for a in members(up[r] & ~mask):
             out.append(AxiomViolation("upward-closed", (r, a)))
-    for r in positives:
-        halves = [b for b in range(m) if sg.add[b][b] == r]
-        for b in halves:
-            if not mask >> b & 1:
-                out.append(AxiomViolation("halving-closed", (r, b)))
     # The sums b + r over every positive r, one mask per b.
     sums = [_mask(sg.add[b][r] for r in positives) for b in range(m)]
     for a in range(m):

@@ -473,22 +473,6 @@ def _descriptor_from(obj, depth: int = 1) -> IndexSetDescriptor:
     raise DocumentSyntaxError(f"unknown index set type {t!r}")
 
 
-def _descriptor_json(ds: IndexSetDescriptor) -> dict:
-    if isinstance(ds, FiniteSet):
-        return {"type": "finite", "members": list(ds.members)}
-    if isinstance(ds, ResidueClasses):
-        return {"type": "residues", "mod": ds.modulus, "residues": list(ds.residues)}
-    if isinstance(ds, Squares):
-        return {"type": "squares"}
-    if isinstance(ds, PowersOfTwo):
-        return {"type": "powers_of_two"}
-    if isinstance(ds, Complement):
-        return {"type": "complement", "of": _descriptor_json(ds.of)}
-    if isinstance(ds, UnionSet):
-        return {"type": "union", "of": [_descriptor_json(p) for p in ds.parts]}
-    raise TypeError(f"not a descriptor: {ds!r}")
-
-
 def axiom_violations(value: Document) -> tuple[str, list]:
     """What a parsed value promises to be, and every violation of the first
     axioms it breaks: a set of positives promises its semigroup's before its
@@ -610,17 +594,6 @@ def parse_document(text: str, *, validate: bool = True) -> Document:
 # Serialization (canonical: deterministic, byte-identical on repeats)
 
 
-def _dump(obj: dict) -> str:
-    return json.dumps(obj, separators=(",", ":"))
-
-
-def _space_json(space: PointSpace, obj: dict) -> dict:
-    obj["n"] = space.n
-    if space.labels is not None:
-        obj["labels"] = list(space.labels)
-    return obj
-
-
 # Topology and qmetric documents are written as text: a prefix, then one
 # short JSON list per open or per zero row, looked up rather than encoded
 # again, so a document stream can share one table across every document.
@@ -653,15 +626,19 @@ def distances_text(n: int, row: int) -> str:
     return "[" + (_DISTANCES[row & 255] + _DISTANCES[row >> 8])[:2 * n - 1] + "]"
 
 
-def _open_prefix(obj: dict) -> str:
-    """The compact text of a document whose last value is an empty list, cut
-    before that list's closing bracket."""
-    return _dump(obj)[:-2]
+def _open_prefix(space: PointSpace, kind: str, **fields) -> str:
+    """The compact text of a document of that kind over the space, with the
+    fields after its space, cut before the closing bracket of the last
+    field, an empty list."""
+    obj = {"kind": kind, "n": space.n}
+    if space.labels is not None:
+        obj["labels"] = list(space.labels)
+    return json.dumps(obj | fields, separators=(",", ":"))[:-2]
 
 
 def topology_prefix(space: PointSpace) -> str:
     """The text of a topology document up to its first open."""
-    return _open_prefix(_space_json(space, {"kind": "topology"}) | {"opens": []})
+    return _open_prefix(space, "topology", opens=[])
 
 
 def topology_text(prefix: str, opens, text_of=members_text) -> str:
@@ -672,8 +649,7 @@ def topology_text(prefix: str, opens, text_of=members_text) -> str:
 
 def qmetric_prefix(space: PointSpace, indices) -> str:
     """The text of a qmetric document up to its first matrix."""
-    return _open_prefix(_space_json(space, {"kind": "qmetric"})
-                        | {"indices": list(indices), "matrices": []})
+    return _open_prefix(space, "qmetric", indices=list(indices), matrices=[])
 
 
 def qmetric_text(prefix: str, rows, text_of) -> str:
@@ -682,8 +658,10 @@ def qmetric_text(prefix: str, rows, text_of) -> str:
     return prefix + ",".join("[" + ",".join(map(text_of, r)) + "]" for r in rows) + "]}"
 
 
-def serialize(value: Document) -> str:
-    """Canonical document of a value; `parse_document` round-trips it.
+def serialize(value: Topology | QuasiFamily) -> str:
+    """Canonical document of a topology or a family, the two kinds a verb
+    prints; `parse_document` round-trips it.  Sequence, net and semigroup
+    documents are only read, so their values raise `TypeError`.
 
     Opens (the up-sets of a topology's rows) and members are emitted
     ascending by mask/point, quasimetric indices are sorted by label with
@@ -702,28 +680,5 @@ def serialize(value: Document) -> str:
         distances = {z: distances_text(n, z) for z in set(chain.from_iterable(rows))}
         return qmetric_text(qmetric_prefix(value.space, map(value.indices.__getitem__, order)),
                             rows, distances.__getitem__)
-
-    if isinstance(value, SequenceSpec):
-        obj = _space_json(value.space, {"kind": "sequence"})
-        obj["default"] = value.default
-        obj["rules"] = [{"set": _descriptor_json(ds), "point": p} for ds, p in value.rules]
-        return _dump(obj)
-
-    if isinstance(value, DirectedNet):
-        order = sorted(range(len(value.elements)), key=lambda a: value.elements[a])
-        obj = {"kind": "net",
-               "elements": [value.elements[a] for a in order],
-               "order": [[value.order[a][b] for b in order] for a in order],
-               "assignment": [value.assignment[a] for a in order]}
-        _space_json(value.space, obj)
-        return _dump(obj)
-
-    if isinstance(value, (ValueSemigroup, PositiveSet)):
-        sg = value.semigroup if isinstance(value, PositiveSet) else value
-        obj = {"kind": "semigroup", "elements": list(sg.elements),
-               "add": [list(r) for r in sg.add], "zero": sg.zero, "infinity": sg.infinity}
-        if sg is not value:
-            obj["positives"] = list(value.members)
-        return _dump(obj)
 
     raise TypeError(f"cannot serialize {type(value).__name__}")

@@ -6,7 +6,7 @@ statistical convergence through natural density.
 from __future__ import annotations
 
 import math
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, compress
 from operator import and_, or_
 from typing import TYPE_CHECKING, Union
@@ -116,27 +116,28 @@ def _check_space(s: Carrier, q: QuasiFamily | Topology) -> None:
         raise SpaceMismatchError("sequence/net space differs from the family's")
 
 
-def _eventually_in(s: Carrier, mask: int) -> bool:
-    """Whether the sequence or net is eventually inside the mask.  A net's
-    tail at element a is the mask of the points it takes at or after a, and
-    the net is eventually inside the mask iff some tail is."""
+def _tail_masks(s: Carrier) -> tuple[int, ...]:
+    """The tails of a sequence or net, as point masks: the carrier is
+    eventually inside a set iff some tail is.  A described sequence has one,
+    the values it takes past its settle bound (`_tails.tail_types`); a net
+    has one per element, the points it takes at or after that element."""
     if isinstance(s, DirectedNet):
-        return any(not tail & ~mask for tail in _net_tails(s))
-    return _tails.eventually_in(s, mask)
+        points = [1 << v for v in s.assignment]
+        return tuple([reduce(or_, compress(points, row)) for row in s.order])
+    return (_tails.tail_types(s).recurrent,)
 
 
-@lru_cache(maxsize=4096)
-def _net_tails(net: DirectedNet) -> tuple[int, ...]:
-    """For each element, the mask of the points the net takes at or after it."""
-    points = [1 << v for v in net.assignment]
-    return tuple([reduce(or_, compress(points, row)) for row in net.order])
+def _eventually_in(tails: tuple[int, ...], mask: int) -> bool:
+    """Whether some tail of `_tail_masks` lies inside the mask."""
+    return any(not tail & ~mask for tail in tails)
 
 
 def right_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     """For every index, d_i(x, s_k) vanishes from some position on."""
     _check_space(s, q)
     q.space.check_point(x)
-    return all(_eventually_in(s, rows[x]) for rows in q.rows)
+    tails = _tail_masks(s)
+    return all(_eventually_in(tails, rows[x]) for rows in q.rows)
 
 
 def left_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
@@ -147,7 +148,7 @@ def left_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     # net (any two elements have an upper bound), is eventually inside each
     # of finitely many sets iff it is eventually inside their intersection,
     # the column of the meet.
-    return _eventually_in(s, transpose(ball_meet(q))[x])
+    return _eventually_in(_tail_masks(s), transpose(ball_meet(q))[x])
 
 
 def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
@@ -160,13 +161,13 @@ def is_right_cauchy(s: Carrier, q: QuasiFamily) -> bool:
     zero row of the point taken at a.
     """
     _check_space(s, q)
+    tails = _tail_masks(s)
     if isinstance(s, DirectedNet):
-        tails = _net_tails(s)
         return all(any(all(not tails[a] & ~rows[s.assignment[a]]
                            for a, later in enumerate(after) if later)
                        for after in s.order)
                    for rows in q.rows)
-    recur = _tails.tail_types(s).recurrent
+    recur, = tails
     return all(rows[a] & recur == recur for rows in q.rows for a in members(recur))
 
 
@@ -179,7 +180,7 @@ def product_converges(s: Carrier, q: QuasiFamily, x: int) -> bool:
     """
     _check_space(s, q)
     q.space.check_point(x)
-    verdict = _eventually_in(s, ball_meet(q)[x])
+    verdict = _eventually_in(_tail_masks(s), ball_meet(q)[x])
     if verdict != right_converges(s, q, x):
         raise AssertionError("product and per-coordinate convergence disagree")
     return verdict
@@ -197,7 +198,7 @@ def converges_topologically(s: Carrier, t: Topology, x: int) -> bool:
     _check_space(s, t)
     t.space.check_point(x)
     good = t.rows[x]
-    decided = _eventually_in(s, good)
+    decided = _eventually_in(_tail_masks(s), good)
     if isinstance(s, SequenceSpec):
         _tails.assert_tail_consistent(s, good, decided, CROSS_CHECK_HORIZON)
     return decided

@@ -386,7 +386,7 @@ def _break_dual_route(monkeypatch, files):
 
 
 def _break_tail_verdict(monkeypatch, files):
-    monkeypatch.setattr(qmetric._tails, "eventually_in", lambda seq, mask: True)
+    monkeypatch.setattr(qmetric, "_tail_masks", lambda s: (0,))
     return ["converge", files("squares.json", SQUARES_SEQ), files("sier.json", SIER),
             "--point", "1", "--mode", "topological"]
 

@@ -212,26 +212,41 @@ def test_roundtrip_enumerated_topologies():
             assert parse_document(serialize(t)) == t
 
 
-def test_roundtrip_sequence_all_descriptor_kinds():
-    space = PointSpace(3)
-    seq = SequenceSpec(space, 2, (
+def test_parse_sequence_all_descriptor_kinds():
+    doc = ('{"kind":"sequence","n":3,"default":2,"rules":['
+           '{"set":{"type":"finite","members":[3,1,3]},"point":0},'
+           '{"set":{"type":"residues","mod":4,"residues":[2,0]},"point":1},'
+           '{"set":{"type":"squares"},"point":0},'
+           '{"set":{"type":"powers_of_two"},"point":1},'
+           '{"set":{"type":"complement","of":{"type":"union","of":'
+           '[{"type":"squares"},{"type":"finite","members":[7]}]}},"point":2}]}')
+    assert parse_document(doc) == SequenceSpec(PointSpace(3), 2, (
         (FiniteSet((3, 1, 3)), 0),
         (ResidueClasses(4, (2, 0)), 1),
         (Squares(), 0),
         (PowersOfTwo(), 1),
         (Complement(UnionSet((Squares(), FiniteSet((7,))))), 2),
     ))
-    assert parse_document(serialize(seq)) == seq
 
 
-def test_roundtrip_net_semigroup():
+def test_parse_net_semigroup_positives():
     net = parse_document(
         '{"kind":"net","elements":["a","b"],"order":[[1,1],[0,1]],"assignment":[0,1],"n":2}')
-    assert parse_document(serialize(net)) == net
+    assert net == DirectedNet(PointSpace(2), ("a", "b"), ((1, 1), (0, 1)), (0, 1))
     sg = ValueSemigroup(("0", "1"), ((0, 1), (1, 1)), zero=0, infinity=1)
-    assert parse_document(serialize(sg)) == sg
-    ps = PositiveSet(sg, (0, 1))
-    assert parse_document(serialize(ps)) == ps
+    assert parse_document(_SEMIGROUP + "}") == sg
+    assert parse_document(_SEMIGROUP + ',"positives":[1,0,1]}') == PositiveSet(sg, (0, 1))
+
+
+def test_serialize_refuses_the_input_only_kinds():
+    """Only topology and qmetric documents are printed, so only they are
+    written; sequence, net and semigroup documents are only read."""
+    space = PointSpace(2)
+    sg = ValueSemigroup(("0", "1"), ((0, 1), (1, 1)), zero=0, infinity=1)
+    for value in (SequenceSpec(space, 0), DirectedNet(space, ("a",), ((1,),), (0,)), sg,
+                  PositiveSet(sg, (0, 1))):
+        with pytest.raises(TypeError, match=f"^cannot serialize {type(value).__name__}$"):
+            serialize(value)
 
 
 def test_net_invariants_enforced():

@@ -88,8 +88,9 @@ def specs(draw):
 @settings(max_examples=60, deadline=None)
 @given(specs(), st.integers(1, 6))
 def test_eventually_in_matches_brute_force(seq, good_mask):
-    decided = _tails.eventually_in(seq, good_mask)
-    settle = _tails.tail_types(seq).settle
+    tails = _tails.tail_types(seq)
+    decided = not tails.recurrent & ~good_mask
+    settle = tails.settle
     assert settle < HORIZON
     vals = values(seq, HORIZON)
     bad_beyond = [k for k in range(settle + 1, HORIZON + 1)
@@ -137,15 +138,12 @@ def test_evaluation_at_the_top_horizon(mod):
 def test_squares_deviation_is_not_eventual():
     space = PointSpace(2)
     seq = SequenceSpec(space, 1, ((Squares(), 0),))
-    assert not _tails.eventually_in(seq, 0b10)
-    assert _tails.eventually_in(seq, 0b11)
     assert recurrent_values(seq) == {0, 1}
 
 
 def test_finite_deviation_is_eventual():
     space = PointSpace(2)
     seq = SequenceSpec(space, 1, ((FiniteSet((2, 9, 31)), 0),))
-    assert _tails.eventually_in(seq, 0b10)
     assert _tails.tail_types(seq).settle >= 31
     assert recurrent_values(seq) == {1}
 
@@ -155,7 +153,6 @@ def test_powers_of_two_square_interaction():
     # four, and those positions are unbounded
     space = PointSpace(2)
     seq = SequenceSpec(space, 1, ((Complement(Squares()), 1), (PowersOfTwo(), 0)))
-    assert not _tails.eventually_in(seq, 0b10)
     assert 0 in recurrent_values(seq)
 
 
@@ -228,7 +225,7 @@ def test_modulus_cap_refuses():
         (ResidueClasses(9967, (0,)), 1),
     ))
     with pytest.raises(_tails.TailAnalysisError):
-        _tails.eventually_in(seq, 0b01)
+        _tails.tail_types(seq)
 
 
 def test_consistency_guard_accepts_true_verdicts():
